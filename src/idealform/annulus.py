@@ -8,14 +8,13 @@ where the outer chord touches the U circle. Consecutive quadrilaterals
 share a radial edge, so the 2d corner points form one shared ground set
 and the disjunction has the cyclic window structure {2i-3, ..., 2i}.
 
-The formulations are closed-form: under the reflected code family all
-paired rows have unit normals; under the zig-zag family there is one
-extra row per coordinate pair, with the normal supported on that pair and
-weighted to cancel the family's total displacement. Both coefficient
-patterns come from the fact that corner 2i-1 and corner 2i belong to
-exactly quadrilaterals i and i+1 (cyclically), so each row coefficient is
-a min or max over two consecutive codes. Everything here is exact integer
-arithmetic; the float corner coordinates live only in the recovery map.
+The formulations are closed-form, each given by its list of normals:
+under the reflected code family all paired rows have unit normals; under
+the zig-zag family there is one extra row per coordinate pair, with the
+normal supported on that pair and weighted to cancel the family's total
+displacement. The rows themselves come from the shared builder
+formulation_for_normals. Everything here is exact integer arithmetic; the
+float corner coordinates live only in the recovery map.
 """
 
 from __future__ import annotations
@@ -23,13 +22,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .cdc import Cdc
-from .encoding import Encoding, EncodingKind, code_bounds, make_encoding
+from .cdc import Cdc, formulation_for_normals, unit_normals
+from .encoding import EncodingKind, make_encoding
 from .errors import DegenerateSecant, InputError, NotPowerOfTwo
-from .formulation import Formulation, GeneralRow, LinearEquality, RecoveryMap
-from .linalg import primitive_canonical
+from .formulation import Formulation, RecoveryMap
 
 
 @dataclass(frozen=True)
@@ -91,40 +88,6 @@ def annulus_vertices(spec: AnnulusSpec) -> tuple[tuple[float, float], ...]:
     return tuple(points)
 
 
-def _pair_rows(e: Encoding, normals) -> tuple[GeneralRow, ...]:
-    """Rows from the consecutive-code pattern of the cyclic windows.
-
-    The coefficient of both lambda_{2i-1} and lambda_{2i} in the row for
-    normal b is min (resp. max) of b . h^i and b . h^{i+1}, cyclically.
-    """
-    d = e.d
-    rows = []
-    for normal in normals:
-        values = [sum(nk * hk for nk, hk in zip(normal, row)) for row in e.rows]
-        lower = []
-        upper = []
-        for i in range(1, d + 1):
-            here, after = values[i - 1], values[i % d]
-            lower += [min(here, after)] * 2
-            upper += [max(here, after)] * 2
-        rows.append(
-            GeneralRow(normal=tuple(normal), lower=tuple(lower), upper=tuple(upper))
-        )
-    return tuple(rows)
-
-
-def _closed_form(d: int, kind: EncodingKind, normals_of) -> Formulation:
-    e = make_encoding(d, kind)
-    normals = sorted(normals_of(e.r))
-    return Formulation(
-        n_lambda=2 * d,
-        r_z=e.r,
-        equalities=(LinearEquality(lam=(1,) * (2 * d), z=(0,) * e.r, rhs=1),),
-        general_rows=_pair_rows(e, normals),
-        z_bounds=code_bounds(e),
-    )
-
-
 def _recovery(d: int, spec: AnnulusSpec | None) -> RecoveryMap:
     if spec is not None and spec.d != d:
         raise InputError(f"spec is for {spec.d} pieces, formulation for {d}")
@@ -134,16 +97,12 @@ def _recovery(d: int, spec: AnnulusSpec | None) -> RecoveryMap:
     return RecoveryMap(kind="annulus", points=points)
 
 
-def _unit_normals(r: int) -> list[tuple[int, ...]]:
-    return [tuple(1 if k == j else 0 for k in range(r)) for j in range(r)]
-
-
 def annulus_gray_formulation(
     d: int, spec: AnnulusSpec | None = None
 ) -> tuple[Formulation, RecoveryMap]:
     """Closed form under the reflected codes: r unit-normal row pairs."""
-    _check_piece_count(d)
-    return _closed_form(d, EncodingKind.GRAY, _unit_normals), _recovery(d, spec)
+    c, e = annulus_cdc(d), make_encoding(d, EncodingKind.GRAY)
+    return formulation_for_normals(c, e, sorted(unit_normals(e.r))), _recovery(d, spec)
 
 
 def annulus_zigzag_formulation(
@@ -152,19 +111,12 @@ def annulus_zigzag_formulation(
     """Closed form under the zig-zag codes: r(r+1)/2 row pairs.
 
     Unit normals as in the reflected case, plus one normal per coordinate
-    pair k < l, proportional to 2^(-l) e^k - 2^(-k) e^l, emitted in its
-    primitive integer scaling.
+    pair k < l, proportional to 2^(-l) e^k - 2^(-k) e^l; its primitive
+    integer scaling is e^k - 2^(l-k) e^l.
     """
-    _check_piece_count(d)
-
-    def normals(r: int) -> list[tuple[int, ...]]:
-        out = _unit_normals(r)
-        for k in range(r):
-            for l in range(k + 1, r):
-                v = [Fraction(0)] * r
-                v[k] = Fraction(1, 2 ** (l + 1))
-                v[l] = -Fraction(1, 2 ** (k + 1))
-                out.append(primitive_canonical(tuple(v)))
-        return out
-
-    return _closed_form(d, EncodingKind.ZIGZAG, normals), _recovery(d, spec)
+    c, e = annulus_cdc(d), make_encoding(d, EncodingKind.ZIGZAG)
+    normals = unit_normals(e.r) + [
+        tuple(1 if j == k else -(2 ** (l - k)) if j == l else 0 for j in range(e.r))
+        for k in range(e.r) for l in range(k + 1, e.r)
+    ]
+    return formulation_for_normals(c, e, sorted(normals)), _recovery(d, spec)

@@ -14,8 +14,8 @@ than merely valid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
+from operator import mul
 
 from .encoding import (
     DEFAULT_HOLE_CAP,
@@ -35,9 +35,7 @@ from .errors import (
 from .formulation import Formulation, GeneralRow, LinearEquality
 from .linalg import (
     affine_hull,
-    dot,
     independent_rows,
-    mat,
     orthogonal_in_subspace,
     primitive_canonical,
     rank,
@@ -71,9 +69,12 @@ class Cdc:
             if bad:
                 raise InputError(f"alternative {i} uses out-of-range elements {sorted(bad)}")
             covered |= alt
-        missing = set(range(1, self.n + 1)) - covered
-        if missing:
-            raise InputError(f"ground elements {sorted(missing)} appear in no alternative")
+        uncovered = self.n - len(covered)
+        if uncovered:
+            # The first few suffice, and n may be far larger than the input.
+            missing = list(islice((v for v in range(1, self.n + 1) if v not in covered), 10))
+            more = f" and {uncovered - len(missing)} more" if uncovered > len(missing) else ""
+            raise InputError(f"ground elements {missing}{more} appear in no alternative")
 
     @property
     def d(self) -> int:
@@ -144,7 +145,7 @@ def difference_directions(g: IntersectionDigraph, e: Encoding) -> DifferenceDire
 
 def check_dim_condition(dirs: DifferenceDirections, e: Encoding) -> bool:
     """Do the raw differences span the affine hull of the code rows?"""
-    hull_dim = affine_hull(mat(e.rows)).dim
+    hull_dim = affine_hull(e.rows).dim
     spanned = rank([vec(v) for _, v in dirs.raw])
     return spanned == hull_dim
 
@@ -183,7 +184,7 @@ def formulation_equalities(c: Cdc, e: Encoding) -> tuple[LinearEquality, ...]:
     rows: list[LinearEquality] = [
         LinearEquality(lam=(1,) * c.n, z=(0,) * e.r, rhs=1)
     ]
-    hull = affine_hull(mat(e.rows))
+    hull = affine_hull(e.rows)
     for lhs, rhs in zip(hull.eq_lhs, hull.eq_rhs):
         coeffs, scaled_rhs = scale_row_to_integers(lhs, rhs)
         rows.append(LinearEquality(lam=(0,) * c.n, z=coeffs, rhs=scaled_rhs))
@@ -216,7 +217,7 @@ def theorem1_formulation(
     digraph = intersection_digraph(c)
     dirs = difference_directions(digraph, e)
     if not check_dim_condition(dirs, e):
-        hull_dim = affine_hull(mat(e.rows)).dim
+        hull_dim = affine_hull(e.rows).dim
         spanned = rank([vec(v) for _, v in dirs.raw])
         connected = is_weakly_connected(digraph)
         raise DimensionDeficit(
@@ -224,25 +225,37 @@ def theorem1_formulation(
             f"intersection digraph {'is' if connected else 'is not'} weakly connected"
         )
     normals = spanned_hyperplane_normals(dirs.deduped, cap=direction_cap)
+    return formulation_for_normals(c, e, normals)
+
+
+def unit_normals(r: int) -> list[tuple[int, ...]]:
+    """The r coordinate directions of the code space."""
+    return [tuple(1 if k == j else 0 for k in range(r)) for j in range(r)]
+
+
+def formulation_for_normals(c: Cdc, e: Encoding, normals) -> Formulation:
+    """One paired row per normal, in the given order, over the simplex, the
+    affine hull of the codes and the code box. The general pipeline passes
+    the normals it enumerates; a closed form is its normal list."""
     return Formulation(
-        n_lambda=c.n,
-        r_z=e.r,
-        equalities=formulation_equalities(c, e),
-        general_rows=rows_for_normals(c, e, normals),
-        z_bounds=code_bounds(e),
+        c.n, e.r, formulation_equalities(c, e), rows_for_normals(c, e, normals),
+        code_bounds(e),
     )
 
 
 def rows_for_normals(c: Cdc, e: Encoding, normals) -> tuple[GeneralRow, ...]:
     """One paired row per normal: each ground element's coefficients are the
     extreme values of normal . code over the alternatives that use it."""
-    covering = [
-        [s for s in range(c.d) if v in c.alternatives[s]] for v in range(1, c.n + 1)
-    ]
     rows = []
     for normal in normals:
-        values = [dot(vec(normal), vec(row)) for row in e.rows]
-        lower = tuple(int(min(values[s] for s in covering[v])) for v in range(c.n))
-        upper = tuple(int(max(values[s] for s in covering[v])) for v in range(c.n))
-        rows.append(GeneralRow(normal=tuple(normal), lower=lower, upper=upper))
+        values = [sum(map(mul, normal, code)) for code in e.rows]
+        lower = [max(values)] * c.n
+        upper = [min(values)] * c.n
+        for value, alternative in zip(values, c.alternatives):
+            for v in alternative:
+                if value < lower[v - 1]:
+                    lower[v - 1] = value
+                if value > upper[v - 1]:
+                    upper[v - 1] = value
+        rows.append(GeneralRow(tuple(normal), tuple(lower), tuple(upper)))
     return tuple(rows)

@@ -23,55 +23,26 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .annulus import (
-    AnnulusSpec,
-    annulus_cdc,
-    annulus_gray_formulation,
-    annulus_zigzag_formulation,
-)
-from .cdc import theorem1_formulation
+from .annulus import AnnulusSpec
 from .documents import (
+    AnnulusProblem,
+    CdcProblem,
     ProblemDocument,
+    ProblemOptions,
+    PwlProblem,
     document_text,
     emit_structured,
     formulation_from_document,
     parse_problem,
+    verification_summary,
 )
 from .encoding import EncodingKind, is_hole_free, is_in_convex_position, make_encoding
-from .errors import (
-    IdealformError,
-    InputError,
-    InvalidOrder,
-    NeedsExplicitRows,
-    NotPowerOfTwo,
-    ResourceCapExceeded,
-    TooFewAlternatives,
-)
+from .errors import IdealformError, InputError, InvalidOrder
 from .lp_format import emit_lp_text
-from .pwl import pwl_formulation, pwl_ground_set, pwl_prop3_applicable
 from .verify import DEFAULT_ENUM_CAP, check_ideal, check_validity_only
 
-_INPUT_ERRORS = (
-    InputError,
-    InvalidOrder,
-    TooFewAlternatives,
-    NeedsExplicitRows,
-    NotPowerOfTwo,
-)
-
 EXIT_OK = 0
-EXIT_INPUT = 1
-EXIT_PRECONDITION = 2
 EXIT_CHECK_FAILED = 3
-EXIT_CAP = 4
-
-
-def _exit_code(err: IdealformError) -> int:
-    if isinstance(err, ResourceCapExceeded):
-        return EXIT_CAP
-    if isinstance(err, _INPUT_ERRORS):
-        return EXIT_INPUT
-    return EXIT_PRECONDITION
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,10 +70,6 @@ def _write_payload(text: str, out: str | None) -> None:
 
 def _say(line: str) -> None:
     print(line, file=sys.stderr)
-
-
-def _encoding_kind(name: str) -> EncodingKind:
-    return EncodingKind(name)
 
 
 def _add_output_flags(p: argparse.ArgumentParser, with_check: bool = True) -> None:
@@ -182,25 +149,20 @@ def _run_check(level: str, c, e, f, max_enum: int | None):
     return report, report.passed
 
 
-def _emit(args, f, recovery, provenance, report, default_format="json") -> None:
-    fmt = args.format if args.format is not None else default_format
-    if fmt == "lp":
-        text = emit_lp_text(f)
-    else:
-        doc = emit_structured(f, recovery, provenance=provenance, verification=report)
-        text = document_text(doc)
-    _write_payload(text, args.out)
-
-
-def _document_command(args, doc: ProblemDocument, f, recovery, provenance) -> int:
+def _document_command(args, doc: ProblemDocument) -> int:
+    f, recovery, provenance = doc.formulate()
     level = args.check if args.check is not None else doc.options.check
     report, passed = (None, True)
     if level != "none":
-        c = doc.disjunction()
-        e = doc.encoding()
-        report, passed = _run_check(level, c, e, f, args.max_enum)
-    _emit(args, f, recovery, provenance,
-          report, default_format=doc.options.output_format)
+        report, passed = _run_check(level, doc.disjunction(), doc.encoding(), f,
+                                    args.max_enum)
+    fmt = args.format if args.format is not None else doc.options.output_format
+    if fmt == "lp":
+        text = emit_lp_text(f)
+    else:
+        text = document_text(emit_structured(f, recovery, provenance=provenance,
+                                             verification=report))
+    _write_payload(text, args.out)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
@@ -208,7 +170,7 @@ def _cmd_encode(args) -> int:
     if args.s is not None and args.s < 1:
         raise InvalidOrder(f"recursion order must be at least 1, got {args.s}")
     d = 2 ** args.s if args.s is not None else args.d
-    e = make_encoding(d, _encoding_kind(args.kind))
+    e = make_encoding(d, EncodingKind(args.kind))
     text = "\n".join(" ".join(str(x) for x in row) for row in e.rows) + "\n"
     _write_payload(text, args.out)
     _say(f"convex position: {'yes' if is_in_convex_position(e) else 'no'}")
@@ -216,34 +178,18 @@ def _cmd_encode(args) -> int:
     return EXIT_OK
 
 
-def _cmd_formulate(args) -> int:
+_DOCUMENT_KINDS = {"formulate": CdcProblem, "pwl": PwlProblem}
+
+
+def _cmd_document(args) -> int:
     doc = parse_problem(_read_text(args.document))
-    if doc.kind != "cdc":
-        raise InputError(f"formulate expects a cdc document, got kind {doc.kind!r}")
+    expected = _DOCUMENT_KINDS[args.command]
+    if not isinstance(doc, expected):
+        raise InputError(f"{args.command} expects a {expected.kind} document, "
+                         f"got kind {doc.kind!r}")
     if args.encoding is not None:
-        doc = _override_encoding(doc, args.encoding)
-    e = doc.encoding()
-    f = theorem1_formulation(doc.cdc, e)
-    provenance = {"kind": "cdc", "encoding": doc.encoding_kind.value,
-                  "path": "general", "gamma": f.gamma}
-    return _document_command(args, doc, f, None, provenance)
-
-
-def _override_encoding(doc: ProblemDocument, name: str) -> ProblemDocument:
-    return replace(doc, encoding_kind=_encoding_kind(name), explicit_rows=None)
-
-
-def _cmd_pwl(args) -> int:
-    doc = parse_problem(_read_text(args.document))
-    if doc.kind != "pwl":
-        raise InputError(f"pwl expects a pwl document, got kind {doc.kind!r}")
-    if args.encoding is not None:
-        doc = _override_encoding(doc, args.encoding)
-    f, recovery = pwl_formulation(doc.function, doc.encoding_kind)
-    path = "closed-form" if pwl_prop3_applicable(doc.function) else "general"
-    provenance = {"kind": "pwl", "encoding": doc.encoding_kind.value, "path": path,
-                  "gamma": f.gamma, "kappa": pwl_ground_set(doc.function).kappa}
-    return _document_command(args, doc, f, recovery, provenance)
+        doc = replace(doc, encoding_kind=EncodingKind(args.encoding))
+    return _document_command(args, doc)
 
 
 def _cmd_annulus(args) -> int:
@@ -252,20 +198,8 @@ def _cmd_annulus(args) -> int:
     spec = None
     if args.inner is not None:
         spec = AnnulusSpec(args.inner, args.outer, args.d)
-    kind = _encoding_kind(args.encoding)
-    build = (annulus_gray_formulation if kind is EncodingKind.GRAY
-             else annulus_zigzag_formulation)
-    f, recovery = build(args.d, spec)
-    provenance = {"kind": "annulus", "encoding": kind.value,
-                  "path": "closed-form", "gamma": f.gamma}
-
-    level = args.check if args.check is not None else "none"
-    report, passed = (None, True)
-    if level != "none":
-        report, passed = _run_check(level, annulus_cdc(args.d),
-                                    make_encoding(args.d, kind), f, args.max_enum)
-    _emit(args, f, recovery, provenance, report)
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    doc = AnnulusProblem(args.d, spec, EncodingKind(args.encoding), ProblemOptions())
+    return _document_command(args, doc)
 
 
 def _cmd_verify(args) -> int:
@@ -283,24 +217,16 @@ def _cmd_verify(args) -> int:
             f"but the problem needs {c.n} and {e.r}"
         )
     report, passed = _run_check(args.check, c, e, f, args.max_enum)
-    if report is not None:
-        summary = {
-            "passed": report.passed,
-            "expected": report.expected_count,
-            "found": report.found_count,
-            "missing": [[str(x) for x in p] for p in report.missing],
-            "extra": [[str(x) for x in p] for p in report.extra],
-        }
-    else:
-        summary = {"passed": passed, "level": "validity"}
+    summary = (verification_summary(report) if report is not None
+               else {"passed": passed, "level": "validity"})
     sys.stdout.write(json.dumps(summary, indent=2) + "\n")
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 _COMMANDS = {
     "encode": _cmd_encode,
-    "formulate": _cmd_formulate,
-    "pwl": _cmd_pwl,
+    "formulate": _cmd_document,
+    "pwl": _cmd_document,
     "annulus": _cmd_annulus,
     "verify": _cmd_verify,
 }
@@ -313,7 +239,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except IdealformError as err:
         _say(f"error: {err}")
-        return _exit_code(err)
+        return err.exit_code
 
 
 if __name__ == "__main__":

@@ -15,13 +15,20 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
-from .annulus import AnnulusSpec, annulus_cdc, _check_piece_count
-from .cdc import Cdc
+from .annulus import (
+    AnnulusSpec,
+    _check_piece_count,
+    annulus_cdc,
+    annulus_gray_formulation,
+    annulus_zigzag_formulation,
+)
+from .cdc import Cdc, theorem1_formulation
 from .encoding import Encoding, EncodingKind, explicit_encoding, make_encoding
 from .errors import IdealformError, InputError
 from .formulation import Formulation, GeneralRow, LinearEquality, RecoveryMap
-from .pwl import PwlFunction, pwl_ground_set
+from .pwl import PwlFunction, pwl_formulation, pwl_ground_set, pwl_prop3_applicable
 from .verify import VerificationReport
 
 PROBLEM_KINDS = ("cdc", "pwl", "annulus")
@@ -35,40 +42,82 @@ class ProblemOptions:
     output_format: str = "json"
 
 
-@dataclass(frozen=True)
-class ProblemDocument:
-    """A parsed, validated problem: what to formulate and how to emit it."""
+# One class per problem kind. formulate() returns the formulation, the
+# recovery map (None for a plain cdc) and the document's provenance block.
 
-    kind: str
-    cdc: Cdc | None
-    function: PwlFunction | None
-    pieces: int | None
-    geometry: AnnulusSpec | None
+@dataclass(frozen=True)
+class CdcProblem:
+    """A general disjunction, formulated by spanned-hyperplane enumeration."""
+
+    kind: ClassVar[str] = "cdc"
+    cdc: Cdc
     encoding_kind: EncodingKind
     explicit_rows: tuple[tuple[int, ...], ...] | None
     options: ProblemOptions
 
-    @property
-    def d(self) -> int:
-        if self.kind == "cdc":
-            return self.cdc.d
-        if self.kind == "pwl":
-            return self.function.d
-        return self.pieces
+    def disjunction(self) -> Cdc:
+        return self.cdc
 
     def encoding(self) -> Encoding:
         if self.encoding_kind is EncodingKind.EXPLICIT:
             return explicit_encoding(self.explicit_rows)
-        return make_encoding(self.d, self.encoding_kind)
+        return make_encoding(self.cdc.d, self.encoding_kind)
+
+    def formulate(self) -> tuple[Formulation, RecoveryMap | None, dict]:
+        f = theorem1_formulation(self.cdc, self.encoding())
+        return f, None, {"kind": self.kind, "encoding": self.encoding_kind.value,
+                         "path": "general", "gamma": f.gamma}
+
+
+@dataclass(frozen=True)
+class PwlProblem:
+    """The epigraph of a piecewise-linear function."""
+
+    kind: ClassVar[str] = "pwl"
+    function: PwlFunction
+    encoding_kind: EncodingKind
+    options: ProblemOptions
 
     def disjunction(self) -> Cdc:
-        """The ground-set disjunction the formulation is certified against."""
-        if self.kind == "cdc":
-            return self.cdc
-        if self.kind == "pwl":
-            ground = pwl_ground_set(self.function)
-            return Cdc(ground.n, ground.alternatives)
+        ground = pwl_ground_set(self.function)
+        return Cdc(ground.n, ground.alternatives)
+
+    def encoding(self) -> Encoding:
+        return make_encoding(self.function.d, self.encoding_kind)
+
+    def formulate(self) -> tuple[Formulation, RecoveryMap | None, dict]:
+        f, recovery = pwl_formulation(self.function, self.encoding_kind)
+        path = "closed-form" if pwl_prop3_applicable(self.function) else "general"
+        return f, recovery, {"kind": self.kind, "encoding": self.encoding_kind.value,
+                             "path": path, "gamma": f.gamma,
+                             "kappa": pwl_ground_set(self.function).kappa}
+
+
+@dataclass(frozen=True)
+class AnnulusProblem:
+    """A ring split into d = 2^r pieces, formulated in closed form."""
+
+    kind: ClassVar[str] = "annulus"
+    pieces: int
+    geometry: AnnulusSpec | None
+    encoding_kind: EncodingKind
+    options: ProblemOptions
+
+    def disjunction(self) -> Cdc:
         return annulus_cdc(self.pieces)
+
+    def encoding(self) -> Encoding:
+        return make_encoding(self.pieces, self.encoding_kind)
+
+    def formulate(self) -> tuple[Formulation, RecoveryMap | None, dict]:
+        build = (annulus_gray_formulation if self.encoding_kind is EncodingKind.GRAY
+                 else annulus_zigzag_formulation)
+        f, recovery = build(self.pieces, self.geometry)
+        return f, recovery, {"kind": self.kind, "encoding": self.encoding_kind.value,
+                             "path": "closed-form", "gamma": f.gamma}
+
+
+ProblemDocument = CdcProblem | PwlProblem | AnnulusProblem
 
 
 def _fail(field: str, err: Exception):
@@ -91,15 +140,22 @@ def _rational(value, field: str) -> Fraction:
 def _real(value, field: str) -> float:
     if isinstance(value, bool):
         raise InputError(f"{field}: expected a number")
-    if isinstance(value, (int, float)):
-        return float(value)
-    return float(_rational(value, field))
+    try:
+        return float(value if isinstance(value, (int, float)) else _rational(value, field))
+    except OverflowError as err:
+        _fail(field, err)
 
 
 def _int(value, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{field}: expected an integer")
     return value
+
+
+def _int_list(values, field: str) -> list[int]:
+    if not isinstance(values, list):
+        raise InputError(f"{field}: expected a list of integers")
+    return [_int(x, f"{field}[{j}]") for j, x in enumerate(values)]
 
 
 def _encoding_spec(body: dict, field: str, allow_explicit: bool):
@@ -118,8 +174,10 @@ def _encoding_spec(body: dict, field: str, allow_explicit: bool):
     if isinstance(spec, dict) and set(spec) == {"explicit"}:
         if not allow_explicit:
             raise InputError(f"{field}: this problem kind picks its own codes")
+        if not isinstance(spec["explicit"], list):
+            raise InputError(f"{field}.explicit: expected a list of integer rows")
         rows = tuple(
-            tuple(_int(x, f"{field}.explicit[{i}][{j}]") for j, x in enumerate(row))
+            tuple(_int_list(row, f"{field}.explicit[{i}]"))
             for i, row in enumerate(spec["explicit"])
         )
         return EncodingKind.EXPLICIT, rows
@@ -129,6 +187,8 @@ def _encoding_spec(body: dict, field: str, allow_explicit: bool):
 def _options(raw) -> ProblemOptions:
     if raw is None:
         return ProblemOptions()
+    if not isinstance(raw, dict):
+        raise InputError("options: expected an object")
     check = raw.get("check", "none")
     fmt = raw.get("format", "json")
     if check not in CHECK_LEVELS:
@@ -138,64 +198,50 @@ def _options(raw) -> ProblemOptions:
     return ProblemOptions(check=check, output_format=fmt)
 
 
-def parse_problem(text: str) -> ProblemDocument:
-    """Parse and fully validate a JSON problem document."""
+def _parse_cdc(body: dict, options: ProblemOptions) -> CdcProblem:
+    alts_raw = body.get("alternatives")
+    if not isinstance(alts_raw, list):
+        raise InputError("cdc.alternatives: expected a list of index lists")
+    alternatives = [
+        _int_list(alt, f"cdc.alternatives[{i}]") for i, alt in enumerate(alts_raw)
+    ]
+    n = body.get("n")
+    if n is None:
+        n = max((x for alt in alternatives for x in alt), default=0)
+    elif _int(n, "cdc.n") < 1:
+        raise InputError("cdc.n: ground set must be nonempty")
+    encoding_kind, rows = _encoding_spec(body, "cdc.encoding", allow_explicit=True)
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise InputError(f"not valid JSON: {err}") from err
-    if not isinstance(raw, dict):
-        raise InputError("the top level must be a JSON object")
-    kind = raw.get("kind")
-    if kind not in PROBLEM_KINDS:
-        raise InputError(f"kind: expected one of {PROBLEM_KINDS}, got {kind!r}")
-    body = raw.get(kind)
-    if not isinstance(body, dict):
-        raise InputError(f"{kind}: missing the problem body object")
-    options = _options(raw.get("options"))
+        c = Cdc(n, tuple(frozenset(alt) for alt in alternatives))
+    except IdealformError as err:
+        _fail("cdc.alternatives", err)
+    if rows is not None and len(rows) != c.d:
+        raise InputError(
+            f"cdc.encoding: {len(rows)} explicit rows for {c.d} alternatives"
+        )
+    return CdcProblem(c, encoding_kind, rows, options)
 
-    if kind == "cdc":
-        alts_raw = body.get("alternatives")
-        if not isinstance(alts_raw, list):
-            raise InputError("cdc.alternatives: expected a list of index lists")
-        alternatives = [
-            [_int(x, f"cdc.alternatives[{i}][{j}]") for j, x in enumerate(alt)]
-            for i, alt in enumerate(alts_raw)
-        ]
-        n = body.get("n")
-        if n is None:
-            n = max((x for alt in alternatives for x in alt), default=0)
-        else:
-            n = _int(n, "cdc.n")
-        encoding_kind, rows = _encoding_spec(body, "cdc.encoding", allow_explicit=True)
-        try:
-            c = Cdc(n, tuple(frozenset(alt) for alt in alternatives))
-        except IdealformError as err:
-            _fail("cdc.alternatives", err)
-        if rows is not None and len(rows) != c.d:
-            raise InputError(
-                f"cdc.encoding: {len(rows)} explicit rows for {c.d} alternatives"
-            )
-        return ProblemDocument(kind, c, None, None, None, encoding_kind, rows, options)
 
-    if kind == "pwl":
-        def rational_list(key: str) -> tuple[Fraction, ...]:
-            values = body.get(key)
-            if not isinstance(values, list):
-                raise InputError(f"pwl.{key}: expected a list of rationals")
-            return tuple(_rational(x, f"pwl.{key}[{i}]") for i, x in enumerate(values))
+def _parse_pwl(body: dict, options: ProblemOptions) -> PwlProblem:
+    def rational_list(key: str) -> tuple[Fraction, ...]:
+        values = body.get(key)
+        if not isinstance(values, list):
+            raise InputError(f"pwl.{key}: expected a list of rationals")
+        return tuple(_rational(x, f"pwl.{key}[{i}]") for i, x in enumerate(values))
 
-        encoding_kind, _ = _encoding_spec(body, "pwl.encoding", allow_explicit=False)
-        try:
-            f = PwlFunction(
-                rational_list("breakpoints"),
-                rational_list("slopes"),
-                rational_list("intercepts"),
-            )
-        except IdealformError as err:
-            _fail("pwl", err)
-        return ProblemDocument(kind, None, f, None, None, encoding_kind, None, options)
+    encoding_kind, _ = _encoding_spec(body, "pwl.encoding", allow_explicit=False)
+    try:
+        f = PwlFunction(
+            rational_list("breakpoints"),
+            rational_list("slopes"),
+            rational_list("intercepts"),
+        )
+    except IdealformError as err:
+        _fail("pwl", err)
+    return PwlProblem(f, encoding_kind, options)
 
+
+def _parse_annulus(body: dict, options: ProblemOptions) -> AnnulusProblem:
     d = _int(body.get("d"), "annulus.d")
     encoding_kind, _ = _encoding_spec(body, "annulus.encoding", allow_explicit=False)
     inner, outer = body.get("inner_radius"), body.get("outer_radius")
@@ -216,7 +262,27 @@ def parse_problem(text: str) -> ProblemDocument:
             _check_piece_count(d)
         except IdealformError as err:
             _fail("annulus.d", err)
-    return ProblemDocument(kind, None, None, d, geometry, encoding_kind, None, options)
+    return AnnulusProblem(d, geometry, encoding_kind, options)
+
+
+_PARSERS = {"cdc": _parse_cdc, "pwl": _parse_pwl, "annulus": _parse_annulus}
+
+
+def parse_problem(text: str) -> ProblemDocument:
+    """Parse and fully validate a JSON problem document."""
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise InputError(f"not valid JSON: {err}") from err
+    if not isinstance(raw, dict):
+        raise InputError("the top level must be a JSON object")
+    kind = raw.get("kind")
+    if kind not in PROBLEM_KINDS:
+        raise InputError(f"kind: expected one of {PROBLEM_KINDS}, got {kind!r}")
+    body = raw.get(kind)
+    if not isinstance(body, dict):
+        raise InputError(f"{kind}: missing the problem body object")
+    return _PARSERS[kind](body, _options(raw.get("options")))
 
 
 def _vertex_strings(points) -> list[list[str]]:
@@ -268,14 +334,20 @@ def emit_structured(
     if provenance is not None:
         doc["provenance"] = dict(provenance)
     if verification is not None:
-        doc["verification"] = {
-            "passed": verification.passed,
-            "expected": verification.expected_count,
-            "found": verification.found_count,
-            "missing": _vertex_strings(verification.missing),
-            "extra": _vertex_strings(verification.extra),
-        }
+        doc["verification"] = verification_summary(verification)
     return doc
+
+
+def verification_summary(report: VerificationReport) -> dict:
+    """The report as JSON-ready data: the document's verification block and
+    the output of ``idealform verify``."""
+    return {
+        "passed": report.passed,
+        "expected": report.expected_count,
+        "found": report.found_count,
+        "missing": _vertex_strings(report.missing),
+        "extra": _vertex_strings(report.extra),
+    }
 
 
 def formulation_from_document(doc: dict) -> tuple[Formulation, RecoveryMap | None]:
@@ -312,19 +384,26 @@ def formulation_from_document(doc: dict) -> tuple[Formulation, RecoveryMap | Non
 
     recovery = None
     if "recovery" in doc:
-        raw = doc["recovery"]
-        points = None
-        if raw.get("points") is not None:
-            if raw["kind"] == "annulus":
-                points = tuple((float(x), float(y)) for x, y in raw["points"])
-            else:
-                points = tuple(
-                    (Fraction(x), Fraction(y)) for x, y in raw["points"]
-                )
-        recovery = RecoveryMap(
-            kind=raw["kind"], points=points, epigraph=bool(raw.get("epigraph", False))
-        )
+        recovery = _recovery_map(doc["recovery"])
     return f, recovery
+
+
+def _recovery_map(raw) -> RecoveryMap:
+    if not isinstance(raw, dict):
+        raise InputError("recovery: expected an object")
+    kind = raw.get("kind")
+    if not isinstance(kind, str):
+        raise InputError("recovery.kind: expected a string")
+    # Annulus corners are float display data; every other point is exact.
+    coordinate = _real if kind == "annulus" else _rational
+    points = raw.get("points")
+    if points is not None:
+        if not (isinstance(points, list)
+                and all(isinstance(p, list) and len(p) == 2 for p in points)):
+            raise InputError("recovery.points: expected a list of [x, y] pairs")
+        points = tuple(tuple(coordinate(x, f"recovery.points[{i}]") for x in p)
+                       for i, p in enumerate(points))
+    return RecoveryMap(kind=kind, points=points, epigraph=bool(raw.get("epigraph", False)))
 
 
 def document_text(doc: dict) -> str:

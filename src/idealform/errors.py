@@ -1,7 +1,8 @@
 """Exception types raised across the package.
 
 Every failure mode that callers are expected to catch has its own class here,
-so the CLI can map them onto exit codes without string matching.
+and each class carries the CLI exit code it maps to: 1 malformed input, 2 a
+construction precondition failed, 4 a resource cap was hit.
 """
 
 from __future__ import annotations
@@ -9,10 +10,12 @@ from __future__ import annotations
 
 class IdealformError(Exception):
     """Base class for all errors raised by this package."""
+    exit_code = 2
 
 
 class InputError(IdealformError, ValueError):
     """Malformed input data: bad schema, bad field value, bad shape."""
+    exit_code = 1
 
 
 # --- exact linear algebra ---
@@ -33,14 +36,17 @@ class NotAHyperplane(IdealformError):
 
 class InvalidOrder(IdealformError):
     """Recursion order s is out of the supported range."""
+    exit_code = 1
 
 
 class TooFewAlternatives(IdealformError):
     """An encoding or disjunction needs at least two alternatives."""
+    exit_code = 1
 
 
 class NeedsExplicitRows(IdealformError):
     """The explicit encoding kind was requested without providing rows."""
+    exit_code = 1
 
 
 # --- disjunctive core ---
@@ -61,6 +67,7 @@ class EncodingNotIdealizable(IdealformError):
 
 class NotPowerOfTwo(IdealformError):
     """A construction that needs d = 2**r received some other d."""
+    exit_code = 1
 
 
 class DegenerateSecant(IdealformError):
@@ -71,6 +78,7 @@ class DegenerateSecant(IdealformError):
 
 class ResourceCapExceeded(IdealformError):
     """A configurable work limit was hit before the computation finished."""
+    exit_code = 4
 
 
 class HoleCheckTooLarge(ResourceCapExceeded):

@@ -62,6 +62,8 @@ class Formulation:
                 raise ValueError("general row width mismatch")
         if len(self.z_bounds) != self.r_z:
             raise ValueError("need one bound pair per z variable")
+        if any(lo > hi for lo, hi in self.z_bounds):
+            raise ValueError("z bounds need lo <= hi")
 
     @property
     def gamma(self) -> int:

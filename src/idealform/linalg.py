@@ -148,32 +148,49 @@ def affine_hull(points: Sequence[Sequence[Fraction]]) -> AffineHull:
 
     The equations are the canonical nullspace basis of the difference
     directions, scaled primitive; a single point yields a full set of
-    coordinate-pinning equations, an affinely full set yields none.
+    coordinate-pinning equations, an affinely full set yields none. Only an
+    independent subset of the directions is eliminated, which leaves the
+    result unchanged because the RREF depends only on the row space.
     """
     if not points:
         raise EmptyPointSet("affine hull of an empty point set")
     base = vec(points[0])
     n = len(base)
-    dirs = [tuple(Fraction(p[j]) - base[j] for j in range(n)) for p in points[1:]]
+    dirs = (tuple(x - b for x, b in zip(p, points[0])) for p in points[1:])
     lhs_rows: list[Vec] = []
     rhs: list[Fraction] = []
-    for normal in nullspace(dirs, n):
+    for normal in nullspace(independent_rows(dirs), n):
         prim = vec(primitive_canonical(normal))
         lhs_rows.append(prim)
         rhs.append(dot(prim, base))
     return AffineHull(eq_lhs=tuple(lhs_rows), eq_rhs=tuple(rhs), ambient_dim=n)
 
 
-def independent_rows(rows: Sequence[Sequence[Fraction]]) -> list[Vec]:
-    """Greedy maximal independent subset of rows, keeping first occurrences."""
+def independent_rows(rows: Iterable[Sequence[Fraction]]) -> list[Vec]:
+    """Greedy maximal independent subset of rows, keeping first occurrences.
+
+    One fraction-free elimination: each row, scaled to integers, is reduced
+    against the pivot rows kept so far and kept when anything survives. The
+    scan stops once the rank reaches the row width.
+    """
     kept: list[Vec] = []
-    current = 0
+    pivots: list[tuple[int, list[int]]] = []
     for row in rows:
-        candidate = kept + [tuple(Fraction(x) for x in row)]
-        r = rank(candidate)
-        if r > current:
-            kept = candidate
-            current = r
+        scale = lcm(*(x.denominator for x in row))
+        reduced = [x.numerator * (scale // x.denominator) for x in row]
+        for col, pivot in pivots:
+            factor = reduced[col]
+            if factor:
+                lead = pivot[col]
+                reduced = [lead * x - factor * y for x, y in zip(reduced, pivot)]
+        col = next((j for j, x in enumerate(reduced) if x), None)
+        if col is None:
+            continue
+        g = gcd(*reduced)
+        pivots.append((col, [x // g for x in reduced]))
+        kept.append(vec(row))
+        if len(kept) == len(reduced):
+            break
     return kept
 
 

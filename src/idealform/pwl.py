@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cdc import Cdc, formulation_equalities, rows_for_normals, theorem1_formulation
-from .encoding import EncodingKind, code_bounds, make_encoding
+from .cdc import Cdc, formulation_for_normals, theorem1_formulation, unit_normals
+from .encoding import EncodingKind, make_encoding
 from .errors import DimensionDeficit, InputError
 from .formulation import Formulation, RecoveryMap
 
@@ -152,17 +152,7 @@ def pwl_formulation(
     recovery = RecoveryMap(kind="pwl", points=ground.points, epigraph=True)
 
     if pwl_prop3_applicable(f):
-        identity = sorted(
-            tuple(1 if k == j else 0 for k in range(e.r)) for j in range(e.r)
-        )
-        formulation = Formulation(
-            n_lambda=c.n,
-            r_z=e.r,
-            equalities=formulation_equalities(c, e),
-            general_rows=rows_for_normals(c, e, identity),
-            z_bounds=code_bounds(e),
-        )
-        return formulation, recovery
+        return formulation_for_normals(c, e, sorted(unit_normals(e.r))), recovery
 
     try:
         return theorem1_formulation(c, e), recovery

@@ -143,3 +143,34 @@ def vertices_by_tight_subsets(dim, equalities, inequalities) -> set[Vec]:
         if ok:
             verts.add(point)
     return verts
+
+
+def independent_rows_by_minors(rows) -> list[Vec]:
+    """Greedy first-occurrence independent subset, recomputing the rank by
+    minors after every candidate row."""
+    kept: list[Vec] = []
+    for row in rows:
+        if rank_by_minors(kept + [vec(row)]) > len(kept):
+            kept.append(vec(row))
+    return kept
+
+
+def hull_equations_from_all_directions(points) -> list[tuple[int, ...]]:
+    """Primitive affine-hull normals from the nullspace of every difference
+    direction, not just an independent subset of them."""
+    base = vec(points[0])
+    dirs = [tuple(Fraction(x) - b for x, b in zip(p, base)) for p in points[1:]]
+    return [primitive_canonical(v) for v in nullspace(dirs, len(base))]
+
+
+def rows_by_covering_lists(c, e, normals) -> list[tuple]:
+    """(normal, lower, upper) per normal from explicit per-element lists of
+    the covering alternatives, in exact rationals."""
+    out = []
+    for normal in normals:
+        values = [sum((Fraction(b) * h for b, h in zip(normal, code)), F0) for code in e.rows]
+        covering = [[values[s] for s in range(c.d) if v in c.alternatives[s]]
+                    for v in range(1, c.n + 1)]
+        out.append((tuple(normal), tuple(min(vs) for vs in covering),
+                    tuple(max(vs) for vs in covering)))
+    return out

@@ -10,10 +10,13 @@ from idealform.cdc import (
     cdc,
     check_dim_condition,
     difference_directions,
+    formulation_for_normals,
     intersection_digraph,
     is_weakly_connected,
+    rows_for_normals,
     spanned_hyperplane_normals,
     theorem1_formulation,
+    unit_normals,
 )
 from idealform.encoding import EncodingKind, explicit_encoding, make_encoding
 from idealform.errors import (
@@ -25,7 +28,7 @@ from idealform.errors import (
     TooManyDirections,
 )
 from idealform.formulation import GeneralRow, LinearEquality
-from oracles import hyperplane_normals_all_subsets
+from oracles import hyperplane_normals_all_subsets, rows_by_covering_lists
 
 
 def sos2(d):
@@ -49,6 +52,11 @@ class TestCdcValidation:
     def test_single_alternative_rejected(self):
         with pytest.raises(TooFewAlternatives):
             cdc(2, [(1, 2)])
+
+    def test_huge_ground_set_names_the_first_uncovered_elements(self):
+        with pytest.raises(InputError, match=r"\[3, 4, 5, 6, 7, 8, 9, 10, 11, 12\] "
+                                             r"and 999999999988 more"):
+            cdc(10**12, [(1, 2), (2,)])
 
 
 class TestIntersectionDigraph:
@@ -210,3 +218,31 @@ class TestConnectivityImpliesSpanning:
             e = make_encoding(c.d, EncodingKind.GRAY)
             dirs = difference_directions(intersection_digraph(c), e)
             assert check_dim_condition(dirs, e)
+
+
+class TestFormulationForNormals:
+    def test_rows_match_the_covering_list_oracle(self):
+        rng = random.Random(20261018)
+        for _ in range(40):
+            c = random_connected_cdc(rng)
+            e = make_encoding(c.d, rng.choice([EncodingKind.GRAY, EncodingKind.ZIGZAG]))
+            normals = [tuple(rng.randint(-3, 3) for _ in range(e.r)) for _ in range(4)]
+            normals = [b for b in normals if any(b)]
+            rows = rows_for_normals(c, e, normals)
+            assert [(r.normal, r.lower, r.upper) for r in rows] == (
+                rows_by_covering_lists(c, e, normals)
+            )
+
+    def test_theorem1_is_the_builder_over_the_enumerated_normals(self):
+        c = sos2(6)
+        e = make_encoding(c.d, EncodingKind.ZIGZAG)
+        dirs = difference_directions(intersection_digraph(c), e)
+        normals = spanned_hyperplane_normals(dirs.deduped)
+        assert theorem1_formulation(c, e) == formulation_for_normals(c, e, normals)
+
+    def test_rows_keep_the_given_normal_order(self):
+        c = sos2(4)
+        e = make_encoding(4, EncodingKind.GRAY)
+        normals = unit_normals(e.r)
+        f = formulation_for_normals(c, e, normals)
+        assert [row.normal for row in f.general_rows] == [(1, 0), (0, 1)]

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from idealform import cli, errors
 from idealform.cli import main
 from idealform.documents import formulation_from_document
 from idealform.encoding import EncodingKind, make_encoding
@@ -291,6 +292,89 @@ class TestVerify:
         code, _, err = run(capsys, "verify", other, str(formulation))
         assert code == 1
         assert "needs" in err
+
+
+class TestMalformedInput:
+    """Damaged documents end in a field-named error line and exit 1."""
+
+    @pytest.mark.parametrize(
+        "body, field",
+        [
+            ({"cdc": SOS2_DOC["cdc"], "options": 5}, "options"),
+            ({"cdc": {**SOS2_DOC["cdc"], "encoding": {"explicit": 5}}},
+             "cdc.encoding.explicit"),
+            ({"cdc": {"alternatives": [[1, 2], 3]}}, "cdc.alternatives[1]"),
+            ({"cdc": {**SOS2_DOC["cdc"], "n": -3}}, "cdc.n"),
+        ],
+    )
+    def test_formulate(self, capsys, write_doc, body, field):
+        code, out, err = run(capsys, "formulate", write_doc({"kind": "cdc", **body}))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {field}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "damage, field",
+        [
+            (lambda d: d.update(recovery=5), "recovery"),
+            (lambda d: d["recovery"].pop("kind"), "recovery.kind"),
+            (lambda d: d["recovery"]["points"][0].__setitem__(0, "x"),
+             "recovery.points[0]"),
+            (lambda d: d["variables"]["z"]["bounds"][0].reverse(),
+             "malformed formulation document"),
+        ],
+    )
+    def test_verify(self, capsys, write_doc, tmp_path, damage, field):
+        problem = write_doc(PWL_DOC)
+        formulation = tmp_path / "f.json"
+        assert run(capsys, "pwl", problem, "--out", str(formulation))[0] == 0
+        doc = json.loads(formulation.read_text())
+        damage(doc)
+        formulation.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", problem, str(formulation))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {field}: ")
+        assert "Traceback" not in err
+
+    def test_verify_rejects_reversed_z_bounds(self, capsys, write_doc, tmp_path):
+        problem = write_doc(SOS2_DOC)
+        formulation = tmp_path / "f.json"
+        run(capsys, "formulate", problem, "--out", str(formulation))
+        doc = json.loads(formulation.read_text())
+        doc["variables"]["z"]["bounds"][0] = [1, 0]
+        formulation.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "verify", problem, str(formulation))
+        assert code == 1
+        assert "z bounds need lo <= hi" in err
+
+
+# Every error class and the exit code main returns for it.
+EXIT_CODES = {
+    "IdealformError": 2, "InputError": 1, "EmptyPointSet": 2, "ZeroVector": 2,
+    "NotAHyperplane": 2, "InvalidOrder": 1, "TooFewAlternatives": 1,
+    "NeedsExplicitRows": 1, "NoDirections": 2, "DimensionDeficit": 2,
+    "EncodingNotIdealizable": 2, "NotPowerOfTwo": 1, "DegenerateSecant": 2,
+    "ResourceCapExceeded": 4, "HoleCheckTooLarge": 4, "TooManyDirections": 4,
+    "TooLargeToEnumerate": 4,
+}
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, value in vars(errors).items()
+    if isinstance(value, type) and issubclass(value, errors.IdealformError)
+))
+def test_every_error_class_has_its_exit_code(capsys, monkeypatch, name):
+    error = getattr(errors, name)
+
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "encode", fail)
+    code, _, err = run(capsys, "encode", "--kind", "gray", "--s", "2")
+    assert error.exit_code == code == EXIT_CODES[name]
+    assert err == "error: boom\n"
 
 
 def _disconnected_doc(tmp_path):

@@ -1,19 +1,26 @@
 """Problem parsing and the lossless formulation document round trip."""
 
+import copy
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idealform.annulus import AnnulusSpec, annulus_gray_formulation
 from idealform.cdc import cdc, theorem1_formulation
 from idealform.documents import (
+    AnnulusProblem,
+    CdcProblem,
+    PwlProblem,
     document_text,
     emit_structured,
     formulation_from_document,
     parse_problem,
+    verification_summary,
 )
 from idealform.encoding import EncodingKind, make_encoding
-from idealform.errors import InputError, NotPowerOfTwo
+from idealform.errors import IdealformError, InputError, NotPowerOfTwo
 from idealform.formulation import RecoveryMap
 from idealform.pwl import pwl, pwl_formulation
 from idealform.verify import check_ideal
@@ -144,6 +151,38 @@ class TestParseProblem:
         with pytest.raises(InputError, match=match):
             parse_problem(text)
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"kind": "cdc", "cdc": {"alternatives": [[1, 2], [2, 3]]}, "options": 5}',
+             "options: expected an object"),
+            ('{"kind": "cdc", "cdc": {"alternatives": [[1, 2], [2, 3]],'
+             ' "encoding": {"explicit": 5}}}', "cdc.encoding.explicit: expected a list"),
+            ('{"kind": "cdc", "cdc": {"alternatives": [[1, 2], [2, 3]],'
+             ' "encoding": {"explicit": [[0], 1]}}}',
+             r"cdc.encoding.explicit\[1\]: expected a list"),
+            ('{"kind": "cdc", "cdc": {"alternatives": [[1, 2], 3]}}',
+             r"cdc.alternatives\[1\]: expected a list"),
+            ('{"kind": "cdc", "cdc": {"n": -3, "alternatives": [[1, 2], [2, 3]]}}',
+             "cdc.n: ground set must be nonempty"),
+            ('{"kind": "annulus", "annulus": {"d": 8, "inner_radius": 1,'
+             ' "outer_radius": "1e400"}}', "annulus.outer_radius"),
+        ],
+    )
+    def test_malformed_fields_are_named(self, text, field):
+        with pytest.raises(InputError, match=field) as info:
+            parse_problem(text)
+        assert info.value.exit_code == 1
+
+    def test_one_class_per_kind(self):
+        assert isinstance(parse_problem(SOS2), CdcProblem)
+        assert isinstance(parse_problem(
+            '{"kind": "pwl", "pwl": {"breakpoints": [0, 1, 2],'
+            ' "slopes": [1, 2], "intercepts": [0, -1]}}'), PwlProblem)
+        doc = parse_problem('{"kind": "annulus", "annulus": {"d": 4}}')
+        assert isinstance(doc, AnnulusProblem)
+        assert doc.kind == "annulus"
+
     def test_disjunction_matches_kind(self):
         doc = parse_problem(SOS2)
         assert doc.disjunction() is doc.cdc
@@ -225,6 +264,40 @@ class TestRoundTrip:
         with pytest.raises(InputError, match="malformed formulation"):
             formulation_from_document({"variables": {}})
 
+    @pytest.mark.parametrize(
+        "damage, field",
+        [
+            (lambda d: d.update(recovery=5), "recovery: expected an object"),
+            (lambda d: d["recovery"].pop("kind"), "recovery.kind: expected a string"),
+            (lambda d: d["recovery"]["points"][0].__setitem__(1, "y"),
+             r"recovery.points\[0\]"),
+            (lambda d: d["recovery"]["points"].append([1]), "recovery.points: expected"),
+            (lambda d: d["recovery"].update(points=7), "recovery.points: expected"),
+            (lambda d: d["variables"]["z"]["bounds"][0].reverse(), "lo <= hi"),
+        ],
+    )
+    def test_malformed_fields_are_named(self, damage, field):
+        form, recovery = pwl_formulation(pwl([0, 1, 2], [1, 2], [0, -1]), EncodingKind.GRAY)
+        doc = json.loads(document_text(emit_structured(form, recovery)))
+        damage(doc)
+        with pytest.raises(InputError, match=field) as info:
+            formulation_from_document(doc)
+        assert info.value.exit_code == 1
+
+    def test_annulus_recovery_points_must_be_numbers(self):
+        form, recovery = annulus_gray_formulation(8, AnnulusSpec(2.0, 3.2, 8))
+        doc = emit_structured(form, recovery)
+        doc["recovery"]["points"][2] = [1.0, "north"]
+        with pytest.raises(InputError, match=r"recovery.points\[2\]"):
+            formulation_from_document(doc)
+
+    def test_verification_summary_is_the_document_block(self):
+        c = cdc(3, [[1, 2], [2, 3]])
+        e = make_encoding(2, EncodingKind.GRAY)
+        report = check_ideal(c, e, theorem1_formulation(c, e))
+        doc = emit_structured(theorem1_formulation(c, e), verification=report)
+        assert doc["verification"] == verification_summary(report)
+
     def test_rationals_serialized_as_strings(self):
         f = pwl([0, 1, 2], [Fraction(1, 3), 1], [0, Fraction(-2, 3)])
         form, recovery = pwl_formulation(f, EncodingKind.GRAY)
@@ -232,3 +305,83 @@ class TestRoundTrip:
         flat = json.dumps(doc)
         assert "1/3" in flat
         assert "0.333" not in flat
+
+
+# Fuzzing: any JSON value must parse or fail with an input error (exit 1).
+
+WORDS = ["kind", "cdc", "pwl", "annulus", "alternatives", "n", "encoding",
+         "explicit", "gray", "zigzag", "options", "check", "format", "ideal",
+         "validity", "lp", "json", "breakpoints", "slopes", "intercepts", "d",
+         "inner_radius", "outer_radius", "variables", "lambda", "z", "count",
+         "bounds", "integer", "equalities", "general_rows", "normal", "lower",
+         "upper", "rhs", "recovery", "points", "epigraph", "1/2", "-3/0", "1e400"]
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                    st.text(max_size=4), st.sampled_from(WORDS))
+JSON = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(WORDS) | st.text(max_size=3), inner, max_size=5),
+    max_leaves=12,
+)
+
+
+@st.composite
+def damaged(draw, base):
+    """base with one subtree, at a drawn path, replaced by a drawn JSON value."""
+    doc = copy.deepcopy(base)
+    node = doc
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        key = draw(st.sampled_from(keys))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+            node = child
+            continue
+        node[key] = draw(JSON)
+        return doc
+
+
+PROBLEMS = [
+    {"kind": "cdc", "cdc": {"n": 5, "alternatives": [[1, 2], [2, 3], [3, 4], [4, 5]],
+                            "encoding": {"explicit": [[0, 0], [1, 0], [1, 1], [0, 1]]}},
+     "options": {"check": "ideal", "format": "lp"}},
+    {"kind": "pwl", "pwl": {"breakpoints": [0, 1, 2], "slopes": ["1/2", 1],
+                            "intercepts": [0, "-1/2"], "encoding": "zigzag"}},
+    {"kind": "annulus", "annulus": {"d": 8, "inner_radius": 1, "outer_radius": "3/2"}},
+]
+
+
+def _formulation_documents():
+    form, recovery = pwl_formulation(pwl([0, 1, 2], [1, 2], [0, -1]), EncodingKind.GRAY)
+    annulus, ring = annulus_gray_formulation(4, AnnulusSpec(1.0, 2.0, 4))
+    return [json.loads(document_text(emit_structured(f, r, provenance={"path": "x"})))
+            for f, r in ((form, recovery), (annulus, ring))]
+
+
+def _parses_or_input_error(parse, value):
+    try:
+        parse(value)
+    except IdealformError as err:
+        assert err.exit_code == 1, repr(err)
+
+
+class TestFuzz:
+    @given(JSON)
+    @settings(max_examples=100, deadline=None)
+    def test_any_json_problem(self, value):
+        _parses_or_input_error(parse_problem, json.dumps(value))
+
+    @given(st.sampled_from(PROBLEMS).flatmap(damaged))
+    @settings(max_examples=200, deadline=None)
+    def test_damaged_problem(self, value):
+        _parses_or_input_error(parse_problem, json.dumps(value))
+
+    @given(JSON)
+    @settings(max_examples=100, deadline=None)
+    def test_any_json_formulation(self, value):
+        _parses_or_input_error(formulation_from_document, value)
+
+    @given(st.sampled_from(_formulation_documents()).flatmap(damaged))
+    @settings(max_examples=200, deadline=None)
+    def test_damaged_formulation(self, value):
+        _parses_or_input_error(formulation_from_document, value)

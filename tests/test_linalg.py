@@ -22,7 +22,12 @@ from idealform.linalg import (
     solve_unique,
     vec,
 )
-from oracles import in_hull_caratheodory, rank_by_minors
+from oracles import (
+    hull_equations_from_all_directions,
+    in_hull_caratheodory,
+    independent_rows_by_minors,
+    rank_by_minors,
+)
 
 K3_ROWS = [
     (0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
@@ -219,3 +224,25 @@ class TestSmallSolvers:
     def test_independent_rows_keeps_first_spanning_subset(self):
         rows = mat([(1, 1), (2, 2), (0, 1)])
         assert independent_rows(rows) == [vec((1, 1)), vec((0, 1))]
+
+    def test_independent_rows_stops_at_full_rank(self):
+        def rows():
+            yield (1, 0)
+            yield (0, 1)
+            raise AssertionError("read a row past full rank")
+
+        assert independent_rows(rows()) == [vec((1, 0)), vec((0, 1))]
+
+    @given(frac_matrix(max_rows=6))
+    @settings(max_examples=60, deadline=None)
+    def test_independent_rows_match_the_minor_oracle(self, rows):
+        assert independent_rows(rows) == independent_rows_by_minors(rows)
+
+    @given(st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+                    min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_affine_hull_of_integer_points_matches_all_directions(self, pts):
+        hull = affine_hull(pts)
+        assert [tuple(int(x) for x in row) for row in hull.eq_lhs] == (
+            hull_equations_from_all_directions(pts)
+        )
