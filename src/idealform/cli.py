@@ -18,6 +18,8 @@ requested verification failed, 4 a resource cap was hit.
 from __future__ import annotations
 
 import argparse
+import copy
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -86,6 +88,16 @@ def _add_output_flags(p: argparse.ArgumentParser, with_check: bool = True) -> No
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser: a shallow copy of one tree built per process.
+
+    Attributes set on the copy stay off the shared tree; its subparsers and
+    actions are shared and read-only once built.
+    """
+    return copy.copy(_parser_tree())
+
+
+@functools.cache
+def _parser_tree() -> argparse.ArgumentParser:
     parser = _Parser(prog="idealform",
                      description="ideal formulations for disjunctions with "
                                  "few integer variables")

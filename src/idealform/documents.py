@@ -13,6 +13,7 @@ file instead of an in-process object.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar
@@ -125,12 +126,24 @@ def _fail(field: str, err: Exception):
     raise wrapped(f"{field}: {err}") from err
 
 
+# Fraction accepts exponent notation, so a few bytes such as "1e1000000"
+# would build a million-digit integer; exponents are bounded instead.
+_MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+
+
 def _rational(value, field: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise InputError(
             f"{field}: write exact rationals as integers or strings like '3/2', "
             f"not floats"
         )
+    exponent = _EXPONENT.search(value) if isinstance(value, str) else None
+    if exponent is not None:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
+            raise InputError(f"{field}: exponents are limited to {_MAX_EXPONENT} "
+                             f"in absolute value")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as err:

@@ -28,7 +28,8 @@ _ONE = Fraction(1)
 
 def vec(values: Iterable) -> Vec:
     """Coerce an iterable of rational-like values to a Vec."""
-    return tuple(Fraction(v) for v in values)
+    # From a list, so the tuple is allocated at its final length.
+    return tuple([Fraction(v) for v in values])
 
 
 def mat(rows: Iterable[Iterable]) -> Mat:

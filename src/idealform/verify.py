@@ -3,24 +3,45 @@
 The ground truth is small enough to write down: the relaxation should have
 exactly the vertices (e^w, h^j) for every alternative j and every ground
 element w it covers. This module enumerates the relaxation's vertex set
-with rational arithmetic and compares, so a pass is a proof for the given
-instance rather than a numerical hint.
+exactly and compares, so a pass is a proof for the given instance rather
+than a numerical hint.
 
-Enumeration works incrementally. The relaxation always lives inside the
-product of the unit simplex on lambda and the integer bounding box on z,
-whose vertices are known in closed form. Each constraint row is then
-applied as a cut: vertices on the wrong side are dropped and every cut
-edge contributes its intersection point. Keeping the vertex set exact at
-every step makes edge detection purely combinatorial (two vertices span an
-edge exactly when no third vertex is tight for every row they are both
-tight for), so no floating point enters anywhere.
+Enumeration is one integer double-description loop (Fukuda and Prodon,
+"Double description method revisited", 1996). The relaxation lives inside
+the product of the unit simplex on lambda and the integer box on z, whose
+vertices are known in closed form; each row of the formulation is then
+applied as a cut. Vertices are homogeneous integer lists, numerators and
+then a positive denominator, in lowest terms; a row a . x <= b is the
+list (a, -b), so its dot product with a vertex has the sign of the real
+slack. A cut drops the vertices on the wrong side, and every cut edge from
+a vertex i with slack s_i < 0 to a vertex j with s_j > 0 contributes the
+integer combination s_j x_i - s_i x_j, divided by its gcd (integer-only
+pivoting, as in Avis's lrs).
+
+Each vertex carries the bitmask of the rows it is tight on. A kept vertex
+gains the cut's bit when its slack is 0, and a new vertex's mask is its
+parents' common mask plus that bit, so masks are never recomputed. Keeping
+the vertex set exact at every step makes edge detection combinatorial: two
+vertices span an edge exactly when no third vertex is tight on every row
+they are both tight on. An edge's tight rows have rank n + r - 1, so a pair
+with fewer common tight rows is skipped before that scan. Vertices become
+Fractions once, at the end; nothing is ever rounded.
+
+The working vertices and rows are lists, and every tuple here is built
+from a list of its final length. Tuples grown from an iterator, and on
+CPython 3.11 tuples of length 20, stay in the interpreter's tuple free
+lists after they die, which raised the peak memory of a process that
+certifies many instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from math import gcd
+from operator import mul
 
 from .cdc import Cdc
 from .encoding import Encoding
@@ -29,8 +50,6 @@ from .formulation import Formulation
 from .linalg import Vec
 
 DEFAULT_ENUM_CAP = 50_000
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -68,152 +87,125 @@ class VerificationReport:
         return (self.expected_count, self.found_count)
 
 
-def embedding_extreme_points(c: Cdc, e: Encoding) -> VertexSet:
-    """All points (e^w, h^j) with w covered by alternative j."""
+def _check_sizes(c: Cdc, e: Encoding) -> None:
     if c.d != e.d:
         raise InputError(
             f"disjunction has {c.d} alternatives but the encoding has {e.d} rows"
         )
+
+
+def embedding_extreme_points(c: Cdc, e: Encoding) -> VertexSet:
+    """All points (e^w, h^j) with w covered by alternative j."""
+    _check_sizes(c, e)
+    zero, one = Fraction(0), Fraction(1)
     points: set[Vec] = set()
     for alt, code in zip(c.alternatives, e.rows):
-        tail = tuple(Fraction(x) for x in code)
+        tail = tuple([Fraction(x) for x in code])
         for w in alt:
-            lam = [_ZERO] * c.n
-            lam[w - 1] = Fraction(1)
+            lam = [zero] * c.n
+            lam[w - 1] = one
             points.add(tuple(lam) + tail)
     return VertexSet(frozenset(points))
 
 
 def _formulation_rows(f: Formulation):
-    """Flatten a formulation into exact (coeffs, rhs) rows over (lambda, z).
+    """Flatten a formulation into integer (coeffs, rhs) rows over (lambda, z).
 
     Returns (equalities, inequalities) where each inequality means
-    coeffs . x <= rhs. The lambda simplex and the z box are not included;
-    the enumeration engine starts from them.
+    coeffs . x <= rhs; general row k gives inequalities 2k (its lower side)
+    and 2k + 1 (its upper side). The lambda simplex and the z box are not
+    included; the enumeration starts from them.
     """
-    n, r = f.n_lambda, f.r_z
-    eqs = []
-    for eq in f.equalities:
-        coeffs = tuple(Fraction(a) for a in eq.lam) + tuple(Fraction(b) for b in eq.z)
-        eqs.append((coeffs, Fraction(eq.rhs)))
+    eqs = [(tuple(eq.lam) + tuple(eq.z), eq.rhs) for eq in f.equalities]
     ineqs = []
     for row in f.general_rows:
-        b = tuple(Fraction(x) for x in row.normal)
-        lower = tuple(Fraction(x) for x in row.lower)
-        upper = tuple(Fraction(x) for x in row.upper)
-        neg_b = tuple(-x for x in b)
+        normal = tuple(row.normal)
         # lower . lambda - b . z <= 0
-        ineqs.append((lower + neg_b, _ZERO))
+        ineqs.append((tuple(row.lower) + tuple([-x for x in normal]), 0))
         # b . z - upper . lambda <= 0
-        ineqs.append((tuple(-x for x in upper) + b, _ZERO))
+        ineqs.append((tuple([-x for x in row.upper]) + normal, 0))
     return eqs, ineqs
 
 
-def _base_rows(n: int, z_bounds):
-    """Defining rows of the starting polytope: simplex and box."""
-    r = len(z_bounds)
-    eqs = [(tuple(Fraction(1) for _ in range(n)) + (_ZERO,) * r, Fraction(1))]
-    ineqs = []
-    for v in range(n):
-        coeffs = [_ZERO] * (n + r)
-        coeffs[v] = Fraction(-1)
-        ineqs.append((tuple(coeffs), _ZERO))
-    for k, (lo, hi) in enumerate(z_bounds):
-        coeffs = [_ZERO] * (n + r)
-        coeffs[n + k] = Fraction(-1)
-        ineqs.append((tuple(coeffs), Fraction(-lo)))
-        coeffs[n + k] = Fraction(1)
-        ineqs.append((tuple(coeffs), Fraction(hi)))
-    return eqs, ineqs
+def _base_polytope(n: int, z_bounds):
+    """Vertices of the simplex times the box, with their tight-row masks.
 
-
-def _base_vertices(n: int, z_bounds) -> list[Vec]:
-    corners_per_axis = [sorted({Fraction(lo), Fraction(hi)}) for lo, hi in z_bounds]
-    out = []
-    for v in range(n):
-        lam = [_ZERO] * n
-        lam[v] = Fraction(1)
-        head = tuple(lam)
-        for corner in product(*corners_per_axis):
-            out.append(head + corner)
-    return out
-
-
-def _row_value(coeffs: Vec, x: Vec) -> Fraction:
-    return sum(c * xi for c, xi in zip(coeffs, x) if c)
-
-
-def _tight_masks(vertices: list[Vec], rows) -> list[int]:
-    masks = []
-    for x in vertices:
-        m = 0
-        for bit, (coeffs, rhs) in enumerate(rows):
-            if _row_value(coeffs, x) == rhs:
-                m |= 1 << bit
-        masks.append(m)
-    return masks
-
-
-def _apply_cut(vertices, rows, coeffs, rhs, is_equality, cap):
-    """Intersect the current vertex set with one halfspace or hyperplane.
-
-    ``rows`` is the list of rows already defining the polytope; the new row
-    is appended on return. Correctness of the edge test relies on
-    ``vertices`` being the complete vertex set for ``rows``.
+    Vertices are homogeneous: numerators, then the denominator 1. Bit 0 of
+    a mask is the simplex equation, bit 1 + v the row lambda_v >= 0, and
+    bits 1 + n + 2k and 2 + n + 2k the rows z_k >= lo and z_k <= hi.
+    Returns the vertices, their masks and the first bit free for cuts.
     """
-    slack = [_row_value(coeffs, x) - rhs for x in vertices]
-    neg = [i for i, s in enumerate(slack) if s < 0]
-    pos = [i for i, s in enumerate(slack) if s > 0]
+    axes = []
+    for k, (lo, hi) in enumerate(z_bounds):
+        lo_bit, hi_bit = 1 << (1 + n + 2 * k), 1 << (2 + n + 2 * k)
+        axes.append(((lo, lo_bit | hi_bit),) if lo == hi
+                    else ((lo, lo_bit), (hi, hi_bit)))
+    simplex_bits = (1 << (n + 1)) - 1
+    vertices, masks = [], []
+    for corner in product(*axes):
+        tail = [z for z, _ in corner] + [1]
+        box_mask = simplex_bits
+        for _, bit in corner:
+            box_mask |= bit
+        for v in range(n):
+            vertices.append([0] * v + [1] + [0] * (n - 1 - v) + tail)
+            masks.append(box_mask & ~(2 << v))
+    return vertices, masks, 1 + n + 2 * len(z_bounds)
 
-    if not pos and not (is_equality and neg):
-        rows.append((coeffs, rhs))
-        return vertices
 
-    masks = _tight_masks(vertices, rows)
-    if is_equality:
-        kept = [vertices[i] for i, s in enumerate(slack) if s == 0]
-    else:
-        kept = [vertices[i] for i, s in enumerate(slack) if s <= 0]
+def _cut(vertices, masks, row, bit, is_equality, need):
+    """Intersect the vertex set with row . x <= 0, or = 0 for an equality.
 
-    seen = set(kept)
+    ``row`` is homogeneous (coefficients, then minus the right-hand side),
+    so its dot product with a vertex has the sign of the real slack.
+    ``bit`` is the new row's mask bit and ``need`` the fewest tight rows an
+    edge can have. Correctness of the edge test relies on ``vertices``
+    being the complete vertex set of the polytope cut so far.
+    """
+    slack = [sum(map(mul, row, x)) for x in vertices]
+    kept, kept_masks = [], []
+    neg, pos = [], []
+    for i, s in enumerate(slack):
+        if s == 0:
+            kept.append(vertices[i])
+            kept_masks.append(masks[i] | bit)
+        elif s < 0:
+            neg.append(i)
+            if not is_equality:
+                kept.append(vertices[i])
+                kept_masks.append(masks[i])
+        else:
+            pos.append(i)
     for i in neg:
+        mask_i, s_i, x_i = masks[i], slack[i], vertices[i]
         for j in pos:
-            common = masks[i] & masks[j]
-            if any(
-                masks[k] & common == common
-                for k in range(len(vertices))
-                if k != i and k != j
-            ):
+            common = mask_i & masks[j]
+            if common.bit_count() < need:
                 continue
-            t = slack[i] / (slack[i] - slack[j])
-            u, w = vertices[i], vertices[j]
-            point = tuple(a + t * (b - a) for a, b in zip(u, w))
-            if point not in seen:
-                seen.add(point)
-                kept.append(point)
-
-    if len(kept) > cap:
-        raise TooLargeToEnumerate(
-            f"vertex enumeration exceeded the cap of {cap} intermediate vertices"
-        )
-    rows.append((coeffs, rhs))
-    return kept
+            for k, mask_k in enumerate(masks):
+                if mask_k & common == common and k != i and k != j:
+                    break
+            else:
+                s_j = slack[j]
+                point = [s_j * a - s_i * b for a, b in zip(x_i, vertices[j])]
+                g = reduce(gcd, point)
+                kept.append([p // g for p in point] if g > 1 else point)
+                kept_masks.append(common | bit)
+    return kept, kept_masks
 
 
-def _enumerate_system(n, z_bounds, equalities, inequalities, cap) -> list[Vec]:
-    vertices = _base_vertices(n, z_bounds)
-    if len(vertices) > cap:
-        raise TooLargeToEnumerate(
-            f"the starting simplex-times-box polytope already has "
-            f"{len(vertices)} vertices, over the cap of {cap}"
-        )
-    base_eqs, base_ineqs = _base_rows(n, z_bounds)
-    rows = base_eqs + base_ineqs
-    for coeffs, rhs in equalities:
-        vertices = _apply_cut(vertices, rows, coeffs, rhs, True, cap)
-    for coeffs, rhs in inequalities:
-        vertices = _apply_cut(vertices, rows, coeffs, rhs, False, cap)
-    return vertices
+def _cut_name(equalities: int, index: int) -> str:
+    if index < equalities:
+        return f"equality row {index}"
+    k, side = divmod(index - equalities, 2)
+    return f"general row {k} ({('lower', 'upper')[side]} side)"
+
+
+def _to_fractions(x) -> Vec:
+    *numerators, den = x
+    if den == 1:
+        return tuple([Fraction(a) for a in numerators])
+    return tuple([Fraction(a, den) for a in numerators])
 
 
 def enumerate_vertices(f: Formulation, *, max_vertices: int = DEFAULT_ENUM_CAP) -> VertexSet:
@@ -223,31 +215,50 @@ def enumerate_vertices(f: Formulation, *, max_vertices: int = DEFAULT_ENUM_CAP) 
     bounds, but drops integrality. Raises TooLargeToEnumerate when an
     intermediate vertex set grows past ``max_vertices``.
     """
+    vertices, masks, first_bit = _base_polytope(f.n_lambda, f.z_bounds)
+    if len(vertices) > max_vertices:
+        raise TooLargeToEnumerate(
+            f"the starting simplex-times-box polytope already has "
+            f"{len(vertices)} vertices, over the cap of {max_vertices}"
+        )
+    need = f.n_lambda + f.r_z - 1
     eqs, ineqs = _formulation_rows(f)
-    vertices = _enumerate_system(f.n_lambda, f.z_bounds, eqs, ineqs, max_vertices)
-    return VertexSet(frozenset(vertices))
+    cuts = [([*coeffs, -rhs], True) for coeffs, rhs in eqs]
+    cuts += [([*coeffs, -rhs], False) for coeffs, rhs in ineqs]
+    for index, (row, is_equality) in enumerate(cuts):
+        vertices, masks = _cut(vertices, masks, row, 1 << (first_bit + index),
+                               is_equality, need)
+        if len(vertices) > max_vertices:
+            raise TooLargeToEnumerate(
+                f"vertex enumeration exceeded the cap of {max_vertices} "
+                f"intermediate vertices: {len(vertices)} after cut {index}, "
+                f"{_cut_name(len(eqs), index)}"
+            )
+    return VertexSet(frozenset(map(_to_fractions, vertices)))
 
 
 def check_validity_only(c: Cdc, e: Encoding, f: Formulation) -> bool:
     """Whether every embedding point satisfies every row of f exactly.
 
     This is the cheap one-directional check: it proves the relaxation
-    contains the disjunction but says nothing about extra vertices.
+    contains the disjunction but says nothing about extra vertices. Each
+    point (e^w, h^j) is checked from integers: a row's normal . h^j once
+    per alternative, then its lambda coefficients at each covered w.
     """
-    eqs, ineqs = _formulation_rows(f)
-    lo_hi = f.z_bounds
-    n = f.n_lambda
-    for point in embedding_extreme_points(c, e).vertices:
-        if len(point) != n + f.r_z:
+    _check_sizes(c, e)
+    if f.n_lambda != c.n or f.r_z != e.r:
+        return False
+    for alt, code in zip(c.alternatives, e.rows):
+        if not all(lo <= h <= hi for h, (lo, hi) in zip(code, f.z_bounds)):
             return False
-        for coeffs, rhs in eqs:
-            if _row_value(coeffs, point) != rhs:
+        for eq in f.equalities:
+            value = eq.rhs - sum(map(mul, eq.z, code))
+            if any(eq.lam[w - 1] != value for w in alt):
                 return False
-        for coeffs, rhs in ineqs:
-            if _row_value(coeffs, point) > rhs:
-                return False
-        for k, (lo, hi) in enumerate(lo_hi):
-            if not lo <= point[n + k] <= hi:
+        for row in f.general_rows:
+            value = sum(map(mul, row.normal, code))
+            lower, upper = row.lower, row.upper
+            if not all(lower[w - 1] <= value <= upper[w - 1] for w in alt):
                 return False
     return True
 

@@ -6,16 +6,20 @@ package implementation, so agreement is evidence rather than tautology:
 * rank via nonzero minors (cofactor determinants),
 * convex-hull membership via Caratheodory subsets instead of simplex,
 * hyperplane arrangements via all-subsets enumeration,
-* polytope vertices via exhaustive tight-subset search.
+* polytope vertices via exhaustive tight-subset search,
+* polytope vertices via the original Fraction cut engine, which recomputes
+  every tight set on every cut (the integer engine in idealform.verify
+  replaced it).
 
-They are exponential and meant for desk-scale fixtures only.
+Most are exponential and meant for desk-scale fixtures only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
+from idealform.errors import TooLargeToEnumerate
 from idealform.linalg import Vec, nullspace, primitive_canonical, rref, vec
 
 F0 = Fraction(0)
@@ -174,3 +178,105 @@ def rows_by_covering_lists(c, e, normals) -> list[tuple]:
         out.append((tuple(normal), tuple(min(vs) for vs in covering),
                     tuple(max(vs) for vs in covering)))
     return out
+
+
+def fraction_rows(f):
+    """The formulation's rows as exact (coeffs, rhs) pairs over (lambda, z):
+    (equalities, inequalities coeffs . x <= rhs), simplex and box excluded."""
+    eqs = [(vec(tuple(eq.lam) + tuple(eq.z)), Fraction(eq.rhs)) for eq in f.equalities]
+    ineqs = []
+    for row in f.general_rows:
+        b, lower, upper = vec(row.normal), vec(row.lower), vec(row.upper)
+        ineqs.append((lower + tuple(-x for x in b), F0))
+        ineqs.append((tuple(-x for x in upper) + b, F0))
+    return eqs, ineqs
+
+
+def simplex_box_rows(n, z_bounds):
+    """Defining rows of the simplex times the box, as exact (coeffs, rhs)
+    pairs: (equalities, inequalities coeffs . x <= rhs)."""
+    r = len(z_bounds)
+    eqs = [((F1,) * n + (F0,) * r, F1)]
+    ineqs = []
+    for v in range(n):
+        coeffs = [F0] * (n + r)
+        coeffs[v] = -F1
+        ineqs.append((tuple(coeffs), F0))
+    for k, (lo, hi) in enumerate(z_bounds):
+        coeffs = [F0] * (n + r)
+        coeffs[n + k] = -F1
+        ineqs.append((tuple(coeffs), Fraction(-lo)))
+        coeffs[n + k] = F1
+        ineqs.append((tuple(coeffs), Fraction(hi)))
+    return eqs, ineqs
+
+
+def _row_value(coeffs, x) -> Fraction:
+    return sum(c * xi for c, xi in zip(coeffs, x) if c)
+
+
+def _apply_fraction_cut(vertices, rows, coeffs, rhs, is_equality, cap):
+    """One cut of the Fraction engine; ``rows`` gains the new row."""
+    slack = [_row_value(coeffs, x) - rhs for x in vertices]
+    neg = [i for i, s in enumerate(slack) if s < 0]
+    pos = [i for i, s in enumerate(slack) if s > 0]
+    if not pos and not (is_equality and neg):
+        rows.append((coeffs, rhs))
+        return vertices
+    masks = [sum(1 << bit for bit, (c, b) in enumerate(rows) if _row_value(c, x) == b)
+             for x in vertices]
+    kept = [x for x, s in zip(vertices, slack) if s == 0 or (s < 0 and not is_equality)]
+    seen = set(kept)
+    for i in neg:
+        for j in pos:
+            common = masks[i] & masks[j]
+            if any(masks[k] & common == common
+                   for k in range(len(vertices)) if k != i and k != j):
+                continue
+            t = slack[i] / (slack[i] - slack[j])
+            point = tuple(a + t * (b - a) for a, b in zip(vertices[i], vertices[j]))
+            if point not in seen:
+                seen.add(point)
+                kept.append(point)
+    if len(kept) > cap:
+        raise TooLargeToEnumerate(f"over the cap of {cap}")
+    rows.append((coeffs, rhs))
+    return kept
+
+
+def vertices_by_fraction_cuts(f, max_vertices=10**9) -> set[Vec]:
+    """The relaxation's vertices by the Fraction cut engine: start from the
+    simplex-times-box vertices, apply every row as a cut, and recompute all
+    tight sets for each cut. Raises TooLargeToEnumerate as the package
+    engine does, when a vertex set grows past ``max_vertices``."""
+    n = f.n_lambda
+    corners = [sorted({Fraction(lo), Fraction(hi)}) for lo, hi in f.z_bounds]
+    vertices = [tuple(F1 if u == v else F0 for u in range(n)) + corner
+                for v in range(n) for corner in product(*corners)]
+    if len(vertices) > max_vertices:
+        raise TooLargeToEnumerate(f"over the cap of {max_vertices}")
+    base_eqs, base_ineqs = simplex_box_rows(n, f.z_bounds)
+    rows = base_eqs + base_ineqs
+    eqs, ineqs = fraction_rows(f)
+    for coeffs, rhs in eqs:
+        vertices = _apply_fraction_cut(vertices, rows, coeffs, rhs, True, max_vertices)
+    for coeffs, rhs in ineqs:
+        vertices = _apply_fraction_cut(vertices, rows, coeffs, rhs, False, max_vertices)
+    return set(vertices)
+
+
+def valid_by_fraction_points(points, f) -> bool:
+    """Whether every point, an exact (lambda, z) vector, satisfies every
+    row of f and its z bounds."""
+    eqs, ineqs = fraction_rows(f)
+    n = f.n_lambda
+    for point in points:
+        if len(point) != n + f.r_z:
+            return False
+        if any(_row_value(coeffs, point) != rhs for coeffs, rhs in eqs):
+            return False
+        if any(_row_value(coeffs, point) > rhs for coeffs, rhs in ineqs):
+            return False
+        if not all(lo <= point[n + k] <= hi for k, (lo, hi) in enumerate(f.z_bounds)):
+            return False
+    return True

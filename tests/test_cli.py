@@ -350,6 +350,40 @@ class TestMalformedInput:
         assert "z bounds need lo <= hi" in err
 
 
+class TestParserTree:
+    """build_parser hands out copies of one argparse tree per process."""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["annulus", "--help"],
+                                      ["verify", "--help"]])
+    def test_help_repeats_byte_for_byte(self, capsys, argv):
+        outputs = []
+        for _ in range(3):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0].out.startswith("usage: idealform")
+
+    def test_usage_errors_repeat_byte_for_byte(self, capsys):
+        for argv in (["encode", "--kind", "gray"], ["annulus", "--d", "x"], []):
+            results = [run(capsys, *argv) for _ in range(3)]
+            assert results[0] == results[1] == results[2]
+            assert results[0][0] == 1 and results[0][2].startswith("error: ")
+
+    def test_the_tree_is_built_once_and_matches_a_fresh_build(self):
+        assert cli._parser_tree() is cli._parser_tree()
+        fresh = cli._parser_tree.__wrapped__()
+        assert cli.build_parser().format_help() == fresh.format_help()
+
+    def test_attributes_set_on_a_copy_stay_off_the_tree(self, capsys):
+        first = cli.build_parser()
+        first.parse_args = None
+        second = cli.build_parser()
+        assert second is not first and second.parse_args is not None
+        assert run(capsys, "encode", "--kind", "gray", "--s", "1")[0] == 0
+
+
 # Every error class and the exit code main returns for it.
 EXIT_CODES = {
     "IdealformError": 2, "InputError": 1, "EmptyPointSet": 2, "ZeroVector": 2,

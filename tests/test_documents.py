@@ -167,12 +167,26 @@ class TestParseProblem:
              "cdc.n: ground set must be nonempty"),
             ('{"kind": "annulus", "annulus": {"d": 8, "inner_radius": 1,'
              ' "outer_radius": "1e400"}}', "annulus.outer_radius"),
+            ('{"kind": "pwl", "pwl": {"breakpoints": [0, 1, 2],'
+             ' "slopes": ["1e1000000", 2], "intercepts": [0, -1]}}',
+             r"pwl.slopes\[0\]: exponents are limited"),
+            ('{"kind": "pwl", "pwl": {"breakpoints": [0, "-1e-1_000_000", 2],'
+             ' "slopes": [1, 2], "intercepts": [0, -1]}}',
+             r"pwl.breakpoints\[1\]: exponents are limited"),
         ],
     )
     def test_malformed_fields_are_named(self, text, field):
         with pytest.raises(InputError, match=field) as info:
             parse_problem(text)
         assert info.value.exit_code == 1
+
+    def test_exponents_up_to_the_bound_parse(self):
+        doc = parse_problem(
+            '{"kind": "pwl", "pwl": {"breakpoints": ["5e-3", "0.25", "1e1000"],'
+            ' "slopes": ["-1E+0_3", 2], "intercepts": [0, "3/2"]}}')
+        assert doc.function.breakpoints == (Fraction(1, 200), Fraction(1, 4),
+                                            Fraction(10) ** 1000)
+        assert doc.function.slopes[0] == -1000
 
     def test_one_class_per_kind(self):
         assert isinstance(parse_problem(SOS2), CdcProblem)

@@ -5,19 +5,25 @@ from fractions import Fraction
 
 import pytest
 
+from idealform.annulus import annulus_gray_formulation, annulus_zigzag_formulation
 from idealform.cdc import cdc, intersection_digraph, is_weakly_connected, theorem1_formulation
 from idealform.encoding import EncodingKind, make_encoding
 from idealform.errors import InputError, TooLargeToEnumerate
 from idealform.formulation import Formulation, GeneralRow, LinearEquality
+from idealform.pwl import pwl, pwl_formulation
 from idealform.verify import (
-    _base_rows,
     _formulation_rows,
     check_ideal,
     check_validity_only,
     embedding_extreme_points,
     enumerate_vertices,
 )
-from oracles import vertices_by_tight_subsets
+from oracles import (
+    simplex_box_rows,
+    valid_by_fraction_points,
+    vertices_by_fraction_cuts,
+    vertices_by_tight_subsets,
+)
 
 F = Fraction
 
@@ -40,10 +46,36 @@ def drop_row(f, k):
     return Formulation(f.n_lambda, f.r_z, f.equalities, rows, f.z_bounds)
 
 
+def sos(d, width):
+    return cdc(d + width - 1, [range(i, i + width) for i in range(1, d + 1)])
+
+
+def corpus_formulations():
+    """Formulations shaped like the certificate benchmark's instances."""
+    out = {}
+    for d in (4, 8):
+        out[f"annulus-gray-d{d}"] = annulus_gray_formulation(d)[0]
+        out[f"annulus-zigzag-d{d}"] = annulus_zigzag_formulation(d)[0]
+    for d, width, kind in ((4, 2, "gray"), (6, 2, "gray"), (8, 2, "gray"),
+                           (4, 3, "gray"), (4, 2, "zigzag"), (6, 2, "zigzag")):
+        out[f"sos{width}-{kind}-d{d}"] = theorem1_formulation(
+            sos(d, width), make_encoding(d, EncodingKind(kind)))
+    # Concave, with one jump at breakpoint 3: the unit-normal fast path.
+    breakpoints, slopes = [0, 1, 3, 4, 6, 7, 9, 10, 12], [9, 7, 4, 2, 0, -1, -3, -6]
+    intercepts, value = [], 0
+    for i, slope in enumerate(slopes):
+        intercepts.append(value - slope * breakpoints[i] + (2 if i == 2 else 0))
+        value = slope * breakpoints[i + 1] + intercepts[-1]
+    f = pwl(breakpoints, slopes, intercepts)
+    for kind in (EncodingKind.GRAY, EncodingKind.ZIGZAG):
+        out[f"pwl-{kind.value}-d8"] = pwl_formulation(f, kind)[0]
+    return out
+
+
 def oracle_vertex_set(f):
     """The same polytope, enumerated by exhaustive tight-subset search."""
     eqs, ineqs = _formulation_rows(f)
-    base_eqs, base_ineqs = _base_rows(f.n_lambda, f.z_bounds)
+    base_eqs, base_ineqs = simplex_box_rows(f.n_lambda, f.z_bounds)
     all_eqs = base_eqs + eqs
     all_ineqs = [(tuple(-c for c in coeffs), -rhs) for coeffs, rhs in base_ineqs + ineqs]
     return vertices_by_tight_subsets(f.n_lambda + f.r_z, all_eqs, all_ineqs)
@@ -229,9 +261,199 @@ class TestCheckValidityOnly:
         f = Formulation(3, 1, (LinearEquality((1, 1, 1), (0,), 1),), (), ((0, 1),))
         assert check_validity_only(c, e, f)
 
+    def test_violations_of_each_kind(self):
+        c = sos2(4)
+        e = make_encoding(4, EncodingKind.GRAY)
+        f = theorem1_formulation(c, e)
+
+        def variant(**changes):
+            fields = dict(equalities=f.equalities, general_rows=f.general_rows,
+                          z_bounds=f.z_bounds)
+            fields.update(changes)
+            return Formulation(f.n_lambda, f.r_z, **fields)
+
+        row = f.general_rows[0]
+        assert check_validity_only(c, e, variant())
+        # The code (1, 1) of the third alternative leaves the box.
+        assert not check_validity_only(c, e, variant(z_bounds=((0, 1), (0, 0))))
+        # z_2 = 0 fails at the same code.
+        eq = LinearEquality((0,) * 5, (0, 1), 0)
+        assert not check_validity_only(c, e, variant(equalities=f.equalities + (eq,)))
+        # Row 0 with both sides at -1 cuts the point with code (0, 0).
+        low = GeneralRow(row.normal, (-1,) * 5, (-1,) * 5)
+        assert not check_validity_only(c, e, variant(general_rows=(low,)))
+
+    def test_widths_and_sizes(self):
+        c = sos2(2)
+        e = make_encoding(2, EncodingKind.GRAY)
+        wide = Formulation(4, 2, (LinearEquality((1,) * 4, (0, 0), 1),), (),
+                           ((0, 1), (0, 1)))
+        assert not check_validity_only(c, e, wide)
+        with pytest.raises(InputError):
+            check_validity_only(c, make_encoding(4, EncodingKind.GRAY), wide)
+
+    def test_against_fraction_points(self):
+        # Random one-entry changes to three formulations: the integer scan
+        # agrees with the rows evaluated at Fraction points.
+        rng = random.Random(7)
+        cases = [(sos2(d), make_encoding(d, EncodingKind(kind)))
+                 for d, kind in ((4, "gray"), (6, "zigzag"))]
+        cases += [(windows8(), make_encoding(4, EncodingKind.GRAY))]
+        verdicts = set()
+        for c, e in cases:
+            f = theorem1_formulation(c, e)
+            points = embedding_extreme_points(c, e).vertices
+            for _ in range(40):
+                rows = [list(map(list, (r.normal, r.lower, r.upper)))
+                        for r in f.general_rows]
+                eqs = [[list(eq.lam), list(eq.z), eq.rhs] for eq in f.equalities]
+                bounds = [list(b) for b in f.z_bounds]
+                target = rng.choice(rows + eqs + [bounds])
+                part = rng.choice([p for p in target if isinstance(p, list)])
+                part[rng.randrange(len(part))] += rng.choice((-1, 1))
+                try:
+                    g = Formulation(
+                        f.n_lambda, f.r_z,
+                        tuple(LinearEquality(tuple(a), tuple(b), rhs) for a, b, rhs in eqs),
+                        tuple(GeneralRow(*map(tuple, r)) for r in rows),
+                        tuple(map(tuple, bounds)))
+                except ValueError:
+                    continue
+                verdict = check_validity_only(c, e, g)
+                assert verdict == valid_by_fraction_points(points, g)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
     def test_implied_by_check_ideal(self):
         c = windows8()
         e = make_encoding(4, EncodingKind.GRAY)
         f = theorem1_formulation(c, e)
         if check_ideal(c, e, f).passed:
             assert check_validity_only(c, e, f)
+
+
+class TestAgainstFractionCutOracle:
+    """The integer engine and the Fraction cut engine it replaced agree."""
+
+    FORMULATIONS = corpus_formulations()
+
+    @staticmethod
+    def agree(f):
+        found = enumerate_vertices(f).vertices
+        assert found == vertices_by_fraction_cuts(f)
+        return found
+
+    @pytest.mark.parametrize("name", sorted(FORMULATIONS))
+    def test_corpus_formulation(self, name):
+        self.agree(self.FORMULATIONS[name])
+
+    @pytest.mark.parametrize("name", sorted(FORMULATIONS))
+    def test_row_dropped_and_shuffled(self, name):
+        f = self.FORMULATIONS[name]
+        rng = random.Random(name)
+        rows = list(f.general_rows)
+        del rows[rng.randrange(len(rows))]
+        rng.shuffle(rows)
+        g = Formulation(f.n_lambda, f.r_z, f.equalities, tuple(rows), f.z_bounds)
+        self.agree(g)
+
+    def test_dropped_rows_leave_fractional_vertices(self):
+        fractional = 0
+        for name, f in self.FORMULATIONS.items():
+            for k in range(f.gamma):
+                found = self.agree(drop_row(f, k))
+                fractional += any(x.denominator != 1 for v in found for x in v)
+        assert fractional > 0
+
+    def test_equality_rows(self):
+        # An SOS2 formulation plus one equality through a random embedding
+        # point, with lambda and z coefficients in {-1, 0, 1}.
+        rng = random.Random(5)
+        c, e = sos2(5), make_encoding(5, EncodingKind.ZIGZAG)
+        f = theorem1_formulation(c, e)
+        points = sorted(embedding_extreme_points(c, e).vertices)
+        for _ in range(6):
+            coeffs = [rng.choice((-1, 0, 1)) for _ in range(f.n_lambda + f.r_z)]
+            point = rng.choice(points)
+            rhs = sum(a * x for a, x in zip(coeffs, point))
+            eq = LinearEquality(tuple(coeffs[:f.n_lambda]), tuple(coeffs[f.n_lambda:]),
+                                int(rhs))
+            g = Formulation(f.n_lambda, f.r_z, f.equalities + (eq,), f.general_rows,
+                            f.z_bounds)
+            assert point in self.agree(g)
+
+    @pytest.mark.parametrize("name", ["sos2-gray-d6", "annulus-zigzag-d8", "pwl-zigzag-d8"])
+    def test_without_the_repeated_simplex_equality(self, name):
+        # Every formulation repeats the simplex row the enumeration starts
+        # from, one more tight row at every vertex; without it the edge
+        # precheck's bound of n + r - 1 tight rows is met exactly.
+        f = self.FORMULATIONS[name]
+        assert f.equalities[0] == LinearEquality((1,) * f.n_lambda, (0,) * f.r_z, 1)
+        for g in (f, drop_row(f, 0)):
+            self.agree(Formulation(g.n_lambda, g.r_z, g.equalities[1:], g.general_rows,
+                                   g.z_bounds))
+
+    def test_a_z_bound_with_lo_equal_hi(self):
+        for name in ("sos2-gray-d6", "annulus-zigzag-d4", "pwl-gray-d8"):
+            f = self.FORMULATIONS[name]
+            for k, (lo, hi) in enumerate(f.z_bounds):
+                for fixed in {lo, hi}:
+                    bounds = f.z_bounds[:k] + ((fixed, fixed),) + f.z_bounds[k + 1:]
+                    g = Formulation(f.n_lambda, f.r_z, f.equalities, f.general_rows,
+                                    bounds)
+                    found = self.agree(g)
+                    assert all(v[f.n_lambda + k] == fixed for v in found)
+
+    def test_both_engines_trip_the_cap_at_the_same_sizes(self):
+        f = drop_row(self.FORMULATIONS["sos2-zigzag-d4"], 1)
+        outcomes = set()
+        for cap in range(1, 60):
+            try:
+                found = enumerate_vertices(f, max_vertices=cap).vertices
+            except TooLargeToEnumerate:
+                with pytest.raises(TooLargeToEnumerate):
+                    vertices_by_fraction_cuts(f, cap)
+                outcomes.add("cap")
+            else:
+                assert found == vertices_by_fraction_cuts(f, cap)
+                outcomes.add("done")
+        assert outcomes == {"cap", "done"}
+
+
+class TestCapMessage:
+    """TooLargeToEnumerate names the cut and the vertex count where it tripped."""
+
+    @staticmethod
+    def square(*rows):
+        # lambda_1 = 1 and z in [0, 1]^2: four vertices before any row.
+        return Formulation(1, 2, (LinearEquality((1,), (0, 0), 1),), rows,
+                           ((0, 1), (0, 1)))
+
+    def test_upper_side_of_a_later_row(self):
+        # Row 0 is redundant; the upper side of row 1, 2 z1 + 2 z2 <= 3,
+        # cuts the corner (1, 1) off and leaves five vertices.
+        f = self.square(GeneralRow((1, 0), (0,), (1,)), GeneralRow((2, 2), (0,), (3,)))
+        assert enumerate_vertices(f, max_vertices=5).count == 5
+        with pytest.raises(TooLargeToEnumerate,
+                           match=r"cap of 4 intermediate vertices: 5 after cut 4, "
+                                 r"general row 1 \(upper side\)$"):
+            enumerate_vertices(f, max_vertices=4)
+
+    def test_lower_side(self):
+        # -3 <= -2 z1 - 2 z2 cuts the same corner from the lower side.
+        f = self.square(GeneralRow((-2, -2), (-3,), (0,)))
+        with pytest.raises(TooLargeToEnumerate,
+                           match=r"5 after cut 1, general row 0 \(lower side\)$"):
+            enumerate_vertices(f, max_vertices=4)
+
+    def test_equality_row(self):
+        # The slice 2 (z1 + ... + z8) = 7 of the 8-cube crosses 56 * 5 edges,
+        # more than the cube's 256 vertices.
+        f = Formulation(1, 8, (LinearEquality((1,), (0,) * 8, 1),
+                               LinearEquality((0,), (2,) * 8, 7)), (),
+                        ((0, 1),) * 8)
+        assert enumerate_vertices(f).count == 280
+        with pytest.raises(TooLargeToEnumerate,
+                           match=r"cap of 256 intermediate vertices: 280 after cut 1, "
+                                 r"equality row 1$"):
+            enumerate_vertices(f, max_vertices=256)
