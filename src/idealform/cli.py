@@ -74,6 +74,17 @@ def _say(line: str) -> None:
     print(line, file=sys.stderr)
 
 
+def _enum_cap(text: str) -> int:
+    """The --max-enum value: a vertex budget of at least 1."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {cap}")
+    return cap
+
+
 def _add_output_flags(p: argparse.ArgumentParser, with_check: bool = True) -> None:
     p.add_argument("--format", choices=["json", "lp"], default=None,
                    help="output format (default: json, or the document's option)")
@@ -82,7 +93,7 @@ def _add_output_flags(p: argparse.ArgumentParser, with_check: bool = True) -> No
                        help="verification to run before emitting")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write the document here instead of stdout")
-    p.add_argument("--max-enum", type=int, default=None, metavar="N",
+    p.add_argument("--max-enum", type=_enum_cap, default=None, metavar="N",
                    help="vertex budget for exact enumeration "
                         f"(default {DEFAULT_ENUM_CAP})")
 
@@ -132,7 +143,7 @@ def _parser_tree() -> argparse.ArgumentParser:
     p.add_argument("problem", help="problem document path, or - for stdin")
     p.add_argument("formulation", help="formulation document path")
     p.add_argument("--check", choices=["validity", "ideal"], default="ideal")
-    p.add_argument("--max-enum", type=int, default=None, metavar="N")
+    p.add_argument("--max-enum", type=_enum_cap, default=None, metavar="N")
 
     return parser
 

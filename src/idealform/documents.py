@@ -243,12 +243,9 @@ def _parse_pwl(body: dict, options: ProblemOptions) -> PwlProblem:
         return tuple(_rational(x, f"pwl.{key}[{i}]") for i, x in enumerate(values))
 
     encoding_kind, _ = _encoding_spec(body, "pwl.encoding", allow_explicit=False)
+    fields = [rational_list(key) for key in ("breakpoints", "slopes", "intercepts")]
     try:
-        f = PwlFunction(
-            rational_list("breakpoints"),
-            rational_list("slopes"),
-            rational_list("intercepts"),
-        )
+        f = PwlFunction(*fields)
     except IdealformError as err:
         _fail("pwl", err)
     return PwlProblem(f, encoding_kind, options)

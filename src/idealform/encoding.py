@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from math import ceil, log2
+from operator import mul
 
 from .errors import (
     HoleCheckTooLarge,
@@ -23,8 +23,16 @@ from .errors import (
     InvalidOrder,
     NeedsExplicitRows,
     TooFewAlternatives,
+    TooLargeToEnumerate,
 )
-from .linalg import mat, point_in_convex_hull, vec
+from .linalg import (
+    DEFAULT_ENUM_CAP,
+    affine_hull,
+    dd_cut,
+    independent_rows,
+    nullspace,
+    primitive_canonical,
+)
 
 Row = tuple[int, ...]
 
@@ -106,7 +114,7 @@ def make_encoding(d: int, kind: EncodingKind) -> Encoding:
         raise NeedsExplicitRows("explicit encodings are built from given rows")
     if d < 2:
         raise TooFewAlternatives(f"need at least two alternatives, got {d}")
-    r = ceil(log2(d))
+    r = (d - 1).bit_length()  # ceil(log2(d)), in integers
     full = gray_matrix(r) if kind is EncodingKind.GRAY else zigzag_matrix(r)
     return Encoding(rows=full[:d], kind=kind)
 
@@ -116,16 +124,59 @@ def explicit_encoding(rows) -> Encoding:
     return Encoding(rows=tuple(tuple(int(x) for x in row) for row in rows), kind=EncodingKind.EXPLICIT)
 
 
+def _hull_facets(e: Encoding):
+    """The affine hull equations and the facets of conv(codes), in integers.
+
+    Returns (equations, facets, masks): each equation (a, b) means
+    a . x = b, each facet (a, b) means a . x <= b, and a facet's mask has
+    bit i set when code i lies on it. The facets are the extreme rays of
+    the cone of valid inequalities in (a, b)-space, where code h is the cut
+    (h, -1). The start cone is simplicial: the first k + 1 affinely
+    independent codes and the hull equations, which make it pointed.
+    """
+    hull = affine_hull(e.rows)
+    equations = [([int(x) for x in lhs], int(rhs))
+                 for lhs, rhs in zip(hull.eq_lhs, hull.eq_rhs)]
+    cuts = {(*code, -1): i for i, code in enumerate(e.rows)}
+    start = [cuts[row] for row in independent_rows(cuts)]
+    fixed = [(*lhs, rhs) for lhs, rhs in equations]
+    rays, masks = [], []
+    for i in start:
+        rows = [(*e.rows[j], -1) for j in start if j != i] + fixed
+        (ray,) = nullspace(rows, e.r + 1)
+        ray = list(primitive_canonical(ray))
+        if sum(map(mul, (*e.rows[i], -1), ray)) > 0:
+            ray = [-x for x in ray]
+        rays.append(ray)
+        masks.append(sum(1 << j for j in start if j != i))
+    need = hull.dim - 1
+    for row, i in cuts.items():
+        if i in start:
+            continue
+        rays, masks = dd_cut(rays, masks, row, 1 << i, False, need)
+        if len(rays) > DEFAULT_ENUM_CAP:
+            raise TooLargeToEnumerate(
+                f"facet enumeration of the code hull exceeded the cap of "
+                f"{DEFAULT_ENUM_CAP} intermediate rays: {len(rays)} after code {i}"
+            )
+    facets = [(ray[:-1], ray[-1]) for ray in rays]
+    return equations, facets, masks
+
+
 def is_in_convex_position(e: Encoding) -> bool:
     """True when no row lies in the convex hull of the other rows.
 
-    Exactly the condition "every code is a vertex of the hull"; decided by
-    one exact feasibility question per row.
+    Exactly the condition "every code is a vertex of the hull". A vertex is
+    the intersection of the facets through it, so code i is a vertex iff no
+    other code lies on every facet that code i lies on.
     """
-    rows = [vec(r) for r in e.rows]
-    for i, row in enumerate(rows):
-        others = rows[:i] + rows[i + 1 :]
-        if point_in_convex_hull(row, mat(others)):
+    _, _, masks = _hull_facets(e)
+    for i in range(e.d):
+        on_all = (1 << e.d) - 1
+        for mask in masks:
+            if mask >> i & 1:
+                on_all &= mask
+        if on_all != 1 << i:
             return False
     return True
 
@@ -133,24 +184,26 @@ def is_in_convex_position(e: Encoding) -> bool:
 def is_hole_free(e: Encoding, cap: int = DEFAULT_HOLE_CAP) -> bool:
     """True when the hull of the rows contains no lattice point beyond them.
 
-    Scans the integer bounding box of the rows; boxes larger than ``cap``
-    points raise HoleCheckTooLarge instead of silently taking forever.
+    Scans the integer bounding box of the rows against the hull equations
+    and facets; boxes larger than ``cap`` points raise HoleCheckTooLarge
+    instead of silently taking forever.
     """
-    rows = mat(e.rows)
-    lows = [min(r[k] for r in e.rows) for k in range(e.r)]
-    highs = [max(r[k] for r in e.rows) for k in range(e.r)]
+    bounds = code_bounds(e)
     volume = 1
-    for lo, hi in zip(lows, highs):
+    for lo, hi in bounds:
         volume *= hi - lo + 1
         if volume > cap:
             raise HoleCheckTooLarge(
                 f"lattice box has more than {cap} points; raise the cap to force the scan"
             )
+    equations, facets, _ = _hull_facets(e)
     row_set = set(e.rows)
-    for point in product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
+    for point in product(*(range(lo, hi + 1) for lo, hi in bounds)):
         if point in row_set:
             continue
-        if point_in_convex_hull(vec(point), rows):
+        if all(sum(map(mul, a, point)) == b for a, b in equations) and all(
+            sum(map(mul, a, point)) <= b for a, b in facets
+        ):
             return False
     return True
 

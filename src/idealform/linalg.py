@@ -1,9 +1,15 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra and the one integer polyhedral step.
 
 Everything downstream (gates, hyperplane enumeration, vertex enumeration)
-reduces to the operations in this module, and all of them work on
-``fractions.Fraction`` exactly, so geometric predicates are decided without
-tolerances. Floating point never enters.
+reduces to the operations in this module, so geometric predicates are
+decided exactly, without tolerances. Floating point never enters. Rank,
+nullspaces and affine hulls work on ``fractions.Fraction``; independent
+rows come from a fraction-free integer elimination.
+
+:func:`dd_cut` is the double-description step (Fukuda and Prodon,
+"Double description method revisited", 1996) on homogeneous integer
+vectors. The certificate applies it to the vertices of a relaxation, the
+encoding gates to the facets of the code hull.
 
 Vectors are plain tuples of Fraction, matrices are tuples of such tuples.
 The constructors :func:`vec` and :func:`mat` coerce ints, strings and
@@ -14,7 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import EmptyPointSet, NotAHyperplane, ZeroVector
@@ -24,6 +32,9 @@ Mat = tuple[Vec, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# The most vertices or rays a double-description run may hold at once.
+DEFAULT_ENUM_CAP = 50_000
 
 
 def vec(values: Iterable) -> Vec:
@@ -101,26 +112,6 @@ def nullspace(rows: Sequence[Sequence[Fraction]], dim: int) -> list[Vec]:
             v[p] = -reduced[i][free]
         basis.append(tuple(v))
     return basis
-
-
-def solve_unique(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vec | None:
-    """Solve rows . x = rhs when the solution exists and is unique.
-
-    Returns None when the system is inconsistent or underdetermined.
-    """
-    if not rows:
-        return None
-    n = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    reduced, pivots = rref(aug)
-    if n in pivots:  # pivot in the rhs column: inconsistent
-        return None
-    if len(pivots) < n:
-        return None
-    x = [_ZERO] * n
-    for i, p in enumerate(pivots):
-        x[p] = reduced[i][n]
-    return tuple(x)
 
 
 @dataclass(frozen=True)
@@ -265,79 +256,43 @@ def scale_row_to_integers(
     return tuple(int(x * scale) for x in fracs), int(rhs * scale)
 
 
-def has_nonnegative_solution(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> bool:
-    """Decide whether rows . x = rhs admits a solution with x >= 0.
+def dd_cut(vertices, masks, row, bit, is_equality, need):
+    """Intersect the vertex set with row . x <= 0, or = 0 for an equality.
 
-    Exact phase-one simplex with Bland's rule, so it terminates and never
-    misclassifies. Intended for the small feasibility questions the gates
-    ask (convex position, hull membership); not a general LP solver.
+    ``row`` is homogeneous (coefficients, then minus the right-hand side),
+    so its dot product with a vertex has the sign of the real slack.
+    ``bit`` is the new row's mask bit and ``need`` the fewest tight rows an
+    edge can have. Correctness of the edge test relies on ``vertices``
+    being the complete vertex set of the polytope cut so far; the extreme
+    rays of a pointed cone serve as well.
     """
-    m = len(rows)
-    if m == 0:
-        return True
-    n = len(rows[0])
-    # Orient every row so the right-hand side is nonnegative, then append
-    # an artificial identity; feasibility == the artificials can be driven
-    # to zero.
-    tab: list[list[Fraction]] = []
-    for row, b in zip(rows, rhs):
-        b = Fraction(b)
-        if b < 0:
-            tab.append([-Fraction(x) for x in row] + [_ZERO] * m + [-b])
+    slack = [sum(map(mul, row, x)) for x in vertices]
+    kept, kept_masks = [], []
+    neg, pos = [], []
+    for i, s in enumerate(slack):
+        if s == 0:
+            kept.append(vertices[i])
+            kept_masks.append(masks[i] | bit)
+        elif s < 0:
+            neg.append(i)
+            if not is_equality:
+                kept.append(vertices[i])
+                kept_masks.append(masks[i])
         else:
-            tab.append([Fraction(x) for x in row] + [_ZERO] * m + [b])
-    for i in range(m):
-        tab[i][n + i] = _ONE
-    basis = list(range(n, n + m))
-    # Reduced costs for min(sum of artificials) with the artificial basis.
-    red = [_ZERO] * (n + m)
-    for j in range(n):
-        red[j] = -sum((tab[i][j] for i in range(m)), _ZERO)
-    value = sum((tab[i][-1] for i in range(m)), _ZERO)
-
-    while True:
-        enter = next((j for j in range(n + m) if red[j] < 0), None)  # Bland
-        if enter is None:
-            break
-        leave = None
-        best: Fraction | None = None
-        for i in range(m):
-            a = tab[i][enter]
-            if a > 0:
-                ratio = tab[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
-        if leave is None:  # cannot happen: the objective is bounded below by 0
-            raise AssertionError("phase-one simplex claims unboundedness")
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-        f = red[enter]
-        red = [x - f * y for x, y in zip(red, tab[leave][:-1])]
-        value += f * tab[leave][-1]
-        basis[leave] = enter
-
-    return value == 0
-
-
-def point_in_convex_hull(
-    point: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]
-) -> bool:
-    """Exact membership of a point in the convex hull of the generators."""
-    gens = [vec(g) for g in generators]
-    if not gens:
-        return False
-    n = len(gens[0])
-    target = vec(point)
-    if len(target) != n:
-        raise ValueError("point and generators have different dimensions")
-    # One equality row per coordinate plus the convexity row.
-    rows = [[g[k] for g in gens] for k in range(n)]
-    rows.append([_ONE] * len(gens))
-    rhs = list(target) + [_ONE]
-    return has_nonnegative_solution(rows, rhs)
+            pos.append(i)
+    for i in neg:
+        mask_i, s_i, x_i = masks[i], slack[i], vertices[i]
+        for j in pos:
+            common = mask_i & masks[j]
+            if common.bit_count() < need:
+                continue
+            for k, mask_k in enumerate(masks):
+                if mask_k & common == common and k != i and k != j:
+                    break
+            else:
+                s_j = slack[j]
+                point = [s_j * a - s_i * b for a, b in zip(x_i, vertices[j])]
+                g = reduce(gcd, point)
+                kept.append([p // g for p in point] if g > 1 else point)
+                kept_masks.append(common | bit)
+    return kept, kept_masks

@@ -10,7 +10,7 @@ Enumeration is one integer double-description loop (Fukuda and Prodon,
 "Double description method revisited", 1996). The relaxation lives inside
 the product of the unit simplex on lambda and the integer box on z, whose
 vertices are known in closed form; each row of the formulation is then
-applied as a cut. Vertices are homogeneous integer lists, numerators and
+applied as a cut by the shared step ``linalg.dd_cut``. Vertices are homogeneous integer lists, numerators and
 then a positive denominator, in lowest terms; a row a . x <= b is the
 list (a, -b), so its dot product with a vertex has the sign of the real
 slack. A cut drops the vertices on the wrong side, and every cut edge from
@@ -38,18 +38,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import product
-from math import gcd
 from operator import mul
 
 from .cdc import Cdc
 from .encoding import Encoding
 from .errors import InputError, TooLargeToEnumerate
 from .formulation import Formulation
-from .linalg import Vec
-
-DEFAULT_ENUM_CAP = 50_000
+from .linalg import DEFAULT_ENUM_CAP, Vec, dd_cut
 
 
 @dataclass(frozen=True)
@@ -153,47 +149,6 @@ def _base_polytope(n: int, z_bounds):
     return vertices, masks, 1 + n + 2 * len(z_bounds)
 
 
-def _cut(vertices, masks, row, bit, is_equality, need):
-    """Intersect the vertex set with row . x <= 0, or = 0 for an equality.
-
-    ``row`` is homogeneous (coefficients, then minus the right-hand side),
-    so its dot product with a vertex has the sign of the real slack.
-    ``bit`` is the new row's mask bit and ``need`` the fewest tight rows an
-    edge can have. Correctness of the edge test relies on ``vertices``
-    being the complete vertex set of the polytope cut so far.
-    """
-    slack = [sum(map(mul, row, x)) for x in vertices]
-    kept, kept_masks = [], []
-    neg, pos = [], []
-    for i, s in enumerate(slack):
-        if s == 0:
-            kept.append(vertices[i])
-            kept_masks.append(masks[i] | bit)
-        elif s < 0:
-            neg.append(i)
-            if not is_equality:
-                kept.append(vertices[i])
-                kept_masks.append(masks[i])
-        else:
-            pos.append(i)
-    for i in neg:
-        mask_i, s_i, x_i = masks[i], slack[i], vertices[i]
-        for j in pos:
-            common = mask_i & masks[j]
-            if common.bit_count() < need:
-                continue
-            for k, mask_k in enumerate(masks):
-                if mask_k & common == common and k != i and k != j:
-                    break
-            else:
-                s_j = slack[j]
-                point = [s_j * a - s_i * b for a, b in zip(x_i, vertices[j])]
-                g = reduce(gcd, point)
-                kept.append([p // g for p in point] if g > 1 else point)
-                kept_masks.append(common | bit)
-    return kept, kept_masks
-
-
 def _cut_name(equalities: int, index: int) -> str:
     if index < equalities:
         return f"equality row {index}"
@@ -226,8 +181,8 @@ def enumerate_vertices(f: Formulation, *, max_vertices: int = DEFAULT_ENUM_CAP) 
     cuts = [([*coeffs, -rhs], True) for coeffs, rhs in eqs]
     cuts += [([*coeffs, -rhs], False) for coeffs, rhs in ineqs]
     for index, (row, is_equality) in enumerate(cuts):
-        vertices, masks = _cut(vertices, masks, row, 1 << (first_bit + index),
-                               is_equality, need)
+        vertices, masks = dd_cut(vertices, masks, row, 1 << (first_bit + index),
+                                 is_equality, need)
         if len(vertices) > max_vertices:
             raise TooLargeToEnumerate(
                 f"vertex enumeration exceeded the cap of {max_vertices} "

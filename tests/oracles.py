@@ -9,7 +9,9 @@ package implementation, so agreement is evidence rather than tautology:
 * polytope vertices via exhaustive tight-subset search,
 * polytope vertices via the original Fraction cut engine, which recomputes
   every tight set on every cut (the integer engine in idealform.verify
-  replaced it).
+  replaced it),
+* convex-hull membership via an exact phase-one simplex, one LP per
+  question (the facets of the code hull in idealform.encoding replaced it).
 
 Most are exponential and meant for desk-scale fixtures only.
 """
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Sequence
 
 from idealform.errors import TooLargeToEnumerate
 from idealform.linalg import Vec, nullspace, primitive_canonical, rref, vec
@@ -280,3 +283,98 @@ def valid_by_fraction_points(points, f) -> bool:
         if not all(lo <= point[n + k] <= hi for k, (lo, hi) in enumerate(f.z_bounds)):
             return False
     return True
+
+
+def has_nonnegative_solution(
+    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+) -> bool:
+    """Decide whether rows . x = rhs admits a solution with x >= 0.
+
+    Exact phase-one simplex with Bland's rule, so it terminates and never
+    misclassifies. Meant for small feasibility questions such as hull
+    membership; not a general LP solver.
+    """
+    m = len(rows)
+    if m == 0:
+        return True
+    n = len(rows[0])
+    # Orient every row so the right-hand side is nonnegative, then append
+    # an artificial identity; feasibility == the artificials can be driven
+    # to zero.
+    tab: list[list[Fraction]] = []
+    for row, b in zip(rows, rhs):
+        b = Fraction(b)
+        if b < 0:
+            tab.append([-Fraction(x) for x in row] + [F0] * m + [-b])
+        else:
+            tab.append([Fraction(x) for x in row] + [F0] * m + [b])
+    for i in range(m):
+        tab[i][n + i] = F1
+    basis = list(range(n, n + m))
+    # Reduced costs for min(sum of artificials) with the artificial basis.
+    red = [F0] * (n + m)
+    for j in range(n):
+        red[j] = -sum((tab[i][j] for i in range(m)), F0)
+    value = sum((tab[i][-1] for i in range(m)), F0)
+
+    while True:
+        enter = next((j for j in range(n + m) if red[j] < 0), None)  # Bland
+        if enter is None:
+            break
+        leave = None
+        best: Fraction | None = None
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                ratio = tab[i][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        if leave is None:  # cannot happen: the objective is bounded below by 0
+            raise AssertionError("phase-one simplex claims unboundedness")
+        piv = tab[leave][enter]
+        tab[leave] = [x / piv for x in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+        f = red[enter]
+        red = [x - f * y for x, y in zip(red, tab[leave][:-1])]
+        value += f * tab[leave][-1]
+        basis[leave] = enter
+
+    return value == 0
+
+
+def point_in_convex_hull(
+    point: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]
+) -> bool:
+    """Exact membership of a point in the convex hull of the generators."""
+    gens = [vec(g) for g in generators]
+    if not gens:
+        return False
+    n = len(gens[0])
+    target = vec(point)
+    if len(target) != n:
+        raise ValueError("point and generators have different dimensions")
+    # One equality row per coordinate plus the convexity row.
+    rows = [[g[k] for g in gens] for k in range(n)]
+    rows.append([F1] * len(gens))
+    rhs = list(target) + [F1]
+    return has_nonnegative_solution(rows, rhs)
+
+
+def convex_position_by_simplex(rows) -> bool:
+    """No row in the hull of the others, by one simplex LP per row."""
+    gens = [vec(r) for r in rows]
+    return not any(point_in_convex_hull(g, gens[:i] + gens[i + 1 :])
+                   for i, g in enumerate(gens))
+
+
+def hole_free_by_simplex(rows) -> bool:
+    """No non-row lattice point of the bounding box in the hull of the rows,
+    by one simplex LP per box point."""
+    gens = [vec(r) for r in rows]
+    row_set = {tuple(r) for r in rows}
+    box = product(*(range(min(c), max(c) + 1) for c in zip(*rows)))
+    return not any(point not in row_set and point_in_convex_hull(vec(point), gens)
+                   for point in box)

@@ -145,6 +145,12 @@ class TestLargeCrossCheck:
         f, _ = annulus_zigzag_formulation(32)
         assert f == theorem1_formulation(annulus_cdc(32), make_encoding(32, EncodingKind.ZIGZAG))
 
+    def test_sixty_four_pieces_both_encodings(self):
+        f, _ = annulus_gray_formulation(64)
+        assert f == theorem1_formulation(annulus_cdc(64), make_encoding(64, EncodingKind.GRAY))
+        f, _ = annulus_zigzag_formulation(64)
+        assert f == theorem1_formulation(annulus_cdc(64), make_encoding(64, EncodingKind.ZIGZAG))
+
 
 class TestDirectionSets:
     def test_gray_directions_are_unit_steps(self):

@@ -245,6 +245,14 @@ class TestAnnulus:
         assert code == 4
         assert "cap" in err
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_enum_cap_below_one_is_a_usage_error(self, capsys, cap):
+        code, out, err = run(
+            capsys, "annulus", "--d", "4", "--check", "ideal", "--max-enum", cap
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: argument --max-enum: must be at least 1, got {int(cap)}\n"
+
 
 class TestVerify:
     def test_emitted_formulation_verifies(self, capsys, write_doc, tmp_path):
@@ -292,6 +300,16 @@ class TestVerify:
         code, _, err = run(capsys, "verify", other, str(formulation))
         assert code == 1
         assert "needs" in err
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_enum_cap_below_one_is_a_usage_error(self, capsys, write_doc, tmp_path, cap):
+        problem = write_doc(SOS2_DOC)
+        formulation = tmp_path / "f.json"
+        run(capsys, "formulate", problem, "--out", str(formulation))
+        code, out, err = run(capsys, "verify", problem, str(formulation),
+                             "--max-enum", cap)
+        assert (code, out) == (1, "")
+        assert err == f"error: argument --max-enum: must be at least 1, got {int(cap)}\n"
 
 
 class TestMalformedInput:

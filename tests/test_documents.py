@@ -169,10 +169,16 @@ class TestParseProblem:
              ' "outer_radius": "1e400"}}', "annulus.outer_radius"),
             ('{"kind": "pwl", "pwl": {"breakpoints": [0, 1, 2],'
              ' "slopes": ["1e1000000", 2], "intercepts": [0, -1]}}',
-             r"pwl.slopes\[0\]: exponents are limited"),
+             r"^pwl\.slopes\[0\]: exponents are limited"),
             ('{"kind": "pwl", "pwl": {"breakpoints": [0, "-1e-1_000_000", 2],'
              ' "slopes": [1, 2], "intercepts": [0, -1]}}',
-             r"pwl.breakpoints\[1\]: exponents are limited"),
+             r"^pwl\.breakpoints\[1\]: exponents are limited"),
+            ('{"kind": "pwl", "pwl": {"breakpoints": [0, 1, 2],'
+             ' "slopes": 5, "intercepts": [0, -1]}}',
+             r"^pwl\.slopes: expected a list of rationals"),
+            ('{"kind": "pwl", "pwl": {"breakpoints": [0, 1, 2],'
+             ' "slopes": [1], "intercepts": [0]}}',
+             r"^pwl: need at least two segments"),
         ],
     )
     def test_malformed_fields_are_named(self, text, field):

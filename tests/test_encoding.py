@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idealform import encoding
+from idealform.cli import main
 from idealform.encoding import (
     Encoding,
     EncodingKind,
@@ -22,8 +24,9 @@ from idealform.errors import (
     InvalidOrder,
     NeedsExplicitRows,
     TooFewAlternatives,
+    TooLargeToEnumerate,
 )
-from oracles import in_hull_caratheodory
+from oracles import convex_position_by_simplex, hole_free_by_simplex, in_hull_caratheodory
 
 K3 = (
     (0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
@@ -166,3 +169,60 @@ class TestGates:
         e = explicit_encoding([(0, 0), (40, 40)])
         with pytest.raises(HoleCheckTooLarge):
             is_hole_free(e, cap=100)
+
+
+def _explicit_rows(width, top):
+    """Two to eight distinct rows over 0..top. In some draws every row gets
+    its coordinate sum appended, which puts the codes in a hyperplane, so
+    the hull is not full-dimensional."""
+    row = st.tuples(*[st.integers(0, top)] * width)
+    rows = st.lists(row, min_size=2, max_size=8, unique=True)
+    return st.tuples(rows, st.booleans()).map(
+        lambda drawn: [r + (sum(r),) for r in drawn[0]] if drawn[1] else drawn[0])
+
+
+class TestGatesAgainstSimplex:
+    """The facet gates against the phase-one simplex gates they replaced."""
+
+    @pytest.mark.parametrize("kind", [EncodingKind.GRAY, EncodingKind.ZIGZAG])
+    def test_both_families_up_to_sixteen(self, kind):
+        for d in range(2, 17):
+            e = make_encoding(d, kind)
+            assert is_in_convex_position(e) == convex_position_by_simplex(e.rows), d
+            assert is_hole_free(e) == hole_free_by_simplex(e.rows), d
+
+    @pytest.mark.parametrize("width, top", [(1, 6), (2, 3), (3, 2), (4, 1)])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_random_explicit_rows(self, width, top, data):
+        rows = data.draw(_explicit_rows(width, top))
+        e = explicit_encoding(rows)
+        assert is_in_convex_position(e) == convex_position_by_simplex(rows)
+        assert is_hole_free(e) == hole_free_by_simplex(rows)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # (1, 0) inside the edge from (0, 0) to (2, 0).
+            [(1, 0), (0, 0), (2, 0), (0, 1)],
+            # (1, 1, 0) inside the triangle facet z = 0.
+            [(1, 1, 0), (0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 1)],
+            # The same facet interior, lifted into the plane w = x + y + z.
+            [(1, 1, 0, 2), (0, 0, 0, 0), (3, 0, 0, 3), (0, 3, 0, 3), (0, 0, 1, 1)],
+            # The midpoint of one edge of a cube, listed last.
+            [*product((0, 2), repeat=3), (1, 0, 0)][::-1],
+        ],
+    )
+    def test_codes_inside_an_edge_or_a_facet(self, rows):
+        # The first row is the one inside; the others are the vertices.
+        assert not is_in_convex_position(explicit_encoding(rows))
+        assert not convex_position_by_simplex(rows)
+        assert is_in_convex_position(explicit_encoding(rows[1:]))
+
+    def test_facet_cap_is_enforced(self, monkeypatch, capsys):
+        monkeypatch.setattr(encoding, "DEFAULT_ENUM_CAP", 3)
+        with pytest.raises(TooLargeToEnumerate, match="code hull") as info:
+            is_in_convex_position(make_encoding(8, EncodingKind.GRAY))
+        assert info.value.exit_code == 4
+        assert main(["encode", "--kind", "zigzag", "--s", "3"]) == 4
+        assert "code hull" in capsys.readouterr().err

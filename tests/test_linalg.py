@@ -10,22 +10,21 @@ from idealform.errors import EmptyPointSet, NotAHyperplane, ZeroVector
 from idealform.linalg import (
     affine_hull,
     dot,
-    has_nonnegative_solution,
     independent_rows,
     mat,
     nullspace,
     orthogonal_in_subspace,
-    point_in_convex_hull,
     primitive_canonical,
     rank,
     scale_row_to_integers,
-    solve_unique,
     vec,
 )
 from oracles import (
+    has_nonnegative_solution,
     hull_equations_from_all_directions,
     in_hull_caratheodory,
     independent_rows_by_minors,
+    point_in_convex_hull,
     rank_by_minors,
 )
 
@@ -181,6 +180,8 @@ class TestScaleRow:
 
 
 class TestNonnegativeSolutions:
+    """The simplex oracle the gate tests compare against."""
+
     def test_feasible_square(self):
         # x1 + x2 = 1, x1 - x2 = 0 has x = (1/2, 1/2)
         assert has_nonnegative_solution(mat([(1, 1), (1, -1)]), vec((1, 0)))
@@ -208,16 +209,6 @@ class TestNonnegativeSolutions:
 
 
 class TestSmallSolvers:
-    def test_solve_unique(self):
-        x = solve_unique(mat([(2, 0), (0, 4)]), vec((6, 2)))
-        assert x == (Fraction(3), Fraction(1, 2))
-
-    def test_solve_underdetermined_is_none(self):
-        assert solve_unique(mat([(1, 1)]), vec((1,))) is None
-
-    def test_solve_inconsistent_is_none(self):
-        assert solve_unique(mat([(1, 1), (2, 2)]), vec((1, 3))) is None
-
     def test_nullspace_of_empty_is_standard_basis(self):
         assert nullspace((), 2) == [vec((1, 0)), vec((0, 1))]
 
