@@ -33,15 +33,7 @@ from .errors import (
     TooManyDirections,
 )
 from .formulation import Formulation, GeneralRow, LinearEquality
-from .linalg import (
-    affine_hull,
-    independent_rows,
-    orthogonal_in_subspace,
-    primitive_canonical,
-    rank,
-    scale_row_to_integers,
-    vec,
-)
+from .linalg import affine_hull, kernel, primitive, rank
 
 DEFAULT_DIRECTION_CAP = 20
 
@@ -139,15 +131,17 @@ def difference_directions(g: IntersectionDigraph, e: Encoding) -> DifferenceDire
         ((i, j), tuple(a - b for a, b in zip(e.rows[j - 1], e.rows[i - 1])))
         for i, j in g.arcs
     )
-    canon = {primitive_canonical(vec(v)) for _, v in raw}
+    canon = {primitive(v) for _, v in raw}
     return DifferenceDirections(raw=raw, deduped=tuple(sorted(canon)))
+
+
+def _hull_dim(e: Encoding) -> int:
+    return e.r - len(affine_hull(e.rows))
 
 
 def check_dim_condition(dirs: DifferenceDirections, e: Encoding) -> bool:
     """Do the raw differences span the affine hull of the code rows?"""
-    hull_dim = affine_hull(e.rows).dim
-    spanned = rank([vec(v) for _, v in dirs.raw])
-    return spanned == hull_dim
+    return rank(v for _, v in dirs.raw) == _hull_dim(e)
 
 
 def spanned_hyperplane_normals(
@@ -156,26 +150,26 @@ def spanned_hyperplane_normals(
     """Primitive normals of all hyperplanes of span(directions) spanned by
     the directions themselves.
 
-    Walks the (m-1)-subsets of the deduplicated directions, where m is the
-    rank; for m = 1 the single hyperplane is the origin of the line and its
-    normal is the line direction. Results are deduplicated and sorted.
+    With m the rank of the directions, an (m-1)-subset spans a hyperplane
+    of the span exactly when the subset rows together with the orthogonal
+    complement of the span leave a one-dimensional kernel, and that kernel
+    is the hyperplane's normal inside the span. For m = 1 the empty subset
+    leaves the line itself. Results are deduplicated and sorted.
     """
-    dirs = [vec(d) for d in directions]
+    dirs = list(directions)
     if not dirs:
         raise NoDirections("no directions to span hyperplanes with")
     if len(dirs) > cap:
         raise TooManyDirections(
             f"{len(dirs)} directions exceed the enumeration cap of {cap}"
         )
-    basis = independent_rows(dirs)
-    m = len(basis)
+    r = len(dirs[0])
+    complement = kernel(dirs, r)
     normals: set[tuple[int, ...]] = set()
-    if m == 1:
-        return (primitive_canonical(basis[0]),)
-    for subset in combinations(dirs, m - 1):
-        if rank(subset) != m - 1:
-            continue
-        normals.add(primitive_canonical(orthogonal_in_subspace(basis, subset)))
+    for subset in combinations(dirs, r - len(complement) - 1):
+        normal = kernel([*subset, *complement], r)
+        if len(normal) == 1:
+            normals.add(normal[0])
     return tuple(sorted(normals))
 
 
@@ -184,10 +178,8 @@ def formulation_equalities(c: Cdc, e: Encoding) -> tuple[LinearEquality, ...]:
     rows: list[LinearEquality] = [
         LinearEquality(lam=(1,) * c.n, z=(0,) * e.r, rhs=1)
     ]
-    hull = affine_hull(e.rows)
-    for lhs, rhs in zip(hull.eq_lhs, hull.eq_rhs):
-        coeffs, scaled_rhs = scale_row_to_integers(lhs, rhs)
-        rows.append(LinearEquality(lam=(0,) * c.n, z=coeffs, rhs=scaled_rhs))
+    for lhs, rhs in affine_hull(e.rows):
+        rows.append(LinearEquality(lam=(0,) * c.n, z=lhs, rhs=rhs))
     return tuple(rows)
 
 
@@ -217,11 +209,10 @@ def theorem1_formulation(
     digraph = intersection_digraph(c)
     dirs = difference_directions(digraph, e)
     if not check_dim_condition(dirs, e):
-        hull_dim = affine_hull(e.rows).dim
-        spanned = rank([vec(v) for _, v in dirs.raw])
+        spanned = rank(v for _, v in dirs.raw)
         connected = is_weakly_connected(digraph)
         raise DimensionDeficit(
-            f"difference directions span {spanned} of {hull_dim} dimensions; "
+            f"difference directions span {spanned} of {_hull_dim(e)} dimensions; "
             f"intersection digraph {'is' if connected else 'is not'} weakly connected"
         )
     normals = spanned_hyperplane_normals(dirs.deduped, cap=direction_cap)

@@ -194,10 +194,12 @@ def _cmd_encode(args) -> int:
         raise InvalidOrder(f"recursion order must be at least 1, got {args.s}")
     d = 2 ** args.s if args.s is not None else args.d
     e = make_encoding(d, EncodingKind(args.kind))
+    # Both verdicts first, so a gate that hits its cap leaves no output.
+    convex, hole_free = is_in_convex_position(e), is_hole_free(e)
     text = "\n".join(" ".join(str(x) for x in row) for row in e.rows) + "\n"
     _write_payload(text, args.out)
-    _say(f"convex position: {'yes' if is_in_convex_position(e) else 'no'}")
-    _say(f"hole-free: {'yes' if is_hole_free(e) else 'no'}")
+    _say(f"convex position: {'yes' if convex else 'no'}")
+    _say(f"hole-free: {'yes' if hole_free else 'no'}")
     return EXIT_OK
 
 

@@ -25,14 +25,7 @@ from .errors import (
     TooFewAlternatives,
     TooLargeToEnumerate,
 )
-from .linalg import (
-    DEFAULT_ENUM_CAP,
-    affine_hull,
-    dd_cut,
-    independent_rows,
-    nullspace,
-    primitive_canonical,
-)
+from .linalg import DEFAULT_ENUM_CAP, affine_hull, dd_cut, independent_rows, kernel
 
 Row = tuple[int, ...]
 
@@ -61,7 +54,7 @@ class Encoding:
         for row in self.rows:
             if len(row) != width:
                 raise InputError("encoding rows have unequal lengths")
-            if not all(isinstance(x, int) for x in row):
+            if not all(isinstance(x, int) and not isinstance(x, bool) for x in row):
                 raise InputError("encoding rows must be integer vectors")
         if len(set(self.rows)) != len(self.rows):
             raise InputError("encoding rows must be pairwise distinct")
@@ -121,7 +114,7 @@ def make_encoding(d: int, kind: EncodingKind) -> Encoding:
 
 def explicit_encoding(rows) -> Encoding:
     """Wrap user-provided integer rows as an explicit encoding."""
-    return Encoding(rows=tuple(tuple(int(x) for x in row) for row in rows), kind=EncodingKind.EXPLICIT)
+    return Encoding(rows=tuple([tuple(row) for row in rows]), kind=EncodingKind.EXPLICIT)
 
 
 def _hull_facets(e: Encoding):
@@ -134,22 +127,18 @@ def _hull_facets(e: Encoding):
     (h, -1). The start cone is simplicial: the first k + 1 affinely
     independent codes and the hull equations, which make it pointed.
     """
-    hull = affine_hull(e.rows)
-    equations = [([int(x) for x in lhs], int(rhs))
-                 for lhs, rhs in zip(hull.eq_lhs, hull.eq_rhs)]
+    equations = affine_hull(e.rows)
     cuts = {(*code, -1): i for i, code in enumerate(e.rows)}
     start = [cuts[row] for row in independent_rows(cuts)]
     fixed = [(*lhs, rhs) for lhs, rhs in equations]
     rays, masks = [], []
     for i in start:
         rows = [(*e.rows[j], -1) for j in start if j != i] + fixed
-        (ray,) = nullspace(rows, e.r + 1)
-        ray = list(primitive_canonical(ray))
-        if sum(map(mul, (*e.rows[i], -1), ray)) > 0:
-            ray = [-x for x in ray]
-        rays.append(ray)
+        (ray,) = kernel(rows, e.r + 1)
+        sign = -1 if sum(map(mul, (*e.rows[i], -1), ray)) > 0 else 1
+        rays.append([sign * x for x in ray])
         masks.append(sum(1 << j for j in start if j != i))
-    need = hull.dim - 1
+    need = e.r - len(equations) - 1  # the hull dimension minus one
     for row, i in cuts.items():
         if i in start:
             continue

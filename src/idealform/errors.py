@@ -18,20 +18,6 @@ class InputError(IdealformError, ValueError):
     exit_code = 1
 
 
-# --- exact linear algebra ---
-
-class EmptyPointSet(IdealformError):
-    """An operation that needs at least one point received none."""
-
-
-class ZeroVector(IdealformError):
-    """A direction or normal was the zero vector where a nonzero one is required."""
-
-
-class NotAHyperplane(IdealformError):
-    """The given subset does not span a hyperplane of the given subspace."""
-
-
 # --- encodings ---
 
 class InvalidOrder(IdealformError):

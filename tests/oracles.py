@@ -3,6 +3,9 @@
 Each oracle recomputes an answer by a method deliberately different from the
 package implementation, so agreement is evidence rather than tautology:
 
+* reduced row echelon form, nullspaces and primitive integer forms in
+  Fraction arithmetic (the fraction-free elimination in idealform.linalg
+  replaced them),
 * rank via nonzero minors (cofactor determinants),
 * convex-hull membership via Caratheodory subsets instead of simplex,
 * hyperplane arrangements via all-subsets enumeration,
@@ -20,13 +23,73 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd, lcm
 from typing import Sequence
 
 from idealform.errors import TooLargeToEnumerate
-from idealform.linalg import Vec, nullspace, primitive_canonical, rref, vec
+from idealform.linalg import Vec, vec
 
 F0 = Fraction(0)
 F1 = Fraction(1)
+
+
+def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of a copy of ``rows``, in Fractions.
+
+    Returns the reduced matrix (zero rows dropped) and the list of pivot
+    column indices.
+    """
+    m = [list(row) for row in rows]
+    pivots: list[int] = []
+    ncols = len(m[0]) if m else 0
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = F1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def nullspace(rows: Sequence[Sequence[Fraction]], dim: int) -> list[Vec]:
+    """Basis of {x : row . x = 0 for every row}: one vector per free column
+    of the RREF, in increasing column order."""
+    reduced, pivots = rref(rows)
+    basis: list[Vec] = []
+    for free in range(dim):
+        if free in pivots:
+            continue
+        v = [F0] * dim
+        v[free] = F1
+        for i, p in enumerate(pivots):
+            v[p] = -reduced[i][free]
+        basis.append(tuple(v))
+    return basis
+
+
+def primitive_canonical(v: Sequence[Fraction]) -> tuple[int, ...]:
+    """Integer form of a nonzero rational vector: scaled by the denominator
+    lcm, divided by the entry gcd, first nonzero entry positive."""
+    fracs = vec(v)
+    if all(x == 0 for x in fracs):
+        raise ValueError("cannot canonicalize the zero vector")
+    scale = lcm(*(x.denominator for x in fracs))
+    ints = [int(x * scale) for x in fracs]
+    g = gcd(*ints)
+    ints = [i // g for i in ints]
+    if next(i for i in ints if i != 0) < 0:
+        ints = [-i for i in ints]
+    return tuple(ints)
 
 
 def det(m: list[list[Fraction]]) -> Fraction:

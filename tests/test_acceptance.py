@@ -33,11 +33,10 @@ from idealform.encoding import (
     zigzag_matrix,
 )
 from idealform.formulation import Formulation
-from idealform.linalg import primitive_canonical, vec
 from idealform.pwl import pwl_formulation, pwl_ground_set
 from idealform.verify import check_ideal
 
-from oracles import hyperplane_normals_all_subsets
+from oracles import hyperplane_normals_all_subsets, primitive_canonical
 from test_cdc import random_connected_cdc
 from test_encoding import C3, K3
 from test_pwl import chain
@@ -131,7 +130,7 @@ def test_criterion_05_ring_counts_under_zigzag_codes():
             v = [Fraction(0)] * 3
             v[k - 1] = Fraction(1, 2**l)
             v[l - 1] = -Fraction(1, 2**k)
-            expected.add(primitive_canonical(vec(v)))
+            expected.add(primitive_canonical(v))
     assert non_unit == expected
     verdict = check_ideal(annulus_cdc(8), make_encoding(8, EncodingKind.ZIGZAG), f)
     assert verdict.passed

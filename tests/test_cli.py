@@ -67,6 +67,18 @@ class TestEncode:
         assert code == 1
         assert "error" in err
 
+    def test_gate_over_its_cap_leaves_no_output(self, capsys, tmp_path):
+        # The zig-zag box at s = 8 is over the hole check's cap.
+        code, out, err = run(capsys, "encode", "--kind", "zigzag", "--s", "8")
+        assert (code, out) == (4, "")
+        assert err == "error: lattice box has more than 1000000 points; " \
+                      "raise the cap to force the scan\n"
+        target = tmp_path / "codes.txt"
+        code, out, _ = run(capsys, "encode", "--kind", "zigzag", "--s", "8",
+                           "--out", str(target))
+        assert (code, out) == (4, "")
+        assert not target.exists()
+
     def test_order_must_be_positive(self, capsys):
         code, _, err = run(capsys, "encode", "--kind", "gray", "--s", "0")
         assert code == 1
@@ -404,8 +416,7 @@ class TestParserTree:
 
 # Every error class and the exit code main returns for it.
 EXIT_CODES = {
-    "IdealformError": 2, "InputError": 1, "EmptyPointSet": 2, "ZeroVector": 2,
-    "NotAHyperplane": 2, "InvalidOrder": 1, "TooFewAlternatives": 1,
+    "IdealformError": 2, "InputError": 1, "InvalidOrder": 1, "TooFewAlternatives": 1,
     "NeedsExplicitRows": 1, "NoDirections": 2, "DimensionDeficit": 2,
     "EncodingNotIdealizable": 2, "NotPowerOfTwo": 1, "DegenerateSecant": 2,
     "ResourceCapExceeded": 4, "HoleCheckTooLarge": 4, "TooManyDirections": 4,

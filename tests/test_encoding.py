@@ -107,6 +107,12 @@ class TestMakeEncoding:
         e = explicit_encoding([(0, 0), (1, 1)])
         assert e.kind is EncodingKind.EXPLICIT
 
+    @pytest.mark.parametrize("entry", [0.9, "1", True])
+    def test_explicit_rows_reject_non_integers(self, entry):
+        # Checked as given, not truncated or coerced first.
+        with pytest.raises(InputError, match="integer"):
+            explicit_encoding([(0, 0), (1, entry), (0, 1)])
+
 
 def _convex_position_oracle(rows):
     return all(

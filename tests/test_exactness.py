@@ -4,6 +4,10 @@ The modules that decide gates, formulations, certificates and LP text are
 scanned as source: no ``float`` name, no float literal, no ``import math``,
 and from ``math`` only its integer functions. Floats may appear only as
 annulus display coordinates and in test-only checks.
+
+The gates and the hyperplane enumeration work on integer codes, so
+``encoding`` and ``cdc`` do not name ``Fraction``, ``fractions`` or
+``linalg.vec`` at all.
 """
 
 import ast
@@ -16,6 +20,10 @@ SOURCE = Path(__file__).resolve().parent.parent / "src" / "idealform"
 EXACT_MODULES = ["linalg", "encoding", "cdc", "verify", "pwl", "lp_format"]
 
 INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
+
+INTEGER_MODULES = ["encoding", "cdc"]
+
+RATIONAL_NAMES = {"Fraction", "fractions", "vec"}
 
 
 def float_uses(tree: ast.AST) -> list[str]:
@@ -46,6 +54,44 @@ def test_module_has_no_float(module):
 )
 def test_the_scan_sees_each_kind_of_float(snippet):
     assert float_uses(ast.parse(snippet))
+
+
+def rational_uses(tree: ast.AST) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in RATIONAL_NAMES:
+            found.append(f"line {node.lineno}: the name {node.id}")
+        elif isinstance(node, ast.Attribute) and node.attr in RATIONAL_NAMES:
+            found.append(f"line {node.lineno}: the attribute {node.attr}")
+        elif isinstance(node, ast.Import):
+            found += [f"line {node.lineno}: import {a.name}" for a in node.names
+                      if a.name.split(".")[0] in RATIONAL_NAMES]
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[0] in RATIONAL_NAMES:
+                found.append(f"line {node.lineno}: from {node.module}")
+            found += [f"line {node.lineno}: import of {a.name}" for a in node.names
+                      if a.name in RATIONAL_NAMES]
+    return found
+
+
+@pytest.mark.parametrize("module", INTEGER_MODULES)
+def test_module_names_no_rational(module):
+    tree = ast.parse((SOURCE / f"{module}.py").read_text())
+    assert rational_uses(tree) == []
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    ["from fractions import Fraction", "import fractions", "x = fractions.Fraction(1)",
+     "from .linalg import rank, vec", "x = vec(y)", "x = linalg.vec(y)",
+     "x = Fraction(1, 2)"],
+)
+def test_the_scan_sees_each_rational_name(snippet):
+    assert rational_uses(ast.parse(snippet))
+
+
+def test_integer_names_are_allowed():
+    assert rational_uses(ast.parse("from .linalg import kernel, rank\nx = vector(y)")) == []
 
 
 def test_integer_math_is_allowed():

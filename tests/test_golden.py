@@ -1,0 +1,190 @@
+"""Same CLI bytes on a fixed corpus.
+
+Each case runs ``idealform.cli.main`` in process on a fixed document or
+flag set and compares the exit code and the sha256 of stdout and stderr
+with the values recorded in GOLDEN. A refactor that keeps the program's
+output passes unchanged; a change that means to alter the output updates
+the table, which ``python tests/test_golden.py`` prints.
+"""
+
+import hashlib
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from idealform.cli import main
+
+
+def _sos(d: int, width: int) -> list[list[int]]:
+    return [list(range(i, i + width)) for i in range(1, d + 1)]
+
+
+def _cdc(alternatives, encoding) -> dict:
+    return {"kind": "cdc", "cdc": {"alternatives": alternatives, "encoding": encoding}}
+
+
+# Six pieces, so the fast path does not apply, with jumps at breakpoints 2
+# and 6. Jumps at 3 and 6 leave the code differences short of the code
+# space, which the general path reports as a dimension deficit.
+def _pwl(intercepts) -> dict:
+    return {"kind": "pwl",
+            "pwl": {"breakpoints": [0, 1, 3, 4, 6, 7, 9],
+                    "slopes": [5, 3, 2, "1/2", -1, -4],
+                    "intercepts": intercepts, "encoding": "gray"}}
+
+
+# An explicit encoding: a corner simplex plus the all-ones code, hole-free.
+EXPLICIT = {
+    "kind": "cdc",
+    "cdc": {
+        "alternatives": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 1, 6]],
+        "encoding": {"explicit": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]},
+    },
+}
+
+# The same codes lifted by their coordinate sum: a hull with an equation.
+FLAT = {
+    "kind": "cdc",
+    "cdc": {
+        "alternatives": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 1]],
+        "encoding": {"explicit": [[0, 0, 0, 0], [1, 0, 0, 1], [0, 1, 0, 1],
+                                  [0, 0, 1, 1], [1, 1, 1, 3]]},
+    },
+}
+
+DOCUMENTS = {
+    "sos2": _cdc(_sos(8, 2), "gray"),
+    "sos3": _cdc(_sos(8, 3), "gray"),
+    "pwl-jumps": _pwl([0, 4, 7, 13, 22, 45]),
+    "pwl-deficit": _pwl([0, 2, 7, 13, 22, 45]),
+    "explicit": EXPLICIT,
+    "flat": FLAT,
+}
+
+CASES = {
+    **{f"formulate-{name}-{enc}": ["formulate", name, "--encoding", enc]
+       for name in ("sos2", "sos3") for enc in ("gray", "zigzag")},
+    "formulate-sos2-gray-ideal": ["formulate", "sos2", "--check", "ideal"],
+    "formulate-explicit": ["formulate", "explicit"],
+    "formulate-explicit-lp": ["formulate", "explicit", "--format", "lp"],
+    "formulate-flat": ["formulate", "flat", "--check", "ideal"],
+    **{f"pwl-jumps-{enc}": ["pwl", "pwl-jumps", "--encoding", enc]
+       for enc in ("gray", "zigzag")},
+    "pwl-deficit": ["pwl", "pwl-deficit"],
+    **{f"annulus-d8-{enc}-{fmt}": ["annulus", "--d", "8", "--encoding", enc, "--format", fmt]
+       for enc in ("gray", "zigzag") for fmt in ("json", "lp")},
+    **{f"encode-{kind}-s{s}": ["encode", "--kind", kind, "--s", str(s)]
+       for kind in ("gray", "zigzag") for s in range(1, 5)},
+}
+
+# case -> (exit code, sha256 of stdout, sha256 of stderr)
+GOLDEN = {
+    'annulus-d8-gray-json': (0,
+        '84e1a8f4bb11d700eb4b0cb87e0758e3a6f912f2e68c7edaa15885b87c466ca0',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'annulus-d8-gray-lp': (0,
+        '3eb15fc3c47bc16ea6595e78147be472dc7f51c1a43dac97a3a09ab7f52ab987',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'annulus-d8-zigzag-json': (0,
+        '30446cdc07f7c4953fd233a25e08f3b325ec5b888cb326598958ae2b9c7835d7',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'annulus-d8-zigzag-lp': (0,
+        'c98020ffd46d14739d199b8bf8f5b3882775a2edb1c9956449ac617886876238',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'encode-gray-s1': (0,
+        '82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae',
+        '688b1122aab6f1e2188e9cbeab974a3e2d2e0e49d829a50836d9cc79d7f41d3e'),
+    'encode-gray-s2': (0,
+        '31a32fcad2e65192fcf5759d9028fa9bf8a6d09f7c6a7499afd027c9d1fb8664',
+        '688b1122aab6f1e2188e9cbeab974a3e2d2e0e49d829a50836d9cc79d7f41d3e'),
+    'encode-gray-s3': (0,
+        'e9be0f3efc9ed830e6880cf0a60f81fffdcfb883f39a1320774b86380678e396',
+        '688b1122aab6f1e2188e9cbeab974a3e2d2e0e49d829a50836d9cc79d7f41d3e'),
+    'encode-gray-s4': (0,
+        '0181a30886fab8a1ebc0c73aac5944a776f5498499bb16cab8204310f2fc8c22',
+        '688b1122aab6f1e2188e9cbeab974a3e2d2e0e49d829a50836d9cc79d7f41d3e'),
+    'encode-zigzag-s1': (0,
+        '82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae',
+        '688b1122aab6f1e2188e9cbeab974a3e2d2e0e49d829a50836d9cc79d7f41d3e'),
+    'encode-zigzag-s2': (0,
+        '179b44381fcb80c417f95bf08bd3c5c7a94dbd2a6332f47e0492006acac8b48e',
+        '688b1122aab6f1e2188e9cbeab974a3e2d2e0e49d829a50836d9cc79d7f41d3e'),
+    'encode-zigzag-s3': (0,
+        'b8c419a1999c46cfa47ea311b5b5e2fa19ccaea866537837d0447914592cb1a3',
+        '688b1122aab6f1e2188e9cbeab974a3e2d2e0e49d829a50836d9cc79d7f41d3e'),
+    'encode-zigzag-s4': (0,
+        '2436fc560baff94d3815fc9e5024fbb9fbe0af3ea43b898fdd31cdf538f572ca',
+        '688b1122aab6f1e2188e9cbeab974a3e2d2e0e49d829a50836d9cc79d7f41d3e'),
+    'formulate-explicit': (0,
+        'b1829480f500584b5dabd7a439e28d944488ac7c6f5551a6d2ec17cdb14071f1',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'formulate-explicit-lp': (0,
+        'edea16e872501e66dd576afee0469c7519ac5f7a2d40b9ddabdfadf0a3d9aa33',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'formulate-flat': (0,
+        '497ccd9f27545d2d978b9f8d88d65a54717d785fac83d6ca246aab39f85c80e7',
+        'c78d1fdbadcd464961cf5c9c9b431cc73c43f31a2428ac39b174df0e9e2fc29d'),
+    'formulate-sos2-gray': (0,
+        '3907762935d789fd7ad8408b3f1bf707481d73bae71692eccabb086f98528049',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'formulate-sos2-gray-ideal': (0,
+        'ba59f2542169f26e50b3a52250c370dfb9d2ee521edb7b1d84a1d90fb2e8c30a',
+        '528ccdb2aab87d07d1b71c440883c1a8f4ecf292b539c5590cd165fecfda0fbf'),
+    'formulate-sos2-zigzag': (0,
+        '79c435100094d5322475cf8f81a2bbd50b6904d8734c3e2ce9ef271bc4f368c1',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'formulate-sos3-gray': (0,
+        'a4cb496fdd4a5073011aa9e72885d8f66d54f76b4351d7229809af81c62bd553',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'formulate-sos3-zigzag': (0,
+        'a10e7ac7c8f34006cc798cb7070959f7549f76db93994202199b97f5583b0322',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'pwl-deficit': (2,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '6aa9365a002d5cb78429e77eb8eacde9860f7e36c99e281c20204a23f85cb356'),
+    'pwl-jumps-gray': (0,
+        'a33673e770184a47f1471d6688294fd75b0120ad44fdd97697c76ec3ccd0002c',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'pwl-jumps-zigzag': (0,
+        '9dc121a5882871404a2be1719df73755328fc4b4ceb62bfb2f742c0d0047d7f6',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run_case(argv, root: Path) -> tuple[int, str, str]:
+    """Exit code and the sha256 of stdout and stderr of one CLI run."""
+    paths = {}
+    for name, doc in DOCUMENTS.items():
+        path = root / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths[name] = str(path)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([paths.get(arg, arg) for arg in argv])
+    return code, _sha(out.getvalue()), _sha(err.getvalue())
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_bytes_match_the_recorded_corpus(case, tmp_path):
+    assert run_case(CASES[case], tmp_path) == GOLDEN[case]
+
+
+def test_every_case_is_recorded():
+    assert sorted(GOLDEN) == sorted(CASES)
+
+
+if __name__ == "__main__":
+    print("GOLDEN = {")
+    for case in sorted(CASES):
+        with tempfile.TemporaryDirectory() as root:
+            code, out, err = run_case(CASES[case], Path(root))
+        print(f"    {case!r}: ({code},\n        {out!r},\n        {err!r}),")
+    print("}")
