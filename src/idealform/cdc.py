@@ -17,13 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 from operator import mul
 
-from .encoding import (
-    DEFAULT_HOLE_CAP,
-    Encoding,
-    code_bounds,
-    is_hole_free,
-    is_in_convex_position,
-)
+from .encoding import Encoding, code_bounds, is_hole_free, is_in_convex_position
 from .errors import (
     DimensionDeficit,
     EncodingNotIdealizable,
@@ -96,8 +90,6 @@ def intersection_digraph(c: Cdc) -> IntersectionDigraph:
 
 def is_weakly_connected(g: IntersectionDigraph) -> bool:
     """Connectivity of the arc set read as undirected edges."""
-    if g.d == 1:
-        return True
     adjacency: dict[int, set[int]] = {i: set() for i in range(1, g.d + 1)}
     for i, j in g.arcs:
         adjacency[i].add(j)
@@ -115,24 +107,21 @@ def is_weakly_connected(g: IntersectionDigraph) -> bool:
 
 @dataclass(frozen=True)
 class DifferenceDirections:
-    """Code differences along the arcs, raw and deduplicated.
+    """The code differences h_j - h_i along the arcs, each in primitive
+    form with parallel vectors collapsed, sorted. Each is a nonzero multiple
+    of an arc's difference, so they span what the differences span."""
 
-    ``raw`` holds one (arc, h_j - h_i) pair per arc; ``deduped`` holds the
-    primitive canonical forms with parallel vectors collapsed, sorted."""
-
-    raw: tuple[tuple[Arc, tuple[int, ...]], ...]
     deduped: tuple[tuple[int, ...], ...]
 
 
 def difference_directions(g: IntersectionDigraph, e: Encoding) -> DifferenceDirections:
     if g.d != e.d:
         raise InputError(f"digraph has {g.d} nodes but encoding has {e.d} rows")
-    raw = tuple(
-        ((i, j), tuple(a - b for a, b in zip(e.rows[j - 1], e.rows[i - 1])))
+    canon = {
+        primitive(tuple(a - b for a, b in zip(e.rows[j - 1], e.rows[i - 1])))
         for i, j in g.arcs
-    )
-    canon = {primitive(v) for _, v in raw}
-    return DifferenceDirections(raw=raw, deduped=tuple(sorted(canon)))
+    }
+    return DifferenceDirections(deduped=tuple(sorted(canon)))
 
 
 def _hull_dim(e: Encoding) -> int:
@@ -140,13 +129,11 @@ def _hull_dim(e: Encoding) -> int:
 
 
 def check_dim_condition(dirs: DifferenceDirections, e: Encoding) -> bool:
-    """Do the raw differences span the affine hull of the code rows?"""
-    return rank(v for _, v in dirs.raw) == _hull_dim(e)
+    """Do the differences span the affine hull of the code rows?"""
+    return rank(dirs.deduped) == _hull_dim(e)
 
 
-def spanned_hyperplane_normals(
-    directions, cap: int = DEFAULT_DIRECTION_CAP
-) -> tuple[tuple[int, ...], ...]:
+def spanned_hyperplane_normals(directions) -> tuple[tuple[int, ...], ...]:
     """Primitive normals of all hyperplanes of span(directions) spanned by
     the directions themselves.
 
@@ -154,14 +141,16 @@ def spanned_hyperplane_normals(
     of the span exactly when the subset rows together with the orthogonal
     complement of the span leave a one-dimensional kernel, and that kernel
     is the hyperplane's normal inside the span. For m = 1 the empty subset
-    leaves the line itself. Results are deduplicated and sorted.
+    leaves the line itself. Results are deduplicated and sorted. More than
+    DEFAULT_DIRECTION_CAP directions raise TooManyDirections.
     """
     dirs = list(directions)
     if not dirs:
         raise NoDirections("no directions to span hyperplanes with")
-    if len(dirs) > cap:
+    if len(dirs) > DEFAULT_DIRECTION_CAP:
         raise TooManyDirections(
-            f"{len(dirs)} directions exceed the enumeration cap of {cap}"
+            f"{len(dirs)} directions exceed the enumeration cap of "
+            f"{DEFAULT_DIRECTION_CAP}"
         )
     r = len(dirs[0])
     complement = kernel(dirs, r)
@@ -183,12 +172,7 @@ def formulation_equalities(c: Cdc, e: Encoding) -> tuple[LinearEquality, ...]:
     return tuple(rows)
 
 
-def theorem1_formulation(
-    c: Cdc,
-    e: Encoding,
-    direction_cap: int = DEFAULT_DIRECTION_CAP,
-    hole_cap: int = DEFAULT_HOLE_CAP,
-) -> Formulation:
+def theorem1_formulation(c: Cdc, e: Encoding) -> Formulation:
     """The ideal formulation of (c, e) via spanned-hyperplane enumeration.
 
     Raises EncodingNotIdealizable when a gate fails and DimensionDeficit
@@ -203,19 +187,19 @@ def theorem1_formulation(
         )
     if not is_in_convex_position(e):
         raise EncodingNotIdealizable("a code row lies in the hull of the others")
-    if not is_hole_free(e, cap=hole_cap):
+    if not is_hole_free(e):
         raise EncodingNotIdealizable("the code hull contains a non-code lattice point")
 
     digraph = intersection_digraph(c)
     dirs = difference_directions(digraph, e)
     if not check_dim_condition(dirs, e):
-        spanned = rank(v for _, v in dirs.raw)
+        spanned = rank(dirs.deduped)
         connected = is_weakly_connected(digraph)
         raise DimensionDeficit(
             f"difference directions span {spanned} of {_hull_dim(e)} dimensions; "
             f"intersection digraph {'is' if connected else 'is not'} weakly connected"
         )
-    normals = spanned_hyperplane_normals(dirs.deduped, cap=direction_cap)
+    normals = spanned_hyperplane_normals(dirs.deduped)
     return formulation_for_normals(c, e, normals)
 
 

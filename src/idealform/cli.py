@@ -27,6 +27,8 @@ from pathlib import Path
 
 from .annulus import AnnulusSpec
 from .documents import (
+    CHECK_LEVELS,
+    OUTPUT_FORMATS,
     AnnulusProblem,
     CdcProblem,
     ProblemDocument,
@@ -38,8 +40,9 @@ from .documents import (
     parse_problem,
     verification_summary,
 )
-from .encoding import EncodingKind, is_hole_free, is_in_convex_position, make_encoding
-from .errors import IdealformError, InputError, InvalidOrder
+from .encoding import (EncodingKind, check_order, is_hole_free, is_in_convex_position,
+                       make_encoding)
+from .errors import IdealformError, InputError
 from .lp_format import emit_lp_text
 from .verify import DEFAULT_ENUM_CAP, check_ideal, check_validity_only
 
@@ -85,12 +88,11 @@ def _enum_cap(text: str) -> int:
     return cap
 
 
-def _add_output_flags(p: argparse.ArgumentParser, with_check: bool = True) -> None:
-    p.add_argument("--format", choices=["json", "lp"], default=None,
+def _add_output_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=OUTPUT_FORMATS, default=None,
                    help="output format (default: json, or the document's option)")
-    if with_check:
-        p.add_argument("--check", choices=["none", "validity", "ideal"], default=None,
-                       help="verification to run before emitting")
+    p.add_argument("--check", choices=CHECK_LEVELS, default=None,
+                   help="verification to run before emitting")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write the document here instead of stdout")
     p.add_argument("--max-enum", type=_enum_cap, default=None, metavar="N",
@@ -190,8 +192,8 @@ def _document_command(args, doc: ProblemDocument) -> int:
 
 
 def _cmd_encode(args) -> int:
-    if args.s is not None and args.s < 1:
-        raise InvalidOrder(f"recursion order must be at least 1, got {args.s}")
+    if args.s is not None:
+        check_order(args.s, f"--s {args.s}")
     d = 2 ** args.s if args.s is not None else args.d
     e = make_encoding(d, EncodingKind(args.kind))
     # Both verdicts first, so a gate that hits its cap leaves no output.
@@ -244,7 +246,7 @@ def _cmd_verify(args) -> int:
     report, passed = _run_check(args.check, c, e, f, args.max_enum)
     summary = (verification_summary(report) if report is not None
                else {"passed": passed, "level": "validity"})
-    sys.stdout.write(json.dumps(summary, indent=2) + "\n")
+    sys.stdout.write(document_text(summary))
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 

@@ -32,7 +32,6 @@ from .formulation import Formulation, GeneralRow, LinearEquality, RecoveryMap
 from .pwl import PwlFunction, pwl_formulation, pwl_ground_set, pwl_prop3_applicable
 from .verify import VerificationReport
 
-PROBLEM_KINDS = ("cdc", "pwl", "annulus")
 CHECK_LEVELS = ("none", "validity", "ideal")
 OUTPUT_FORMATS = ("json", "lp")
 
@@ -89,9 +88,10 @@ class PwlProblem:
     def formulate(self) -> tuple[Formulation, RecoveryMap | None, dict]:
         f, recovery = pwl_formulation(self.function, self.encoding_kind)
         path = "closed-form" if pwl_prop3_applicable(self.function) else "general"
+        # n_lambda = d + 1 + kappa: one ground point per breakpoint, two at a jump.
         return f, recovery, {"kind": self.kind, "encoding": self.encoding_kind.value,
                              "path": path, "gamma": f.gamma,
-                             "kappa": pwl_ground_set(self.function).kappa}
+                             "kappa": f.n_lambda - self.function.d - 1}
 
 
 @dataclass(frozen=True)
@@ -276,6 +276,7 @@ def _parse_annulus(body: dict, options: ProblemOptions) -> AnnulusProblem:
 
 
 _PARSERS = {"cdc": _parse_cdc, "pwl": _parse_pwl, "annulus": _parse_annulus}
+PROBLEM_KINDS = tuple(_PARSERS)
 
 
 def parse_problem(text: str) -> ProblemDocument:

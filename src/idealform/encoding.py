@@ -22,6 +22,7 @@ from .errors import (
     InputError,
     InvalidOrder,
     NeedsExplicitRows,
+    ResourceCapExceeded,
     TooFewAlternatives,
     TooLargeToEnumerate,
 )
@@ -30,6 +31,7 @@ from .linalg import DEFAULT_ENUM_CAP, affine_hull, dd_cut, independent_rows, ker
 Row = tuple[int, ...]
 
 DEFAULT_HOLE_CAP = 10**6
+MAX_ORDER = 16  # the widest code built: no size asks for more than 2**16 rows
 
 
 class EncodingKind(Enum):
@@ -43,7 +45,6 @@ class Encoding:
     """d distinct integer code vectors of length r, one per alternative."""
 
     rows: tuple[Row, ...]
-    kind: EncodingKind
 
     def __post_init__(self) -> None:
         if len(self.rows) < 2:
@@ -68,6 +69,16 @@ class Encoding:
         return len(self.rows[0])
 
 
+def check_order(s: int, size: str) -> None:
+    """Refuse an order below 1, or above MAX_ORDER, before any row is built."""
+    if s < 1:
+        raise InvalidOrder(f"recursion order must be at least 1, got {s}")
+    if s > MAX_ORDER:
+        raise ResourceCapExceeded(
+            f"{size} would need {s}-bit codes, over the cap of {MAX_ORDER} bits"
+        )
+
+
 def gray_matrix(s: int) -> tuple[Row, ...]:
     """The 2**s by s reflected binary matrix.
 
@@ -76,8 +87,7 @@ def gray_matrix(s: int) -> tuple[Row, ...]:
     one coordinate, by +-1, and the last row differs from the first in the
     final coordinate only.
     """
-    if s < 1:
-        raise InvalidOrder(f"recursion order must be at least 1, got {s}")
+    check_order(s, f"order {s}")
     rows: list[Row] = [(0,), (1,)]
     for _ in range(s - 1):
         rows = [r + (0,) for r in rows] + [r + (1,) for r in reversed(rows)]
@@ -91,8 +101,7 @@ def zigzag_matrix(s: int) -> tuple[Row, ...]:
     shifted by the previous last row, with a 1 column. Consecutive rows
     differ by a single +1 step in one coordinate.
     """
-    if s < 1:
-        raise InvalidOrder(f"recursion order must be at least 1, got {s}")
+    check_order(s, f"order {s}")
     rows: list[Row] = [(0,), (1,)]
     for _ in range(s - 1):
         last = rows[-1]
@@ -108,13 +117,14 @@ def make_encoding(d: int, kind: EncodingKind) -> Encoding:
     if d < 2:
         raise TooFewAlternatives(f"need at least two alternatives, got {d}")
     r = (d - 1).bit_length()  # ceil(log2(d)), in integers
+    check_order(r, f"{d} alternatives")
     full = gray_matrix(r) if kind is EncodingKind.GRAY else zigzag_matrix(r)
-    return Encoding(rows=full[:d], kind=kind)
+    return Encoding(full[:d])
 
 
 def explicit_encoding(rows) -> Encoding:
     """Wrap user-provided integer rows as an explicit encoding."""
-    return Encoding(rows=tuple([tuple(row) for row in rows]), kind=EncodingKind.EXPLICIT)
+    return Encoding(tuple([tuple(row) for row in rows]))
 
 
 def _hull_facets(e: Encoding):
@@ -170,20 +180,21 @@ def is_in_convex_position(e: Encoding) -> bool:
     return True
 
 
-def is_hole_free(e: Encoding, cap: int = DEFAULT_HOLE_CAP) -> bool:
+def is_hole_free(e: Encoding) -> bool:
     """True when the hull of the rows contains no lattice point beyond them.
 
     Scans the integer bounding box of the rows against the hull equations
-    and facets; boxes larger than ``cap`` points raise HoleCheckTooLarge
-    instead of silently taking forever.
+    and facets; boxes larger than DEFAULT_HOLE_CAP points raise
+    HoleCheckTooLarge instead of silently taking forever.
     """
     bounds = code_bounds(e)
     volume = 1
     for lo, hi in bounds:
         volume *= hi - lo + 1
-        if volume > cap:
+        if volume > DEFAULT_HOLE_CAP:
             raise HoleCheckTooLarge(
-                f"lattice box has more than {cap} points; raise the cap to force the scan"
+                f"lattice box has more than {DEFAULT_HOLE_CAP} points, the fixed "
+                f"cap of the hole-freeness scan"
             )
     equations, facets, _ = _hull_facets(e)
     row_set = set(e.rows)

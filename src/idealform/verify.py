@@ -58,9 +58,6 @@ class VertexSet:
     def count(self) -> int:
         return len(self.vertices)
 
-    def sorted(self) -> tuple[Vec, ...]:
-        return tuple(sorted(self.vertices))
-
 
 @dataclass(frozen=True)
 class VerificationReport:

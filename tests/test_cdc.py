@@ -28,6 +28,7 @@ from idealform.errors import (
     TooManyDirections,
 )
 from idealform.formulation import GeneralRow, LinearEquality
+from idealform.linalg import rank
 from oracles import hyperplane_normals_all_subsets, rows_by_covering_lists
 
 
@@ -83,12 +84,20 @@ class TestDifferenceDirections:
         c = sos2(4)
         e = make_encoding(4, EncodingKind.GRAY)
         dirs = difference_directions(intersection_digraph(c), e)
-        assert dirs.raw == (
-            ((1, 2), (1, 0)),
-            ((2, 3), (0, 1)),
-            ((3, 4), (-1, 0)),
-        )
         assert dirs.deduped == ((0, 1), (1, 0))
+
+    @given(st.integers(2, 9), st.sampled_from(list(EncodingKind)[:2]), st.randoms())
+    @settings(max_examples=40, deadline=None)
+    def test_deduped_span_what_the_arc_differences_span(self, d, kind, rnd):
+        # The dimension check ranks the deduplicated directions alone.
+        c = cdc(d + 1, [rnd.sample(range(1, d + 2), rnd.randint(1, 3)) for _ in range(d)]
+                + [range(1, d + 2)])
+        e = make_encoding(d + 1, kind)
+        g = intersection_digraph(c)
+        arc_differences = [
+            tuple(a - b for a, b in zip(e.rows[j - 1], e.rows[i - 1])) for i, j in g.arcs
+        ]
+        assert rank(difference_directions(g, e).deduped) == rank(arc_differences)
 
     def test_dim_condition_holds_for_sos2(self):
         c = sos2(4)

@@ -5,14 +5,16 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from idealform import cli, errors
+from idealform import cli, encoding, errors
 from idealform.cli import main
 from idealform.documents import formulation_from_document
 from idealform.encoding import EncodingKind, make_encoding
+from idealform.pwl import pwl, pwl_ground_set
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -71,8 +73,8 @@ class TestEncode:
         # The zig-zag box at s = 8 is over the hole check's cap.
         code, out, err = run(capsys, "encode", "--kind", "zigzag", "--s", "8")
         assert (code, out) == (4, "")
-        assert err == "error: lattice box has more than 1000000 points; " \
-                      "raise the cap to force the scan\n"
+        assert err == "error: lattice box has more than 1000000 points, " \
+                      "the fixed cap of the hole-freeness scan\n"
         target = tmp_path / "codes.txt"
         code, out, _ = run(capsys, "encode", "--kind", "zigzag", "--s", "8",
                            "--out", str(target))
@@ -83,6 +85,19 @@ class TestEncode:
         code, _, err = run(capsys, "encode", "--kind", "gray", "--s", "0")
         assert code == 1
         assert "recursion order" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--s", "40"], "--s 40 would need 40-bit codes"),
+        (["--s", "1000000000"], "--s 1000000000 would need 1000000000-bit codes"),
+        (["--d", "1099511627776"], "1099511627776 alternatives would need 40-bit codes"),
+        (["--d", "65537"], "65537 alternatives would need 17-bit codes"),
+    ])
+    def test_huge_sizes_fail_fast(self, capsys, argv, message):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "encode", "--kind", "gray", *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (4, "")
+        assert err == f"error: {message}, over the cap of 16 bits\n"
 
 
 class TestFormulate:
@@ -179,6 +194,25 @@ class TestFormulate:
         assert "expects a cdc document" in err
 
 
+class TestFixedCaps:
+    """The fixed caps of the hole scan and the hyperplane enumeration, reached
+    through the pipeline."""
+
+    def test_direction_cap(self, capsys, write_doc, monkeypatch):
+        # The package exports the function cdc, which hides the module.
+        monkeypatch.setattr(sys.modules["idealform.cdc"], "DEFAULT_DIRECTION_CAP", 1)
+        code, out, err = run(capsys, "formulate", write_doc(SOS2_DOC))
+        assert (code, out) == (4, "")
+        assert err == "error: 2 directions exceed the enumeration cap of 1\n"
+
+    def test_hole_cap(self, capsys, write_doc, monkeypatch):
+        monkeypatch.setattr(encoding, "DEFAULT_HOLE_CAP", 3)
+        code, out, err = run(capsys, "formulate", write_doc(SOS2_DOC))
+        assert (code, out) == (4, "")
+        assert err == ("error: lattice box has more than 3 points, "
+                       "the fixed cap of the hole-freeness scan\n")
+
+
 class TestPwl:
     def test_closed_form_provenance(self, capsys, write_doc):
         code, out, _ = run(capsys, "pwl", write_doc(PWL_DOC), "--check", "ideal")
@@ -201,6 +235,19 @@ class TestPwl:
         code, out, _ = run(capsys, "pwl", write_doc(doc))
         assert code == 0
         assert json.loads(out)["provenance"]["path"] == "general"
+
+    @pytest.mark.parametrize("encoding", ["gray", "zigzag"])
+    def test_general_path_kappa_counts_the_jumps(self, capsys, write_doc, encoding):
+        # Six pieces, jumps at breakpoints 2 and 6 (as in the golden corpus).
+        body = {"breakpoints": [0, 1, 3, 4, 6, 7, 9],
+                "slopes": [5, 3, 2, "1/2", -1, -4],
+                "intercepts": [0, 4, 7, 13, 22, 45], "encoding": encoding}
+        code, out, _ = run(capsys, "pwl", write_doc({"kind": "pwl", "pwl": body}))
+        assert code == 0
+        provenance = json.loads(out)["provenance"]
+        f = pwl(body["breakpoints"], body["slopes"], body["intercepts"])
+        assert provenance["path"] == "general"
+        assert provenance["kappa"] == pwl_ground_set(f).kappa == 2
 
     def test_starved_code_steps_exit_2(self, capsys, write_doc):
         doc = {
@@ -264,6 +311,29 @@ class TestAnnulus:
         )
         assert (code, out) == (1, "")
         assert err == f"error: argument --max-enum: must be at least 1, got {int(cap)}\n"
+
+    @pytest.mark.parametrize("geometry", [[], ["--inner", "1", "--outer", "2"]])
+    def test_huge_piece_count_fails_fast(self, capsys, geometry):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "annulus", "--d", str(2**40), *geometry)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (4, "")
+        assert err == (f"error: {2**40} pieces would need 40-bit codes, "
+                       f"over the cap of 16 bits\n")
+
+    @pytest.mark.parametrize("geometry, field", [
+        ({}, "annulus.d"),
+        ({"inner_radius": 1, "outer_radius": 2}, "annulus"),
+    ])
+    def test_huge_piece_count_in_a_document_fails_fast(self, capsys, write_doc,
+                                                       geometry, field):
+        path = write_doc({"kind": "annulus", "annulus": {"d": 2**40, **geometry}})
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", path, "formulation.json")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (4, "")
+        assert err == (f"error: {field}: {2**40} pieces would need 40-bit codes, "
+                       f"over the cap of 16 bits\n")
 
 
 class TestVerify:

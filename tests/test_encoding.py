@@ -23,6 +23,7 @@ from idealform.errors import (
     InputError,
     InvalidOrder,
     NeedsExplicitRows,
+    ResourceCapExceeded,
     TooFewAlternatives,
     TooLargeToEnumerate,
 )
@@ -105,7 +106,7 @@ class TestMakeEncoding:
         with pytest.raises(InputError):
             explicit_encoding([(0, 0), (1,)])
         e = explicit_encoding([(0, 0), (1, 1)])
-        assert e.kind is EncodingKind.EXPLICIT
+        assert e.rows == ((0, 0), (1, 1))
 
     @pytest.mark.parametrize("entry", [0.9, "1", True])
     def test_explicit_rows_reject_non_integers(self, entry):
@@ -171,10 +172,20 @@ class TestGates:
         assert is_in_convex_position(e) == _convex_position_oracle(rows)
         assert is_hole_free(e) == _hole_free_oracle(tuple(tuple(r) for r in rows))
 
-    def test_hole_cap_is_enforced(self):
+    def test_sizes_past_the_order_cap_build_nothing(self):
+        assert len(make_encoding(2**16, EncodingKind.ZIGZAG).rows) == 2**16
+        with pytest.raises(ResourceCapExceeded, match="65537 alternatives would need"):
+            make_encoding(2**16 + 1, EncodingKind.GRAY)
+        with pytest.raises(ResourceCapExceeded, match="order 17 would need"):
+            gray_matrix(17)
+        with pytest.raises(ResourceCapExceeded, match="order 10000000000 would need"):
+            zigzag_matrix(10**10)
+
+    def test_hole_cap_is_enforced(self, monkeypatch):
+        monkeypatch.setattr(encoding, "DEFAULT_HOLE_CAP", 100)
         e = explicit_encoding([(0, 0), (40, 40)])
-        with pytest.raises(HoleCheckTooLarge):
-            is_hole_free(e, cap=100)
+        with pytest.raises(HoleCheckTooLarge, match="more than 100 points"):
+            is_hole_free(e)
 
 
 def _explicit_rows(width, top):
