@@ -41,6 +41,16 @@ class AnnulusSpec:
         if not 0 <= self.inner_radius <= self.outer_radius:
             raise InputError("need 0 <= inner radius <= outer radius")
         _check_piece_count(self.d)
+        if not math.isfinite(self.corner_radius):
+            raise InputError(
+                f"outer radius {self.outer_radius} puts the outer corners at an "
+                f"infinite radius"
+            )
+
+    @property
+    def corner_radius(self) -> float:
+        """U / cos(pi/d): where the outer corners sit."""
+        return self.outer_radius / math.cos(math.pi / self.d)
 
 
 def _check_piece_count(d: int) -> None:
@@ -79,7 +89,7 @@ def annulus_vertices(spec: AnnulusSpec) -> tuple[tuple[float, float], ...]:
             RuntimeWarning,
             stacklevel=2,
         )
-    outer = spec.outer_radius / math.cos(math.pi / d)
+    outer = spec.corner_radius
     points: list[tuple[float, float]] = []
     for i in range(1, d + 1):
         angle = 2 * math.pi * (i % d) / d

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, islice
+from math import comb
 from operator import mul
 
 from .encoding import Encoding, code_bounds, is_hole_free, is_in_convex_position
@@ -23,13 +24,16 @@ from .errors import (
     EncodingNotIdealizable,
     InputError,
     NoDirections,
+    ResourceCapExceeded,
     TooFewAlternatives,
     TooManyDirections,
 )
 from .formulation import Formulation, GeneralRow, LinearEquality
-from .linalg import affine_hull, kernel, primitive, rank
+from .linalg import kernel, primitive, rank
 
-DEFAULT_DIRECTION_CAP = 20
+# C(20, 10): any set of at most 20 directions fits, whatever its rank.
+DEFAULT_SUBSET_CAP = comb(20, 10)
+DEFAULT_COEFFICIENT_CAP = 10**7  # lambda coefficients over all general rows
 
 Arc = tuple[int, int]
 
@@ -124,13 +128,9 @@ def difference_directions(g: IntersectionDigraph, e: Encoding) -> DifferenceDire
     return DifferenceDirections(deduped=tuple(sorted(canon)))
 
 
-def _hull_dim(e: Encoding) -> int:
-    return e.r - len(affine_hull(e.rows))
-
-
 def check_dim_condition(dirs: DifferenceDirections, e: Encoding) -> bool:
     """Do the differences span the affine hull of the code rows?"""
-    return rank(dirs.deduped) == _hull_dim(e)
+    return rank(dirs.deduped) == e.dim
 
 
 def spanned_hyperplane_normals(directions) -> tuple[tuple[int, ...], ...]:
@@ -142,20 +142,22 @@ def spanned_hyperplane_normals(directions) -> tuple[tuple[int, ...], ...]:
     complement of the span leave a one-dimensional kernel, and that kernel
     is the hyperplane's normal inside the span. For m = 1 the empty subset
     leaves the line itself. Results are deduplicated and sorted. More than
-    DEFAULT_DIRECTION_CAP directions raise TooManyDirections.
+    DEFAULT_SUBSET_CAP subsets raise TooManyDirections before any is built.
     """
     dirs = list(directions)
     if not dirs:
         raise NoDirections("no directions to span hyperplanes with")
-    if len(dirs) > DEFAULT_DIRECTION_CAP:
-        raise TooManyDirections(
-            f"{len(dirs)} directions exceed the enumeration cap of "
-            f"{DEFAULT_DIRECTION_CAP}"
-        )
     r = len(dirs[0])
     complement = kernel(dirs, r)
+    m = r - len(complement)
+    subsets = comb(len(dirs), m - 1)
+    if subsets > DEFAULT_SUBSET_CAP:
+        raise TooManyDirections(
+            f"{len(dirs)} directions of rank {m} give {subsets} subsets, "
+            f"over the enumeration cap of {DEFAULT_SUBSET_CAP}"
+        )
     normals: set[tuple[int, ...]] = set()
-    for subset in combinations(dirs, r - len(complement) - 1):
+    for subset in combinations(dirs, m - 1):
         normal = kernel([*subset, *complement], r)
         if len(normal) == 1:
             normals.add(normal[0])
@@ -167,7 +169,7 @@ def formulation_equalities(c: Cdc, e: Encoding) -> tuple[LinearEquality, ...]:
     rows: list[LinearEquality] = [
         LinearEquality(lam=(1,) * c.n, z=(0,) * e.r, rhs=1)
     ]
-    for lhs, rhs in affine_hull(e.rows):
+    for lhs, rhs in e.equations:
         rows.append(LinearEquality(lam=(0,) * c.n, z=lhs, rhs=rhs))
     return tuple(rows)
 
@@ -196,7 +198,7 @@ def theorem1_formulation(c: Cdc, e: Encoding) -> Formulation:
         spanned = rank(dirs.deduped)
         connected = is_weakly_connected(digraph)
         raise DimensionDeficit(
-            f"difference directions span {spanned} of {_hull_dim(e)} dimensions; "
+            f"difference directions span {spanned} of {e.dim} dimensions; "
             f"intersection digraph {'is' if connected else 'is not'} weakly connected"
         )
     normals = spanned_hyperplane_normals(dirs.deduped)
@@ -211,7 +213,15 @@ def unit_normals(r: int) -> list[tuple[int, ...]]:
 def formulation_for_normals(c: Cdc, e: Encoding, normals) -> Formulation:
     """One paired row per normal, in the given order, over the simplex, the
     affine hull of the codes and the code box. The general pipeline passes
-    the normals it enumerates; a closed form is its normal list."""
+    the normals it enumerates; a closed form is its normal list. More than
+    DEFAULT_COEFFICIENT_CAP lambda coefficients raise ResourceCapExceeded
+    before any row is built."""
+    coefficients = 2 * c.n * len(normals)
+    if coefficients > DEFAULT_COEFFICIENT_CAP:
+        raise ResourceCapExceeded(
+            f"{len(normals)} row pairs over {c.n} elements need {coefficients} "
+            f"coefficients, over the cap of {DEFAULT_COEFFICIENT_CAP}"
+        )
     return Formulation(
         c.n, e.r, formulation_equalities(c, e), rows_for_normals(c, e, normals),
         code_bounds(e),

@@ -13,6 +13,7 @@ file instead of an in-process object.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,9 +155,12 @@ def _real(value, field: str) -> float:
     if isinstance(value, bool):
         raise InputError(f"{field}: expected a number")
     try:
-        return float(value if isinstance(value, (int, float)) else _rational(value, field))
+        x = float(value if isinstance(value, (int, float)) else _rational(value, field))
     except OverflowError as err:
         _fail(field, err)
+    if not math.isfinite(x):
+        raise InputError(f"{field}: expected a finite number, got {x}")
+    return x
 
 
 def _int(value, field: str) -> int:
@@ -259,12 +263,9 @@ def _parse_annulus(body: dict, options: ProblemOptions) -> AnnulusProblem:
         raise InputError("annulus: give both inner_radius and outer_radius or neither")
     geometry = None
     if inner is not None:
+        radii = _real(inner, "annulus.inner_radius"), _real(outer, "annulus.outer_radius")
         try:
-            geometry = AnnulusSpec(
-                _real(inner, "annulus.inner_radius"),
-                _real(outer, "annulus.outer_radius"),
-                d,
-            )
+            geometry = AnnulusSpec(*radii, d)
         except IdealformError as err:
             _fail("annulus", err)
     else:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import product
 from operator import mul
 
@@ -67,6 +68,49 @@ class Encoding:
     @property
     def r(self) -> int:
         return len(self.rows[0])
+
+    @property
+    def dim(self) -> int:
+        """The dimension of the code hull."""
+        return self.r - len(self.equations)
+
+    # Computed once per encoding; the cached values are not fields, so they
+    # take no part in equality or hashing.
+    @cached_property
+    def equations(self) -> tuple[tuple[Row, int], ...]:
+        """The affine-hull equations (a, b) of the codes, meaning a . x = b."""
+        return tuple(affine_hull(self.rows))
+
+    @cached_property
+    def facets(self) -> tuple[tuple[Row, int, int], ...]:
+        """The facets (a, b, mask) of conv(codes), in integers.
+
+        Each facet means a . x <= b, and its mask has bit i set when code i
+        lies on it. The facets are the extreme rays of the cone of valid
+        inequalities in (a, b)-space, where code h is the cut (h, -1). The
+        start cone is simplicial: the first k + 1 affinely independent codes
+        and the hull equations, which make it pointed.
+        """
+        cuts = {(*code, -1): i for i, code in enumerate(self.rows)}
+        start = [cuts[row] for row in independent_rows(cuts)]
+        fixed = [(*lhs, rhs) for lhs, rhs in self.equations]
+        rays, masks = [], []
+        for i in start:
+            rows = [(*self.rows[j], -1) for j in start if j != i] + fixed
+            (ray,) = kernel(rows, self.r + 1)
+            sign = -1 if sum(map(mul, (*self.rows[i], -1), ray)) > 0 else 1
+            rays.append([sign * x for x in ray])
+            masks.append(sum(1 << j for j in start if j != i))
+        for row, i in cuts.items():
+            if i in start:
+                continue
+            rays, masks = dd_cut(rays, masks, row, 1 << i, False, self.dim - 1)
+            if len(rays) > DEFAULT_ENUM_CAP:
+                raise TooLargeToEnumerate(
+                    f"facet enumeration of the code hull exceeded the cap of "
+                    f"{DEFAULT_ENUM_CAP} intermediate rays: {len(rays)} after code {i}"
+                )
+        return tuple((tuple(ray[:-1]), ray[-1], mask) for ray, mask in zip(rays, masks))
 
 
 def check_order(s: int, size: str) -> None:
@@ -127,41 +171,6 @@ def explicit_encoding(rows) -> Encoding:
     return Encoding(tuple([tuple(row) for row in rows]))
 
 
-def _hull_facets(e: Encoding):
-    """The affine hull equations and the facets of conv(codes), in integers.
-
-    Returns (equations, facets, masks): each equation (a, b) means
-    a . x = b, each facet (a, b) means a . x <= b, and a facet's mask has
-    bit i set when code i lies on it. The facets are the extreme rays of
-    the cone of valid inequalities in (a, b)-space, where code h is the cut
-    (h, -1). The start cone is simplicial: the first k + 1 affinely
-    independent codes and the hull equations, which make it pointed.
-    """
-    equations = affine_hull(e.rows)
-    cuts = {(*code, -1): i for i, code in enumerate(e.rows)}
-    start = [cuts[row] for row in independent_rows(cuts)]
-    fixed = [(*lhs, rhs) for lhs, rhs in equations]
-    rays, masks = [], []
-    for i in start:
-        rows = [(*e.rows[j], -1) for j in start if j != i] + fixed
-        (ray,) = kernel(rows, e.r + 1)
-        sign = -1 if sum(map(mul, (*e.rows[i], -1), ray)) > 0 else 1
-        rays.append([sign * x for x in ray])
-        masks.append(sum(1 << j for j in start if j != i))
-    need = e.r - len(equations) - 1  # the hull dimension minus one
-    for row, i in cuts.items():
-        if i in start:
-            continue
-        rays, masks = dd_cut(rays, masks, row, 1 << i, False, need)
-        if len(rays) > DEFAULT_ENUM_CAP:
-            raise TooLargeToEnumerate(
-                f"facet enumeration of the code hull exceeded the cap of "
-                f"{DEFAULT_ENUM_CAP} intermediate rays: {len(rays)} after code {i}"
-            )
-    facets = [(ray[:-1], ray[-1]) for ray in rays]
-    return equations, facets, masks
-
-
 def is_in_convex_position(e: Encoding) -> bool:
     """True when no row lies in the convex hull of the other rows.
 
@@ -169,7 +178,7 @@ def is_in_convex_position(e: Encoding) -> bool:
     the intersection of the facets through it, so code i is a vertex iff no
     other code lies on every facet that code i lies on.
     """
-    _, _, masks = _hull_facets(e)
+    masks = [mask for _, _, mask in e.facets]
     for i in range(e.d):
         on_all = (1 << e.d) - 1
         for mask in masks:
@@ -196,13 +205,12 @@ def is_hole_free(e: Encoding) -> bool:
                 f"lattice box has more than {DEFAULT_HOLE_CAP} points, the fixed "
                 f"cap of the hole-freeness scan"
             )
-    equations, facets, _ = _hull_facets(e)
-    row_set = set(e.rows)
+    equations, facets, row_set = e.equations, e.facets, set(e.rows)
     for point in product(*(range(lo, hi + 1) for lo, hi in bounds)):
         if point in row_set:
             continue
         if all(sum(map(mul, a, point)) == b for a, b in equations) and all(
-            sum(map(mul, a, point)) <= b for a, b in facets
+            sum(map(mul, a, point)) <= b for a, b, _ in facets
         ):
             return False
     return True

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cdc import Cdc, formulation_for_normals, theorem1_formulation, unit_normals
 from .encoding import EncodingKind, make_encoding
@@ -61,12 +62,18 @@ class PwlFunction:
         """Value of segment i (1-based) extended to any x."""
         return self.slopes[i - 1] * x + self.intercepts[i - 1]
 
+    @cached_property
+    def ends(self) -> tuple[tuple[Point, Point], ...]:
+        """Each segment's two endpoints (t, value), left to right."""
+        t = self.breakpoints
+        return tuple(((t[i - 1], self.segment_value(i, t[i - 1])),
+                      (t[i], self.segment_value(i, t[i]))) for i in range(1, self.d + 1))
+
     def is_continuous_at(self, j: int) -> bool:
         """Whether segments j-1 and j agree at interior breakpoint j."""
         if not 2 <= j <= self.d:
             raise InputError(f"breakpoint {j} is not interior")
-        t = self.breakpoints[j - 1]
-        return self.segment_value(j - 1, t) == self.segment_value(j, t)
+        return self.ends[j - 2][1] == self.ends[j - 1][0]
 
     def jump_indices(self) -> tuple[int, ...]:
         return tuple(j for j in range(2, self.d + 1) if not self.is_continuous_at(j))
@@ -99,20 +106,14 @@ class PwlGroundSet:
 
 
 def pwl_ground_set(f: PwlFunction) -> PwlGroundSet:
-    points: list[Point] = [(f.breakpoints[0], f.segment_value(1, f.breakpoints[0]))]
+    points: list[Point] = [f.ends[0][0]]
     alternatives: list[frozenset[int]] = []
-    kappa = 0
-    for i in range(1, f.d + 1):
-        left = len(points)
-        if i > 1 and not f.is_continuous_at(i):
-            kappa += 1
-            t = f.breakpoints[i - 1]
-            points.append((t, f.segment_value(i, t)))
-            left += 1
-        t_next = f.breakpoints[i]
-        points.append((t_next, f.segment_value(i, t_next)))
-        alternatives.append(frozenset({left, left + 1}))
-    return PwlGroundSet(tuple(points), tuple(alternatives), kappa)
+    for start, end in f.ends:
+        if start != points[-1]:  # a jump: the segment starts off the last end
+            points.append(start)
+        points.append(end)
+        alternatives.append(frozenset({len(points) - 1, len(points)}))
+    return PwlGroundSet(tuple(points), tuple(alternatives), len(points) - f.d - 1)
 
 
 def pwl_prop3_applicable(f: PwlFunction) -> bool:

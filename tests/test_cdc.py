@@ -1,11 +1,14 @@
 """Tests for the disjunction-to-formulation pipeline."""
 
 import random
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idealform import encoding
 from idealform.cdc import (
     cdc,
     check_dim_condition,
@@ -18,7 +21,8 @@ from idealform.cdc import (
     theorem1_formulation,
     unit_normals,
 )
-from idealform.encoding import EncodingKind, explicit_encoding, make_encoding
+from idealform.cli import main
+from idealform.encoding import Encoding, EncodingKind, explicit_encoding, make_encoding
 from idealform.errors import (
     DimensionDeficit,
     EncodingNotIdealizable,
@@ -125,10 +129,28 @@ class TestSpannedHyperplaneNormals:
         with pytest.raises(NoDirections):
             spanned_hyperplane_normals([])
 
-    def test_direction_cap(self):
+    def test_direction_cap(self, monkeypatch):
+        # 25 directions of rank 2 walk C(25, 1) = 25 subsets: the cap counts
+        # subsets, not directions.
         dirs = [(1, k) for k in range(25)]
-        with pytest.raises(TooManyDirections):
+        assert len(spanned_hyperplane_normals(dirs)) == 25
+        monkeypatch.setattr(sys.modules["idealform.cdc"], "DEFAULT_SUBSET_CAP", 25)
+        assert len(spanned_hyperplane_normals(dirs)) == 25
+        monkeypatch.setattr(sys.modules["idealform.cdc"], "DEFAULT_SUBSET_CAP", 24)
+        with pytest.raises(TooManyDirections, match="give 25 subsets"):
             spanned_hyperplane_normals(dirs)
+
+    def test_too_many_subsets_fail_before_the_walk(self):
+        # 21 directions of rank 12: C(21, 11) = 352716 subsets.
+        units = unit_normals(12)
+        dirs = units + [tuple(a + b for a, b in zip(units[k], units[k + 1]))
+                        for k in range(9)]
+        start = time.perf_counter()
+        with pytest.raises(TooManyDirections) as info:
+            spanned_hyperplane_normals(dirs)
+        assert time.perf_counter() - start < 1
+        assert str(info.value) == ("21 directions of rank 12 give 352716 subsets, "
+                                   "over the enumeration cap of 184756")
 
     @given(
         st.lists(
@@ -255,3 +277,39 @@ class TestFormulationForNormals:
         normals = unit_normals(e.r)
         f = formulation_for_normals(c, e, normals)
         assert [row.normal for row in f.general_rows] == [(1, 0), (0, 1)]
+
+
+class TestHullComputedOnce:
+    """The code hull is computed once per Encoding and read by every stage."""
+
+    @staticmethod
+    def count_calls(monkeypatch, name, modules):
+        """Route ``name`` in each module that holds it through one counter."""
+        calls = []
+        for module in modules:
+            original = getattr(module, name, None)
+            if original is not None:
+                monkeypatch.setattr(module, name, lambda *args, original=original:
+                                    calls.append(name) or original(*args))
+        return calls
+
+    def test_one_facet_enumeration_per_formulation(self, monkeypatch, capsys):
+        cuts = self.count_calls(monkeypatch, "dd_cut", [encoding])
+        e = make_encoding(8, EncodingKind.GRAY)
+        theorem1_formulation(sos2(8), e)
+        assert len(cuts) == e.d - e.r - 1 == 4
+        cuts.clear()
+        assert main(["encode", "--kind", "zigzag", "--s", "3"]) == 0
+        assert len(cuts) == 4
+
+    def test_one_affine_hull_per_formulation(self, monkeypatch):
+        hulls = self.count_calls(monkeypatch, "affine_hull",
+                                 [encoding, sys.modules["idealform.cdc"]])
+        theorem1_formulation(sos2(8), make_encoding(8, EncodingKind.ZIGZAG))
+        assert len(hulls) == 1
+
+    def test_cached_values_take_no_part_in_equality(self):
+        e = make_encoding(8, EncodingKind.ZIGZAG)
+        assert e.facets and e.equations == ()
+        fresh = Encoding(e.rows)
+        assert e == fresh and hash(e) == hash(fresh)

@@ -34,6 +34,10 @@ PWL_DOC = {
 }
 
 
+def reject_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
 @pytest.fixture
 def write_doc(tmp_path):
     def write(doc, name="problem.json"):
@@ -200,10 +204,40 @@ class TestFixedCaps:
 
     def test_direction_cap(self, capsys, write_doc, monkeypatch):
         # The package exports the function cdc, which hides the module.
-        monkeypatch.setattr(sys.modules["idealform.cdc"], "DEFAULT_DIRECTION_CAP", 1)
+        monkeypatch.setattr(sys.modules["idealform.cdc"], "DEFAULT_SUBSET_CAP", 1)
         code, out, err = run(capsys, "formulate", write_doc(SOS2_DOC))
         assert (code, out) == (4, "")
-        assert err == "error: 2 directions exceed the enumeration cap of 1\n"
+        assert err == ("error: 2 directions of rank 2 give 2 subsets, "
+                       "over the enumeration cap of 1\n")
+
+    def test_many_directions_of_low_rank_formulate(self, capsys, write_doc):
+        # 16 alternatives sharing element 1: 40 directions of rank 4, so
+        # C(40, 3) = 9880 subsets, well inside the subset cap.
+        alternatives = [[1, i] for i in range(2, 18)]
+        doc = {"kind": "cdc", "cdc": {"alternatives": alternatives}}
+        code, out, err = run(capsys, "formulate", write_doc(doc), "--check", "validity")
+        assert code == 0
+        assert "validity: PASS" in err
+        assert json.loads(out)["provenance"]["gamma"] == 680
+
+    def test_coefficient_cap(self, capsys, write_doc, monkeypatch):
+        cdc_module = sys.modules["idealform.cdc"]
+        monkeypatch.setattr(cdc_module, "DEFAULT_COEFFICIENT_CAP", 20)
+        assert run(capsys, "formulate", write_doc(SOS2_DOC))[0] == 0
+        monkeypatch.setattr(cdc_module, "DEFAULT_COEFFICIENT_CAP", 19)
+        code, out, err = run(capsys, "formulate", write_doc(SOS2_DOC))
+        assert (code, out) == (4, "")
+        assert err == ("error: 2 row pairs over 5 elements need 20 coefficients, "
+                       "over the cap of 19\n")
+
+    def test_formulations_too_large_to_emit_fail_fast(self, capsys):
+        # Zig-zag d=32768: 120 row pairs over 65536 corners.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "annulus", "--d", "32768", "--encoding", "zigzag")
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (4, "")
+        assert err == ("error: 120 row pairs over 65536 elements need 15728640 "
+                       "coefficients, over the cap of 10000000\n")
 
     def test_hole_cap(self, capsys, write_doc, monkeypatch):
         monkeypatch.setattr(encoding, "DEFAULT_HOLE_CAP", 3)
@@ -276,7 +310,7 @@ class TestAnnulus:
             capsys, "annulus", "--d", "4", "--inner", "1", "--outer", "2"
         )
         assert code == 0
-        doc = json.loads(out)
+        doc = json.loads(out, parse_constant=reject_constant)
         assert doc["provenance"] == {
             "kind": "annulus", "encoding": "gray", "path": "closed-form", "gamma": 2,
         }
@@ -286,6 +320,22 @@ class TestAnnulus:
         code, out, _ = run(capsys, "annulus", "--d", "4", "--encoding", "zigzag")
         assert code == 0
         assert json.loads(out)["recovery"]["points"] is None
+
+    @pytest.mark.parametrize("outer", ["inf", "1.5e308"])
+    def test_infinite_corners_exit_1(self, capsys, outer):
+        code, out, err = run(capsys, "annulus", "--d", "4", "--inner", "1",
+                             "--outer", outer)
+        assert (code, out) == (1, "")
+        assert err == (f"error: outer radius {float(outer)} puts the outer corners "
+                       f"at an infinite radius\n")
+
+    def test_infinite_radius_in_a_document_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "annulus.json"
+        path.write_text('{"kind": "annulus", "annulus": {"d": 8, "inner_radius": 1,'
+                        ' "outer_radius": 1e999}}')
+        code, out, err = run(capsys, "verify", str(path), "formulation.json")
+        assert (code, out) == (1, "")
+        assert err == "error: annulus.outer_radius: expected a finite number, got inf\n"
 
     def test_bad_piece_count_exits_1(self, capsys):
         code, _, err = run(capsys, "annulus", "--d", "6")

@@ -166,7 +166,9 @@ class TestParseProblem:
             ('{"kind": "cdc", "cdc": {"n": -3, "alternatives": [[1, 2], [2, 3]]}}',
              "cdc.n: ground set must be nonempty"),
             ('{"kind": "annulus", "annulus": {"d": 8, "inner_radius": 1,'
-             ' "outer_radius": "1e400"}}', "annulus.outer_radius"),
+             ' "outer_radius": "1e400"}}', r"^annulus\.outer_radius: "),
+            ('{"kind": "annulus", "annulus": {"d": 8, "inner_radius": 1,'
+             ' "outer_radius": 1e999}}', r"^annulus\.outer_radius: expected a finite"),
             ('{"kind": "pwl", "pwl": {"breakpoints": [0, 1, 2],'
              ' "slopes": ["1e1000000", 2], "intercepts": [0, -1]}}',
              r"^pwl\.slopes\[0\]: exponents are limited"),

@@ -1,14 +1,17 @@
 """Tests for the piecewise-linear epigraph pipeline."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from idealform.cdc import Cdc, intersection_digraph, is_weakly_connected, theorem1_formulation
+from idealform.cli import main
 from idealform.encoding import EncodingKind, make_encoding
 from idealform.errors import DimensionDeficit, InputError
 from idealform.pwl import (
+    PwlFunction,
     PwlGroundSet,
     pwl,
     pwl_formulation,
@@ -48,6 +51,30 @@ class TestPwlFunction:
         assert f.jump_indices() == (3,)
         assert not f.is_continuous_at(3)
         assert f.is_continuous_at(2) and f.is_continuous_at(4)
+
+
+class TestSegmentEnds:
+    """Each segment's endpoints are evaluated once, by PwlFunction.ends."""
+
+    def test_a_checked_pwl_run_evaluates_each_endpoint_once(self, monkeypatch,
+                                                            tmp_path, capsys):
+        calls = []
+        original = PwlFunction.segment_value
+        monkeypatch.setattr(PwlFunction, "segment_value",
+                            lambda f, i, x: calls.append(i) or original(f, i, x))
+        path = tmp_path / "pwl.json"
+        path.write_text(json.dumps({"kind": "pwl", "pwl": {
+            "breakpoints": list(range(9)), "slopes": [1, 2, 3, 4, 5, 6, 7, 8],
+            "intercepts": [0, -1, -3, -6, -10, -15, -21, -28]}}))
+        assert main(["pwl", str(path), "--check", "ideal"]) == 0
+        assert "ideal: PASS" in capsys.readouterr().err
+        assert sorted(calls) == sorted([*range(1, 9)] * 2)
+
+    def test_cached_ends_take_no_part_in_equality(self):
+        f = chain([0, 1, 2, 3], [1, -1, 2], jumps={3: 1})
+        assert f.ends[1] == ((F(1), F(1)), (F(2), F(0)))
+        fresh = PwlFunction(f.breakpoints, f.slopes, f.intercepts)
+        assert f == fresh and hash(f) == hash(fresh)
 
 
 class TestGroundSet:
