@@ -141,15 +141,16 @@ def spanned_hyperplane_normals(directions) -> tuple[tuple[int, ...], ...]:
     of the span exactly when the subset rows together with the orthogonal
     complement of the span leave a one-dimensional kernel, and that kernel
     is the hyperplane's normal inside the span. For m = 1 the empty subset
-    leaves the line itself. Results are deduplicated and sorted. More than
+    leaves the line itself. Results are deduplicated and sorted. Directions
+    of rank 0, none at all included, raise NoDirections; more than
     DEFAULT_SUBSET_CAP subsets raise TooManyDirections before any is built.
     """
     dirs = list(directions)
-    if not dirs:
-        raise NoDirections("no directions to span hyperplanes with")
-    r = len(dirs[0])
+    r = len(dirs[0]) if dirs else 0
     complement = kernel(dirs, r)
     m = r - len(complement)
+    if m == 0:
+        raise NoDirections("no nonzero directions to span hyperplanes with")
     subsets = comb(len(dirs), m - 1)
     if subsets > DEFAULT_SUBSET_CAP:
         raise TooManyDirections(

@@ -10,13 +10,16 @@ Enumeration is one integer double-description loop (Fukuda and Prodon,
 "Double description method revisited", 1996). The relaxation lives inside
 the product of the unit simplex on lambda and the integer box on z, whose
 vertices are known in closed form; each row of the formulation is then
-applied as a cut by the shared step ``linalg.dd_cut``. Vertices are homogeneous integer lists, numerators and
-then a positive denominator, in lowest terms; a row a . x <= b is the
-list (a, -b), so its dot product with a vertex has the sign of the real
-slack. A cut drops the vertices on the wrong side, and every cut edge from
-a vertex i with slack s_i < 0 to a vertex j with s_j > 0 contributes the
-integer combination s_j x_i - s_i x_j, divided by its gcd (integer-only
-pivoting, as in Avis's lrs).
+applied as a cut by the shared step ``linalg.dd_cut``. Vertices are
+homogeneous integer vectors, numerators and then a positive denominator,
+in lowest terms. That form is canonical, so the certificate compares it
+with the embedding points (e^w, h^j, 1) as it is, and only the witnesses
+of a failure become Fractions. A row a . x <= b is the list (a, -b), so
+its dot product with a vertex has the sign of the real slack. A cut drops
+the vertices on the wrong side, and every cut edge from a vertex i with
+slack s_i < 0 to a vertex j with s_j > 0 contributes the integer
+combination s_j x_i - s_i x_j, divided by its gcd (integer-only pivoting,
+as in Avis's lrs).
 
 Each vertex carries the bitmask of the rows it is tight on. A kept vertex
 gains the cut's bit when its slack is 0, and a new vertex's mask is its
@@ -24,8 +27,8 @@ parents' common mask plus that bit, so masks are never recomputed. Keeping
 the vertex set exact at every step makes edge detection combinatorial: two
 vertices span an edge exactly when no third vertex is tight on every row
 they are both tight on. An edge's tight rows have rank n + r - 1, so a pair
-with fewer common tight rows is skipped before that scan. Vertices become
-Fractions once, at the end; nothing is ever rounded.
+with fewer common tight rows is skipped before that scan. Nothing is ever
+rounded.
 
 The working vertices and rows are lists, and every tuple here is built
 from a list of its final length. Tuples grown from an iterator, and on
@@ -39,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 from operator import mul
 
 from .cdc import Cdc
@@ -50,9 +54,11 @@ from .linalg import DEFAULT_ENUM_CAP, Vec, dd_cut
 
 @dataclass(frozen=True)
 class VertexSet:
-    """The extreme points of a polytope, held as exact rational vectors."""
+    """The extreme points of a polytope, exact and canonical: each is a
+    tuple of integer numerators and then a positive denominator, in lowest
+    terms."""
 
-    vertices: frozenset[Vec]
+    vertices: frozenset[tuple[int, ...]]
 
     @property
     def count(self) -> int:
@@ -80,7 +86,13 @@ class VerificationReport:
         return (self.expected_count, self.found_count)
 
 
-def _check_sizes(c: Cdc, e: Encoding) -> None:
+def _check_sizes(c: Cdc, e: Encoding, f: Formulation | None = None) -> None:
+    """InputError unless c, e and, when given, f fit together."""
+    if f is not None and (f.n_lambda != c.n or f.r_z != e.r):
+        raise InputError(
+            f"formulation is over {f.n_lambda} lambda and {f.r_z} z variables, "
+            f"but the problem needs {c.n} and {e.r}"
+        )
     if c.d != e.d:
         raise InputError(
             f"disjunction has {c.d} alternatives but the encoding has {e.d} rows"
@@ -90,34 +102,27 @@ def _check_sizes(c: Cdc, e: Encoding) -> None:
 def embedding_extreme_points(c: Cdc, e: Encoding) -> VertexSet:
     """All points (e^w, h^j) with w covered by alternative j."""
     _check_sizes(c, e)
-    zero, one = Fraction(0), Fraction(1)
-    points: set[Vec] = set()
+    points: set[tuple[int, ...]] = set()
     for alt, code in zip(c.alternatives, e.rows):
-        tail = tuple([Fraction(x) for x in code])
+        tail = [*code, 1]
         for w in alt:
-            lam = [zero] * c.n
-            lam[w - 1] = one
-            points.add(tuple(lam) + tail)
+            lam = [0] * c.n
+            lam[w - 1] = 1
+            points.add(tuple(lam + tail))
     return VertexSet(frozenset(points))
 
 
-def _formulation_rows(f: Formulation):
-    """Flatten a formulation into integer (coeffs, rhs) rows over (lambda, z).
-
-    Returns (equalities, inequalities) where each inequality means
-    coeffs . x <= rhs; general row k gives inequalities 2k (its lower side)
-    and 2k + 1 (its upper side). The lambda simplex and the z box are not
-    included; the enumeration starts from them.
-    """
-    eqs = [(tuple(eq.lam) + tuple(eq.z), eq.rhs) for eq in f.equalities]
-    ineqs = []
+def _cuts(f: Formulation):
+    """The rows as (homogeneous cut, is equality): the equalities, then
+    both sides of each general row, lower first. The simplex and the box
+    are not included; the enumeration starts from them."""
+    cuts = [([*eq.lam, *eq.z, -eq.rhs], True) for eq in f.equalities]
     for row in f.general_rows:
-        normal = tuple(row.normal)
         # lower . lambda - b . z <= 0
-        ineqs.append((tuple(row.lower) + tuple([-x for x in normal]), 0))
+        cuts.append(([*row.lower, *(-x for x in row.normal), 0], False))
         # b . z - upper . lambda <= 0
-        ineqs.append((tuple([-x for x in row.upper]) + normal, 0))
-    return eqs, ineqs
+        cuts.append(([*(-x for x in row.upper), *row.normal, 0], False))
+    return cuts
 
 
 def _base_polytope(n: int, z_bounds):
@@ -167,26 +172,24 @@ def enumerate_vertices(f: Formulation, *, max_vertices: int = DEFAULT_ENUM_CAP) 
     bounds, but drops integrality. Raises TooLargeToEnumerate when an
     intermediate vertex set grows past ``max_vertices``.
     """
-    vertices, masks, first_bit = _base_polytope(f.n_lambda, f.z_bounds)
-    if len(vertices) > max_vertices:
+    start = f.n_lambda * prod(len({lo, hi}) for lo, hi in f.z_bounds)
+    if start > max_vertices:
         raise TooLargeToEnumerate(
             f"the starting simplex-times-box polytope already has "
-            f"{len(vertices)} vertices, over the cap of {max_vertices}"
+            f"{start} vertices, over the cap of {max_vertices}"
         )
+    vertices, masks, first_bit = _base_polytope(f.n_lambda, f.z_bounds)
     need = f.n_lambda + f.r_z - 1
-    eqs, ineqs = _formulation_rows(f)
-    cuts = [([*coeffs, -rhs], True) for coeffs, rhs in eqs]
-    cuts += [([*coeffs, -rhs], False) for coeffs, rhs in ineqs]
-    for index, (row, is_equality) in enumerate(cuts):
+    for index, (row, is_equality) in enumerate(_cuts(f)):
         vertices, masks = dd_cut(vertices, masks, row, 1 << (first_bit + index),
                                  is_equality, need)
         if len(vertices) > max_vertices:
             raise TooLargeToEnumerate(
                 f"vertex enumeration exceeded the cap of {max_vertices} "
                 f"intermediate vertices: {len(vertices)} after cut {index}, "
-                f"{_cut_name(len(eqs), index)}"
+                f"{_cut_name(len(f.equalities), index)}"
             )
-    return VertexSet(frozenset(map(_to_fractions, vertices)))
+    return VertexSet(frozenset(map(tuple, vertices)))
 
 
 def check_validity_only(c: Cdc, e: Encoding, f: Formulation) -> bool:
@@ -197,9 +200,7 @@ def check_validity_only(c: Cdc, e: Encoding, f: Formulation) -> bool:
     point (e^w, h^j) is checked from integers: a row's normal . h^j once
     per alternative, then its lambda coefficients at each covered w.
     """
-    _check_sizes(c, e)
-    if f.n_lambda != c.n or f.r_z != e.r:
-        return False
+    _check_sizes(c, e, f)
     for alt, code in zip(c.alternatives, e.rows):
         if not all(lo <= h <= hi for h, (lo, hi) in zip(code, f.z_bounds)):
             return False
@@ -228,10 +229,13 @@ def check_ideal(
     convex hull of the disjunction (no vertex lost, none gained), and since
     every embedding point carries an integer code the relaxation is ideal.
     """
-    expected = embedding_extreme_points(c, e).vertices
+    _check_sizes(c, e, f)
+    # Enumeration first, so its cap trips before any embedding point exists.
     found = enumerate_vertices(f, max_vertices=max_vertices).vertices
-    missing = tuple(sorted(expected - found))
-    extra = tuple(sorted(found - expected))
+    expected = embedding_extreme_points(c, e).vertices
+    # Homogeneous tuples sort differently from the points they stand for.
+    missing = tuple(sorted(map(_to_fractions, expected - found)))
+    extra = tuple(sorted(map(_to_fractions, found - expected)))
     return VerificationReport(
         passed=not missing and not extra,
         missing=missing,

@@ -129,6 +129,11 @@ class TestSpannedHyperplaneNormals:
         with pytest.raises(NoDirections):
             spanned_hyperplane_normals([])
 
+    @pytest.mark.parametrize("dirs", [[(0, 0)], [(0, 0, 0), (0, 0, 0)]])
+    def test_rank_zero_rejected(self, dirs):
+        with pytest.raises(NoDirections):
+            spanned_hyperplane_normals(dirs)
+
     def test_direction_cap(self, monkeypatch):
         # 25 directions of rank 2 walk C(25, 1) = 25 subsets: the cap counts
         # subsets, not directions.

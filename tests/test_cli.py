@@ -433,6 +433,42 @@ class TestVerify:
         assert code == 1
         assert "needs" in err
 
+    def test_width_mismatch_at_validity_level_exits_1(self, capsys, write_doc, tmp_path):
+        problem = write_doc(SOS2_DOC)
+        formulation = tmp_path / "f.json"
+        run(capsys, "formulate", problem, "--out", str(formulation))
+        other = write_doc(
+            {"kind": "cdc", "cdc": {"alternatives": [[1, 2], [2, 3]]}}, "other.json"
+        )
+        code, out, err = run(capsys, "verify", other, str(formulation),
+                             "--check", "validity")
+        assert (code, out) == (1, "")
+        assert err == ("error: formulation is over 5 lambda and 2 z variables, "
+                       "but the problem needs 3 and 1\n")
+
+    def test_start_polytope_over_the_cap_exits_4_at_once(self, capsys, write_doc,
+                                                         tmp_path):
+        # Two codes of width 40 and z in [0, 1]^40: 3 * 2**40 corners to start
+        # from, counted before any is built.
+        r = 40
+        problem = write_doc({"kind": "cdc", "cdc": {
+            "alternatives": [[1, 2], [2, 3]],
+            "encoding": {"explicit": [[0] * r, [1] * r]}}})
+        formulation = tmp_path / "f.json"
+        formulation.write_text(json.dumps({
+            "variables": {"lambda": {"count": 3},
+                          "z": {"count": r, "bounds": [[0, 1]] * r}},
+            "equalities": [{"lambda": [1, 1, 1], "z": [0] * r, "rhs": 1}],
+            "general_rows": [],
+        }))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", problem, str(formulation),
+                             "--check", "ideal")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (4, "")
+        assert err == (f"error: the starting simplex-times-box polytope already has "
+                       f"{3 * 2**r} vertices, over the cap of 50000\n")
+
     @pytest.mark.parametrize("cap", ["0", "-5"])
     def test_enum_cap_below_one_is_a_usage_error(self, capsys, write_doc, tmp_path, cap):
         problem = write_doc(SOS2_DOC)

@@ -1,24 +1,29 @@
 """Tests for the exact vertex enumeration and ideality certification."""
 
+import hashlib
 import random
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from idealform.annulus import annulus_gray_formulation, annulus_zigzag_formulation
+from idealform import verify
+from idealform.annulus import annulus_cdc, annulus_gray_formulation, annulus_zigzag_formulation
 from idealform.cdc import cdc, intersection_digraph, is_weakly_connected, theorem1_formulation
 from idealform.encoding import EncodingKind, make_encoding
 from idealform.errors import InputError, TooLargeToEnumerate
 from idealform.formulation import Formulation, GeneralRow, LinearEquality
+from idealform.linalg import DEFAULT_ENUM_CAP
 from idealform.pwl import pwl, pwl_formulation
 from idealform.verify import (
-    _formulation_rows,
     check_ideal,
     check_validity_only,
     embedding_extreme_points,
     enumerate_vertices,
 )
 from oracles import (
+    fraction_rows,
     simplex_box_rows,
     valid_by_fraction_points,
     vertices_by_fraction_cuts,
@@ -39,6 +44,29 @@ def windows8():
 
 def fr(*xs):
     return tuple(F(x) for x in xs)
+
+
+def fractions(vertex_set):
+    """A VertexSet's homogeneous integer vertices as Fraction tuples."""
+    return {tuple(F(a, x[-1]) for a in x[:-1]) for x in vertex_set.vertices}
+
+
+def is_canonical(x):
+    """An int tuple with a positive last entry and no common factor."""
+    return (type(x) is tuple and all(type(a) is int for a in x)
+            and x[-1] > 0 and gcd(*x) == 1)
+
+
+def record_conversions(monkeypatch):
+    """The vertices handed to verify._to_fractions, in call order."""
+    seen, convert = [], verify._to_fractions
+
+    def recording(x):
+        seen.append(x)
+        return convert(x)
+
+    monkeypatch.setattr(verify, "_to_fractions", recording)
+    return seen
 
 
 def drop_row(f, k):
@@ -73,8 +101,9 @@ def corpus_formulations():
 
 
 def oracle_vertex_set(f):
-    """The same polytope, enumerated by exhaustive tight-subset search."""
-    eqs, ineqs = _formulation_rows(f)
+    """The same polytope, enumerated by exhaustive tight-subset search, with
+    the rows read from the formulation's fields by the oracle module."""
+    eqs, ineqs = fraction_rows(f)
     base_eqs, base_ineqs = simplex_box_rows(f.n_lambda, f.z_bounds)
     all_eqs = base_eqs + eqs
     all_ineqs = [(tuple(-c for c in coeffs), -rhs) for coeffs, rhs in base_ineqs + ineqs]
@@ -84,7 +113,7 @@ def oracle_vertex_set(f):
 class TestEmbeddingExtremePoints:
     def test_sos2_two_pieces(self):
         pts = embedding_extreme_points(sos2(2), make_encoding(2, EncodingKind.GRAY))
-        assert pts.vertices == {
+        assert fractions(pts) == {
             fr(1, 0, 0, 0),
             fr(0, 1, 0, 0),
             fr(0, 1, 0, 1),
@@ -95,6 +124,10 @@ class TestEmbeddingExtremePoints:
         pts = embedding_extreme_points(windows8(), make_encoding(4, EncodingKind.GRAY))
         assert pts.count == 16
 
+    def test_points_are_homogeneous_integer_tuples(self):
+        pts = embedding_extreme_points(windows8(), make_encoding(4, EncodingKind.GRAY))
+        assert all(is_canonical(x) and x[-1] == 1 for x in pts.vertices)
+
     def test_size_mismatch(self):
         with pytest.raises(InputError):
             embedding_extreme_points(sos2(2), make_encoding(4, EncodingKind.GRAY))
@@ -103,13 +136,13 @@ class TestEmbeddingExtremePoints:
 class TestEnumerateVertices:
     def test_simplex_alone(self):
         f = Formulation(3, 0, (LinearEquality((1, 1, 1), (), 1),), (), ())
-        assert enumerate_vertices(f).vertices == {fr(1, 0, 0), fr(0, 1, 0), fr(0, 0, 1)}
+        assert fractions(enumerate_vertices(f)) == {fr(1, 0, 0), fr(0, 1, 0), fr(0, 0, 1)}
 
     def test_box_corners(self):
         f = Formulation(
             1, 2, (LinearEquality((1,), (0, 0), 1),), (), ((0, 1), (0, 1))
         )
-        assert enumerate_vertices(f).vertices == {
+        assert fractions(enumerate_vertices(f)) == {
             fr(1, 0, 0), fr(1, 0, 1), fr(1, 1, 0), fr(1, 1, 1)
         }
 
@@ -129,7 +162,7 @@ class TestEnumerateVertices:
             (GeneralRow(normal=(1, 1), lower=(0,), upper=(1,)),),
             ((0, 1), (0, 1)),
         )
-        assert enumerate_vertices(f).vertices == {
+        assert fractions(enumerate_vertices(f)) == {
             fr(1, 0, 0), fr(1, 1, 0), fr(1, 0, 1)
         }
 
@@ -140,7 +173,7 @@ class TestEnumerateVertices:
             (GeneralRow(normal=(2, 1), lower=(0,), upper=(1,)),),
             ((0, 1), (0, 1)),
         )
-        assert enumerate_vertices(f).vertices == {
+        assert fractions(enumerate_vertices(f)) == {
             fr(1, 0, 0), (F(1), F(1, 2), F(0)), fr(1, 0, 1)
         }
 
@@ -150,10 +183,30 @@ class TestEnumerateVertices:
         f = theorem1_formulation(c, e)
         assert enumerate_vertices(f).vertices == embedding_extreme_points(c, e).vertices
 
+    def test_vertices_are_homogeneous_integer_tuples(self):
+        # Without general row 2 the relaxation has vertices with
+        # denominators 3, 5, 6 and 10.
+        f = drop_row(annulus_zigzag_formulation(8)[0], 2)
+        found = enumerate_vertices(f).vertices
+        assert all(map(is_canonical, found))
+        assert {x[-1] for x in found} == {1, 3, 5, 6, 10}
+
     def test_cap_on_base_polytope(self):
         f = theorem1_formulation(sos2(4), make_encoding(4, EncodingKind.GRAY))
         with pytest.raises(TooLargeToEnumerate):
             enumerate_vertices(f, max_vertices=3)
+
+    def test_base_polytope_counted_before_it_is_built(self):
+        # 3 * 2**40 corners: over the cap, so none of them is made.
+        r = 40
+        f = Formulation(3, r, (LinearEquality((1,) * 3, (0,) * r, 1),), (),
+                        ((0, 1),) * r)
+        start = time.perf_counter()
+        with pytest.raises(TooLargeToEnumerate,
+                           match=f"^the starting simplex-times-box polytope already has "
+                                 f"{3 * 2**r} vertices, over the cap of {DEFAULT_ENUM_CAP}$"):
+            enumerate_vertices(f)
+        assert time.perf_counter() - start < 1
 
     def test_row_order_does_not_matter(self):
         f = theorem1_formulation(sos2(4), make_encoding(4, EncodingKind.GRAY))
@@ -172,20 +225,20 @@ class TestAgainstTightSubsetOracle:
     def test_sos2_instances(self):
         for d in (2, 4):
             f = theorem1_formulation(sos2(d), make_encoding(d, EncodingKind.GRAY))
-            assert enumerate_vertices(f).vertices == oracle_vertex_set(f)
+            assert fractions(enumerate_vertices(f)) == oracle_vertex_set(f)
 
     def test_window_cycle(self):
         f = theorem1_formulation(windows8(), make_encoding(4, EncodingKind.GRAY))
-        assert enumerate_vertices(f).vertices == oracle_vertex_set(f)
+        assert fractions(enumerate_vertices(f)) == oracle_vertex_set(f)
 
     def test_after_row_deletion(self):
         f = theorem1_formulation(sos2(4), make_encoding(4, EncodingKind.GRAY))
         g = drop_row(f, 0)
-        assert enumerate_vertices(g).vertices == oracle_vertex_set(g)
+        assert fractions(enumerate_vertices(g)) == oracle_vertex_set(g)
 
     def test_zigzag_encoding(self):
         f = theorem1_formulation(sos2(4), make_encoding(4, EncodingKind.ZIGZAG))
-        assert enumerate_vertices(f).vertices == oracle_vertex_set(f)
+        assert fractions(enumerate_vertices(f)) == oracle_vertex_set(f)
 
 
 class TestCheckIdeal:
@@ -217,6 +270,45 @@ class TestCheckIdeal:
             fr(0, 0, 1, 0, 0, 0, 1),
             fr(1, 0, 0, 0, 0, 1, 0),
         )
+
+    def test_other_variable_counts_are_an_input_error(self):
+        # SOS2 on 3 elements against a formulation over 4 lambdas.
+        wide = theorem1_formulation(sos2(3), make_encoding(3, EncodingKind.GRAY))
+        with pytest.raises(InputError, match="^formulation is over 4 lambda and 2 z "
+                                             "variables, but the problem needs 3 and 1$"):
+            check_ideal(sos2(2), make_encoding(2, EncodingKind.GRAY), wide)
+
+    def test_cap_trips_before_the_embedding_is_built(self, monkeypatch):
+        # The embedding points alone can exhaust memory (annulus d=16384).
+        def unreachable(c, e):
+            raise AssertionError("embedding built before the cap was checked")
+
+        monkeypatch.setattr(verify, "embedding_extreme_points", unreachable)
+        c, e = sos2(4), make_encoding(4, EncodingKind.GRAY)
+        with pytest.raises(TooLargeToEnumerate):
+            check_ideal(c, e, theorem1_formulation(c, e), max_vertices=3)
+
+    def test_passing_certificate_converts_nothing(self, monkeypatch):
+        seen = record_conversions(monkeypatch)
+        f, _ = annulus_zigzag_formulation(8)
+        report = check_ideal(annulus_cdc(8), make_encoding(8, EncodingKind.ZIGZAG), f)
+        assert report.passed and seen == []
+
+    def test_failing_certificate_converts_only_its_witnesses(self, monkeypatch):
+        convert = verify._to_fractions
+        seen = record_conversions(monkeypatch)
+        f, _ = annulus_zigzag_formulation(8)
+        report = check_ideal(annulus_cdc(8), make_encoding(8, EncodingKind.ZIGZAG),
+                             drop_row(f, 2))
+        assert report.missing == () and len(report.extra) == 104
+        assert len(seen) == 104
+        # Sorted by value, which is not the order of the homogeneous tuples.
+        assert list(report.extra) == sorted(report.extra)
+        assert [convert(x) for x in sorted(seen)] != list(report.extra)
+        # The witness strings, in the order documents and stderr print them.
+        text = repr([[str(x) for x in p] for p in report.extra]).encode()
+        assert hashlib.sha256(text).hexdigest() == (
+            "a640a76ff70ac8c6a57785cf8df59cc7544e1766d41b35f47bf376f6c101316b")
 
     def test_random_connected_instances_pass(self):
         rng = random.Random(11)
@@ -288,9 +380,14 @@ class TestCheckValidityOnly:
         e = make_encoding(2, EncodingKind.GRAY)
         wide = Formulation(4, 2, (LinearEquality((1,) * 4, (0, 0), 1),), (),
                            ((0, 1), (0, 1)))
-        assert not check_validity_only(c, e, wide)
-        with pytest.raises(InputError):
-            check_validity_only(c, make_encoding(4, EncodingKind.GRAY), wide)
+        with pytest.raises(InputError, match="^formulation is over 4 lambda and 2 z "
+                                             "variables, but the problem needs 3 and 1$"):
+            check_validity_only(c, e, wide)
+        narrow = Formulation(3, 2, (LinearEquality((1,) * 3, (0, 0), 1),), (),
+                             ((0, 1), (0, 1)))
+        with pytest.raises(InputError, match="^disjunction has 2 alternatives but the "
+                                             "encoding has 4 rows$"):
+            check_validity_only(c, make_encoding(4, EncodingKind.GRAY), narrow)
 
     def test_against_fraction_points(self):
         # Random one-entry changes to three formulations: the integer scan
@@ -302,7 +399,7 @@ class TestCheckValidityOnly:
         verdicts = set()
         for c, e in cases:
             f = theorem1_formulation(c, e)
-            points = embedding_extreme_points(c, e).vertices
+            points = fractions(embedding_extreme_points(c, e))
             for _ in range(40):
                 rows = [list(map(list, (r.normal, r.lower, r.upper)))
                         for r in f.general_rows]
@@ -339,7 +436,7 @@ class TestAgainstFractionCutOracle:
 
     @staticmethod
     def agree(f):
-        found = enumerate_vertices(f).vertices
+        found = fractions(enumerate_vertices(f))
         assert found == vertices_by_fraction_cuts(f)
         return found
 
@@ -371,7 +468,7 @@ class TestAgainstFractionCutOracle:
         rng = random.Random(5)
         c, e = sos2(5), make_encoding(5, EncodingKind.ZIGZAG)
         f = theorem1_formulation(c, e)
-        points = sorted(embedding_extreme_points(c, e).vertices)
+        points = sorted(fractions(embedding_extreme_points(c, e)))
         for _ in range(6):
             coeffs = [rng.choice((-1, 0, 1)) for _ in range(f.n_lambda + f.r_z)]
             point = rng.choice(points)
@@ -409,7 +506,7 @@ class TestAgainstFractionCutOracle:
         outcomes = set()
         for cap in range(1, 60):
             try:
-                found = enumerate_vertices(f, max_vertices=cap).vertices
+                found = fractions(enumerate_vertices(f, max_vertices=cap))
             except TooLargeToEnumerate:
                 with pytest.raises(TooLargeToEnumerate):
                     vertices_by_fraction_cuts(f, cap)
