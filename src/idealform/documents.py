@@ -169,10 +169,38 @@ def _int(value, field: str) -> int:
     return value
 
 
-def _int_list(values, field: str) -> list[int]:
-    if not isinstance(values, list):
-        raise InputError(f"{field}: expected a list of integers")
-    return [_int(x, f"{field}[{j}]") for j, x in enumerate(values)]
+def _object(raw, field: str) -> dict:
+    if not isinstance(raw, dict):
+        raise InputError(f"{field}: expected an object")
+    return raw
+
+
+def _list(raw, field: str, item, what: str) -> tuple:
+    """The entries of a list, each read by item(entry, field[i])."""
+    if not isinstance(raw, list):
+        raise InputError(f"{field}: expected a list of {what}")
+    return tuple([item(x, f"{field}[{i}]") for i, x in enumerate(raw)])
+
+
+def _ints(raw, field: str) -> tuple[int, ...]:
+    # Checked in one pass; the entries are named only when one is not an int.
+    if isinstance(raw, list) and all(type(x) is int for x in raw):
+        return tuple(raw)
+    return _list(raw, field, _int, "integers")
+
+
+def _choice(value, field: str, choices: tuple):
+    if value not in choices:
+        raise InputError(f"{field}: expected one of {choices}, got {value!r}")
+    return value
+
+
+def _build(field: str, make, *args):
+    """make(*args), with any error it raises named by field."""
+    try:
+        return make(*args)
+    except (IdealformError, ValueError) as err:
+        _fail(field, err)
 
 
 def _encoding_spec(body: dict, field: str, allow_explicit: bool):
@@ -191,47 +219,31 @@ def _encoding_spec(body: dict, field: str, allow_explicit: bool):
     if isinstance(spec, dict) and set(spec) == {"explicit"}:
         if not allow_explicit:
             raise InputError(f"{field}: this problem kind picks its own codes")
-        if not isinstance(spec["explicit"], list):
-            raise InputError(f"{field}.explicit: expected a list of integer rows")
-        rows = tuple(
-            tuple(_int_list(row, f"{field}.explicit[{i}]"))
-            for i, row in enumerate(spec["explicit"])
-        )
-        return EncodingKind.EXPLICIT, rows
+        return EncodingKind.EXPLICIT, _list(spec["explicit"], f"{field}.explicit",
+                                            _ints, "integer rows")
     raise InputError(f"{field}: expected an encoding name or {{'explicit': rows}}")
 
 
 def _options(raw) -> ProblemOptions:
     if raw is None:
         return ProblemOptions()
-    if not isinstance(raw, dict):
-        raise InputError("options: expected an object")
-    check = raw.get("check", "none")
-    fmt = raw.get("format", "json")
-    if check not in CHECK_LEVELS:
-        raise InputError(f"options.check: expected one of {CHECK_LEVELS}, got {check!r}")
-    if fmt not in OUTPUT_FORMATS:
-        raise InputError(f"options.format: expected one of {OUTPUT_FORMATS}, got {fmt!r}")
-    return ProblemOptions(check=check, output_format=fmt)
+    raw = _object(raw, "options")
+    return ProblemOptions(
+        check=_choice(raw.get("check", "none"), "options.check", CHECK_LEVELS),
+        output_format=_choice(raw.get("format", "json"), "options.format", OUTPUT_FORMATS),
+    )
 
 
 def _parse_cdc(body: dict, options: ProblemOptions) -> CdcProblem:
-    alts_raw = body.get("alternatives")
-    if not isinstance(alts_raw, list):
-        raise InputError("cdc.alternatives: expected a list of index lists")
-    alternatives = [
-        _int_list(alt, f"cdc.alternatives[{i}]") for i, alt in enumerate(alts_raw)
-    ]
+    alternatives = _list(body.get("alternatives"), "cdc.alternatives", _ints,
+                         "index lists")
     n = body.get("n")
     if n is None:
         n = max((x for alt in alternatives for x in alt), default=0)
     elif _int(n, "cdc.n") < 1:
         raise InputError("cdc.n: ground set must be nonempty")
     encoding_kind, rows = _encoding_spec(body, "cdc.encoding", allow_explicit=True)
-    try:
-        c = Cdc(n, tuple(frozenset(alt) for alt in alternatives))
-    except IdealformError as err:
-        _fail("cdc.alternatives", err)
+    c = _build("cdc.alternatives", Cdc, n, tuple(frozenset(alt) for alt in alternatives))
     if rows is not None and len(rows) != c.d:
         raise InputError(
             f"cdc.encoding: {len(rows)} explicit rows for {c.d} alternatives"
@@ -240,19 +252,10 @@ def _parse_cdc(body: dict, options: ProblemOptions) -> CdcProblem:
 
 
 def _parse_pwl(body: dict, options: ProblemOptions) -> PwlProblem:
-    def rational_list(key: str) -> tuple[Fraction, ...]:
-        values = body.get(key)
-        if not isinstance(values, list):
-            raise InputError(f"pwl.{key}: expected a list of rationals")
-        return tuple(_rational(x, f"pwl.{key}[{i}]") for i, x in enumerate(values))
-
     encoding_kind, _ = _encoding_spec(body, "pwl.encoding", allow_explicit=False)
-    fields = [rational_list(key) for key in ("breakpoints", "slopes", "intercepts")]
-    try:
-        f = PwlFunction(*fields)
-    except IdealformError as err:
-        _fail("pwl", err)
-    return PwlProblem(f, encoding_kind, options)
+    fields = [_list(body.get(key), f"pwl.{key}", _rational, "rationals")
+              for key in ("breakpoints", "slopes", "intercepts")]
+    return PwlProblem(_build("pwl", PwlFunction, *fields), encoding_kind, options)
 
 
 def _parse_annulus(body: dict, options: ProblemOptions) -> AnnulusProblem:
@@ -264,15 +267,9 @@ def _parse_annulus(body: dict, options: ProblemOptions) -> AnnulusProblem:
     geometry = None
     if inner is not None:
         radii = _real(inner, "annulus.inner_radius"), _real(outer, "annulus.outer_radius")
-        try:
-            geometry = AnnulusSpec(*radii, d)
-        except IdealformError as err:
-            _fail("annulus", err)
+        geometry = _build("annulus", AnnulusSpec, *radii, d)
     else:
-        try:
-            _check_piece_count(d)
-        except IdealformError as err:
-            _fail("annulus.d", err)
+        _build("annulus.d", _check_piece_count, d)
     return AnnulusProblem(d, geometry, encoding_kind, options)
 
 
@@ -288,9 +285,7 @@ def parse_problem(text: str) -> ProblemDocument:
         raise InputError(f"not valid JSON: {err}") from err
     if not isinstance(raw, dict):
         raise InputError("the top level must be a JSON object")
-    kind = raw.get("kind")
-    if kind not in PROBLEM_KINDS:
-        raise InputError(f"kind: expected one of {PROBLEM_KINDS}, got {kind!r}")
+    kind = _choice(raw.get("kind"), "kind", PROBLEM_KINDS)
     body = raw.get(kind)
     if not isinstance(body, dict):
         raise InputError(f"{kind}: missing the problem body object")
@@ -362,38 +357,39 @@ def verification_summary(report: VerificationReport) -> dict:
     }
 
 
+def _bound(raw, field: str) -> tuple[int, int]:
+    pair = _ints(raw, field)
+    if len(pair) != 2:
+        raise InputError(f"{field}: expected a [lo, hi] pair")
+    return pair
+
+
+def _equality(raw, field: str) -> LinearEquality:
+    eq = _object(raw, field)
+    return LinearEquality(_ints(eq.get("lambda"), f"{field}.lambda"),
+                          _ints(eq.get("z"), f"{field}.z"),
+                          _int(eq.get("rhs"), f"{field}.rhs"))
+
+
+def _general_row(raw, field: str) -> GeneralRow:
+    row = _object(raw, field)
+    return _build(field, GeneralRow, *(_ints(row.get(key), f"{field}.{key}")
+                                       for key in ("normal", "lower", "upper")))
+
+
 def formulation_from_document(doc: dict) -> tuple[Formulation, RecoveryMap | None]:
     """Rebuild (Formulation, RecoveryMap) from an emitted document."""
-    try:
-        variables = doc["variables"]
-        n = _int(variables["lambda"]["count"], "variables.lambda.count")
-        r = _int(variables["z"]["count"], "variables.z.count")
-        z_bounds = tuple(
-            (_int(lo, "bounds"), _int(hi, "bounds"))
-            for lo, hi in variables["z"]["bounds"]
-        )
-        equalities = tuple(
-            LinearEquality(
-                lam=tuple(_int(x, "equalities.lambda") for x in eq["lambda"]),
-                z=tuple(_int(x, "equalities.z") for x in eq["z"]),
-                rhs=_int(eq["rhs"], "equalities.rhs"),
-            )
-            for eq in doc["equalities"]
-        )
-        rows = tuple(
-            GeneralRow(
-                normal=tuple(_int(x, "general_rows.normal") for x in row["normal"]),
-                lower=tuple(_int(x, "general_rows.lower") for x in row["lower"]),
-                upper=tuple(_int(x, "general_rows.upper") for x in row["upper"]),
-            )
-            for row in doc["general_rows"]
-        )
-        f = Formulation(n, r, equalities, rows, z_bounds)
-    except (KeyError, TypeError, ValueError) as err:
-        if isinstance(err, IdealformError):
-            raise
-        raise InputError(f"malformed formulation document: {err!r}") from err
-
+    doc = _object(doc, "formulation document")
+    variables = _object(doc.get("variables"), "variables")
+    lam = _object(variables.get("lambda"), "variables.lambda")
+    z = _object(variables.get("z"), "variables.z")
+    # Formulation checks the rows and bounds against the variable counts.
+    f = _build("variables", Formulation,
+               _int(lam.get("count"), "variables.lambda.count"),
+               _int(z.get("count"), "variables.z.count"),
+               _list(doc.get("equalities"), "equalities", _equality, "objects"),
+               _list(doc.get("general_rows"), "general_rows", _general_row, "objects"),
+               _list(z.get("bounds"), "variables.z.bounds", _bound, "[lo, hi] pairs"))
     recovery = None
     if "recovery" in doc:
         recovery = _recovery_map(doc["recovery"])
@@ -401,8 +397,7 @@ def formulation_from_document(doc: dict) -> tuple[Formulation, RecoveryMap | Non
 
 
 def _recovery_map(raw) -> RecoveryMap:
-    if not isinstance(raw, dict):
-        raise InputError("recovery: expected an object")
+    raw = _object(raw, "recovery")
     kind = raw.get("kind")
     if not isinstance(kind, str):
         raise InputError("recovery.kind: expected a string")
@@ -415,7 +410,8 @@ def _recovery_map(raw) -> RecoveryMap:
             raise InputError("recovery.points: expected a list of [x, y] pairs")
         points = tuple(tuple(coordinate(x, f"recovery.points[{i}]") for x in p)
                        for i, p in enumerate(points))
-    return RecoveryMap(kind=kind, points=points, epigraph=bool(raw.get("epigraph", False)))
+    epigraph = _choice(raw.get("epigraph", False), "recovery.epigraph", (False, True))
+    return RecoveryMap(kind=kind, points=points, epigraph=bool(epigraph))
 
 
 def document_text(doc: dict) -> str:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import product
+from math import prod
 from operator import mul
 
 from .errors import (
@@ -197,14 +198,12 @@ def is_hole_free(e: Encoding) -> bool:
     HoleCheckTooLarge instead of silently taking forever.
     """
     bounds = code_bounds(e)
-    volume = 1
-    for lo, hi in bounds:
-        volume *= hi - lo + 1
-        if volume > DEFAULT_HOLE_CAP:
-            raise HoleCheckTooLarge(
-                f"lattice box has more than {DEFAULT_HOLE_CAP} points, the fixed "
-                f"cap of the hole-freeness scan"
-            )
+    volume = prod(hi - lo + 1 for lo, hi in bounds)
+    if volume > DEFAULT_HOLE_CAP:
+        raise HoleCheckTooLarge(
+            f"lattice box has {volume} points, more than {DEFAULT_HOLE_CAP} points, "
+            f"the fixed cap of the hole-freeness scan"
+        )
     equations, facets, row_set = e.equations, e.facets, set(e.rows)
     for point in product(*(range(lo, hi + 1) for lo, hi in bounds)):
         if point in row_set:

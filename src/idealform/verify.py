@@ -51,6 +51,10 @@ from .errors import InputError, TooLargeToEnumerate
 from .formulation import Formulation
 from .linalg import DEFAULT_ENUM_CAP, Vec, dd_cut
 
+# Integers held across all vertices at once, n + r + 1 per vertex: the
+# vertex budget alone lets a wide formulation exhaust memory.
+DEFAULT_ENTRY_CAP = 10**7
+
 
 @dataclass(frozen=True)
 class VertexSet:
@@ -99,9 +103,19 @@ def _check_sizes(c: Cdc, e: Encoding, f: Formulation | None = None) -> None:
         )
 
 
+def _check_entries(count: int, width: int, what: str) -> None:
+    """TooLargeToEnumerate when count vectors of width integers are too many."""
+    if count * width > DEFAULT_ENTRY_CAP:
+        raise TooLargeToEnumerate(
+            f"{what}: {count} vertices of {width} integers, {count * width} in all, "
+            f"over the cap of {DEFAULT_ENTRY_CAP} integers"
+        )
+
+
 def embedding_extreme_points(c: Cdc, e: Encoding) -> VertexSet:
     """All points (e^w, h^j) with w covered by alternative j."""
     _check_sizes(c, e)
+    _check_entries(sum(map(len, c.alternatives)), c.n + e.r + 1, "the embedding")
     points: set[tuple[int, ...]] = set()
     for alt, code in zip(c.alternatives, e.rows):
         tail = [*code, 1]
@@ -113,15 +127,18 @@ def embedding_extreme_points(c: Cdc, e: Encoding) -> VertexSet:
 
 
 def _cuts(f: Formulation):
-    """The rows as (homogeneous cut, is equality): the equalities, then
-    both sides of each general row, lower first. The simplex and the box
-    are not included; the enumeration starts from them."""
-    cuts = [([*eq.lam, *eq.z, -eq.rhs], True) for eq in f.equalities]
-    for row in f.general_rows:
+    """The rows as (homogeneous cut, is equality, name): the equalities,
+    then both sides of each general row, lower first. The simplex and the
+    box are not included; the enumeration starts from them."""
+    cuts = [([*eq.lam, *eq.z, -eq.rhs], True, f"equality row {i}")
+            for i, eq in enumerate(f.equalities)]
+    for k, row in enumerate(f.general_rows):
         # lower . lambda - b . z <= 0
-        cuts.append(([*row.lower, *(-x for x in row.normal), 0], False))
+        cuts.append(([*row.lower, *(-x for x in row.normal), 0], False,
+                     f"general row {k} (lower side)"))
         # b . z - upper . lambda <= 0
-        cuts.append(([*(-x for x in row.upper), *row.normal, 0], False))
+        cuts.append(([*(-x for x in row.upper), *row.normal, 0], False,
+                     f"general row {k} (upper side)"))
     return cuts
 
 
@@ -151,13 +168,6 @@ def _base_polytope(n: int, z_bounds):
     return vertices, masks, 1 + n + 2 * len(z_bounds)
 
 
-def _cut_name(equalities: int, index: int) -> str:
-    if index < equalities:
-        return f"equality row {index}"
-    k, side = divmod(index - equalities, 2)
-    return f"general row {k} ({('lower', 'upper')[side]} side)"
-
-
 def _to_fractions(x) -> Vec:
     *numerators, den = x
     if den == 1:
@@ -170,7 +180,8 @@ def enumerate_vertices(f: Formulation, *, max_vertices: int = DEFAULT_ENUM_CAP) 
 
     The relaxation keeps every row of the formulation, including the z
     bounds, but drops integrality. Raises TooLargeToEnumerate when an
-    intermediate vertex set grows past ``max_vertices``.
+    intermediate vertex set grows past ``max_vertices``, or holds more than
+    DEFAULT_ENTRY_CAP integers.
     """
     start = f.n_lambda * prod(len({lo, hi}) for lo, hi in f.z_bounds)
     if start > max_vertices:
@@ -178,17 +189,20 @@ def enumerate_vertices(f: Formulation, *, max_vertices: int = DEFAULT_ENUM_CAP) 
             f"the starting simplex-times-box polytope already has "
             f"{start} vertices, over the cap of {max_vertices}"
         )
+    width = f.n_lambda + f.r_z + 1
+    _check_entries(start, width, "the starting simplex-times-box polytope")
     vertices, masks, first_bit = _base_polytope(f.n_lambda, f.z_bounds)
     need = f.n_lambda + f.r_z - 1
-    for index, (row, is_equality) in enumerate(_cuts(f)):
+    for index, (row, is_equality, name) in enumerate(_cuts(f)):
         vertices, masks = dd_cut(vertices, masks, row, 1 << (first_bit + index),
                                  is_equality, need)
         if len(vertices) > max_vertices:
             raise TooLargeToEnumerate(
                 f"vertex enumeration exceeded the cap of {max_vertices} "
-                f"intermediate vertices: {len(vertices)} after cut {index}, "
-                f"{_cut_name(len(f.equalities), index)}"
+                f"intermediate vertices: {len(vertices)} after cut {index}, {name}"
             )
+        _check_entries(len(vertices), width,
+                       f"vertex enumeration after cut {index}, {name}")
     return VertexSet(frozenset(map(tuple, vertices)))
 
 

@@ -77,8 +77,8 @@ class TestEncode:
         # The zig-zag box at s = 8 is over the hole check's cap.
         code, out, err = run(capsys, "encode", "--kind", "zigzag", "--s", "8")
         assert (code, out) == (4, "")
-        assert err == "error: lattice box has more than 1000000 points, " \
-                      "the fixed cap of the hole-freeness scan\n"
+        assert err == "error: lattice box has 1270075950 points, more than 1000000 " \
+                      "points, the fixed cap of the hole-freeness scan\n"
         target = tmp_path / "codes.txt"
         code, out, _ = run(capsys, "encode", "--kind", "zigzag", "--s", "8",
                            "--out", str(target))
@@ -243,7 +243,7 @@ class TestFixedCaps:
         monkeypatch.setattr(encoding, "DEFAULT_HOLE_CAP", 3)
         code, out, err = run(capsys, "formulate", write_doc(SOS2_DOC))
         assert (code, out) == (4, "")
-        assert err == ("error: lattice box has more than 3 points, "
+        assert err == ("error: lattice box has 4 points, more than 3 points, "
                        "the fixed cap of the hole-freeness scan\n")
 
 
@@ -469,6 +469,20 @@ class TestVerify:
         assert err == (f"error: the starting simplex-times-box polytope already has "
                        f"{3 * 2**r} vertices, over the cap of 50000\n")
 
+    def test_wide_start_polytope_exits_4_at_once(self, capsys, write_doc):
+        # 20,000 elements in two alternatives with 1-bit codes: 40,000 start
+        # vertices, under the vertex budget, of 20,002 integers each.
+        problem = write_doc({"kind": "cdc", "cdc": {
+            "alternatives": [list(range(1, 10001)), list(range(10000, 20001))],
+            "encoding": {"explicit": [[0], [1]]}}})
+        start = time.perf_counter()
+        code, out, err = run(capsys, "formulate", problem, "--check", "ideal")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (4, "")
+        assert err == ("error: the starting simplex-times-box polytope: 40000 vertices "
+                       "of 20002 integers, 800080000 in all, over the cap of 10000000 "
+                       "integers\n")
+
     @pytest.mark.parametrize("cap", ["0", "-5"])
     def test_enum_cap_below_one_is_a_usage_error(self, capsys, write_doc, tmp_path, cap):
         problem = write_doc(SOS2_DOC)
@@ -507,8 +521,7 @@ class TestMalformedInput:
             (lambda d: d["recovery"].pop("kind"), "recovery.kind"),
             (lambda d: d["recovery"]["points"][0].__setitem__(0, "x"),
              "recovery.points[0]"),
-            (lambda d: d["variables"]["z"]["bounds"][0].reverse(),
-             "malformed formulation document"),
+            (lambda d: d["variables"]["z"]["bounds"][0].reverse(), "variables"),
         ],
     )
     def test_verify(self, capsys, write_doc, tmp_path, damage, field):
@@ -521,6 +534,30 @@ class TestMalformedInput:
         code, out, err = run(capsys, "verify", problem, str(formulation))
         assert code == 1
         assert out == ""
+        assert err.startswith(f"error: {field}: ")
+        assert "Traceback" not in err
+
+    # Each damage edits the document in place, or returns its replacement.
+    @pytest.mark.parametrize(
+        "damage, field",
+        [
+            (lambda d: d.__delitem__("variables"), "variables"),
+            (lambda d: d["variables"]["z"]["bounds"][1].__delitem__(1),
+             "variables.z.bounds[1]"),
+            (lambda d: d["equalities"][0].__delitem__("rhs"), "equalities[0].rhs"),
+            (lambda d: d["general_rows"][1].update(normal=[0, 0]), "general_rows[1]"),
+            (lambda d: [d], "formulation document"),
+        ],
+    )
+    def test_verify_names_the_formulation_field(self, capsys, write_doc, tmp_path,
+                                                damage, field):
+        problem = write_doc(SOS2_DOC)
+        formulation = tmp_path / "f.json"
+        assert run(capsys, "formulate", problem, "--out", str(formulation))[0] == 0
+        doc = json.loads(formulation.read_text())
+        formulation.write_text(json.dumps(damage(doc) or doc))
+        code, out, err = run(capsys, "verify", problem, str(formulation))
+        assert (code, out) == (1, "")
         assert err.startswith(f"error: {field}: ")
         assert "Traceback" not in err
 

@@ -283,7 +283,7 @@ class TestRoundTrip:
         assert a.endswith("\n")
 
     def test_malformed_formulation_document(self):
-        with pytest.raises(InputError, match="malformed formulation"):
+        with pytest.raises(InputError, match="variables.lambda: expected an object"):
             formulation_from_document({"variables": {}})
 
     @pytest.mark.parametrize(

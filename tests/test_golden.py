@@ -56,6 +56,18 @@ FLAT = {
     },
 }
 
+# The formulate output for SOS2 over four alternatives, less its provenance,
+# for verify.
+SOS2_D4_FORMULATION = {
+    "variables": {"lambda": {"count": 5, "lower": 0},
+                  "z": {"count": 2, "integer": True, "bounds": [[0, 1], [0, 1]]}},
+    "equalities": [{"lambda": [1, 1, 1, 1, 1], "z": [0, 0], "rhs": 1}],
+    "general_rows": [
+        {"normal": [0, 1], "lower": [0, 0, 0, 1, 1], "upper": [0, 0, 1, 1, 1]},
+        {"normal": [1, 0], "lower": [0, 0, 1, 0, 0], "upper": [0, 1, 1, 1, 0]},
+    ],
+}
+
 DOCUMENTS = {
     "sos2": _cdc(_sos(8, 2), "gray"),
     "sos3": _cdc(_sos(8, 3), "gray"),
@@ -63,7 +75,33 @@ DOCUMENTS = {
     "pwl-deficit": _pwl([0, 2, 7, 13, 22, 45]),
     "explicit": EXPLICIT,
     "flat": FLAT,
+    "sos2-d4": _cdc(_sos(4, 2), "gray"),
+    "sos2-d4-formulation": SOS2_D4_FORMULATION,
+    # Without its second general row the relaxation gains vertices of no
+    # alternative: verify fails and names them.
+    "sos2-d4-one-row": {**SOS2_D4_FORMULATION,
+                        "general_rows": SOS2_D4_FORMULATION["general_rows"][:1]},
+    "sos2-d4-no-rhs": {**SOS2_D4_FORMULATION,
+                       "equalities": [{"lambda": [1, 1, 1, 1, 1], "z": [0, 0]}]},
 }
+
+# One malformed problem document per field reader, each run through formulate.
+MALFORMED = {
+    "alternatives-not-a-list": {"kind": "cdc", "cdc": {"alternatives": 5}},
+    "float-in-explicit-row": {
+        "kind": "cdc",
+        "cdc": {**EXPLICIT["cdc"],
+                "encoding": {"explicit": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
+                                          [1, 1, 1.0]]}},
+    },
+    "float-slope": {"kind": "pwl",
+                    "pwl": {**_pwl([0, 4, 7, 13, 22, 45])["pwl"],
+                            "slopes": [5, 3, 2, 0.5, -1, -4]}},
+    "unknown-check": {**_cdc(_sos(8, 2), "gray"), "options": {"check": "full"}},
+    "annulus-d6": {"kind": "annulus", "annulus": {"d": 6}},
+    "unknown-kind": {"kind": "milp", "milp": {}},
+}
+DOCUMENTS.update({f"malformed-{name}": doc for name, doc in MALFORMED.items()})
 
 CASES = {
     **{f"formulate-{name}-{enc}": ["formulate", name, "--encoding", enc]
@@ -79,6 +117,11 @@ CASES = {
        for enc in ("gray", "zigzag") for fmt in ("json", "lp")},
     **{f"encode-{kind}-s{s}": ["encode", "--kind", kind, "--s", str(s)]
        for kind in ("gray", "zigzag") for s in range(1, 5)},
+    **{f"malformed-{name}": ["formulate", f"malformed-{name}"] for name in MALFORMED},
+    "verify-ideal": ["verify", "sos2-d4", "sos2-d4-formulation"],
+    "verify-validity": ["verify", "sos2-d4", "sos2-d4-formulation", "--check", "validity"],
+    "verify-one-row": ["verify", "sos2-d4", "sos2-d4-one-row"],
+    "verify-malformed": ["verify", "sos2-d4", "sos2-d4-no-rhs"],
 }
 
 # case -> (exit code, sha256 of stdout, sha256 of stderr)
@@ -152,6 +195,36 @@ GOLDEN = {
     'pwl-jumps-zigzag': (0,
         '9dc121a5882871404a2be1719df73755328fc4b4ceb62bfb2f742c0d0047d7f6',
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'malformed-alternatives-not-a-list': (1,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '3a1ce1a1aa82dd26d8d0575e54e4b4edd4adc8c322e141968b4d5032df0336eb'),
+    'malformed-annulus-d6': (1,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'c56d14edd6bb963fa7f5d7377c05214f50f63e88f7be6ec554ac3fbbe98a48b2'),
+    'malformed-float-in-explicit-row': (1,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '266b30142545e2910d89ecad862747659ccf29a0077598b77c91bf0b876f458f'),
+    'malformed-float-slope': (1,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '9132ff0dd20a562d9e0099a7464908e3258d0be6fb11ada623da9a063f8e22a2'),
+    'malformed-unknown-check': (1,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'e6924db1907fe0955b533b08ff0fa3916597954da52e4742123b36754749b469'),
+    'malformed-unknown-kind': (1,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'cffe9d0b8ba2ed1d7fce2e6c6441d5ebbe6bff35a11ebd19fa0953cdfb98422b'),
+    'verify-ideal': (0,
+        'bf389516f91e06882d0f1f6724a9b341bb8eb200f31bd5e2c36cb007f084b9e8',
+        'f4be86e63af52b226024f75174bf54448b6be1d7fa7374226309a31f50be0249'),
+    'verify-one-row': (3,
+        'b9d37d6e6570d618ae361ff16e7f8a8ae4207cf330503ce151514f737bcb9d3e',
+        'a4e0044ae0739fae99fbc0dd783dbf5bc4362b56157a907c4d18bae8f761d1c9'),
+    'verify-validity': (0,
+        '2585961237c460ed267f75067357a73d0e11a533288f295693a6bc9fd24ea24f',
+        'ff76873a8460f60a605de8cdad973b270db1c5cd1ab6cad5a63993e63792c6c2'),
+    'verify-malformed': (1,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '2dbc095a4cf034b48ce8dae195e726c66fecb5535e7883474dd5d86f3a9a7334'),
 }
 
 

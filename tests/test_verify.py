@@ -554,3 +554,26 @@ class TestCapMessage:
                            match=r"cap of 256 intermediate vertices: 280 after cut 1, "
                                  r"equality row 1$"):
             enumerate_vertices(f, max_vertices=256)
+
+
+class TestEntryCap:
+    """The integers held across all vertices are capped, not only their count."""
+
+    def test_after_a_cut(self, monkeypatch):
+        # Four vertices of four integers to start; the upper side of row 1
+        # leaves five.
+        monkeypatch.setattr(verify, "DEFAULT_ENTRY_CAP", 16)
+        f = TestCapMessage.square(GeneralRow((1, 0), (0,), (1,)),
+                                  GeneralRow((2, 2), (0,), (3,)))
+        with pytest.raises(TooLargeToEnumerate,
+                           match=r"^vertex enumeration after cut 4, general row 1 "
+                                 r"\(upper side\): 5 vertices of 4 integers, 20 in all, "
+                                 r"over the cap of 16 integers$"):
+            enumerate_vertices(f)
+
+    def test_embedding_counted_before_it_is_built(self, monkeypatch):
+        # Eight points (e^w, h^j, 1) of 5 + 2 + 1 integers.
+        monkeypatch.setattr(verify, "DEFAULT_ENTRY_CAP", 63)
+        with pytest.raises(TooLargeToEnumerate,
+                           match=r"^the embedding: 8 vertices of 8 integers, 64 in all"):
+            embedding_extreme_points(sos2(4), make_encoding(4, EncodingKind.GRAY))
