@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
-from operator import mul
 
 from .encoding import Encoding, code_bounds, is_hole_free, is_in_convex_position
 from .errors import (
@@ -231,17 +230,30 @@ def formulation_for_normals(c: Cdc, e: Encoding, normals) -> Formulation:
 
 def rows_for_normals(c: Cdc, e: Encoding, normals) -> tuple[GeneralRow, ...]:
     """One paired row per normal: each ground element's coefficients are the
-    extreme values of normal . code over the alternatives that use it."""
+    extreme values of normal . code over the alternatives that use it.
+
+    The work goes column by column. Slot j lists each element's j-th user,
+    or its first user when it has fewer than j + 1, so a row is normal .
+    code from the code columns, one C-level lookup per slot and a pairwise
+    fold over the slots. Tuples are built from lists (see verify.py).
+    """
+    users: list[list[int]] = [[] for _ in range(c.n)]
+    for i, alternative in enumerate(c.alternatives):
+        for v in alternative:
+            users[v - 1].append(i)
+    slots = [[u[j] if j < len(u) else u[0] for u in users]
+             for j in range(max(map(len, users)))]
+    columns = [[code[j] for code in e.rows] for j in range(e.r)]
     rows = []
     for normal in normals:
-        values = [sum(map(mul, normal, code)) for code in e.rows]
-        lower = [max(values)] * c.n
-        upper = [min(values)] * c.n
-        for value, alternative in zip(values, c.alternatives):
-            for v in alternative:
-                if value < lower[v - 1]:
-                    lower[v - 1] = value
-                if value > upper[v - 1]:
-                    upper[v - 1] = value
+        values = [0] * e.d
+        for b, column in zip(normal, columns):
+            if b:
+                values = [x + b * h for x, h in zip(values, column)]
+        lower = upper = list(map(values.__getitem__, slots[0]))
+        for slot in slots[1:]:
+            picked = list(map(values.__getitem__, slot))
+            lower = [x if x < y else y for x, y in zip(lower, picked)]
+            upper = [x if x > y else y for x, y in zip(upper, picked)]
         rows.append(GeneralRow(tuple(normal), tuple(lower), tuple(upper)))
     return tuple(rows)

@@ -8,6 +8,11 @@ recovery where the corner coordinates are display data. Parsing an
 emitted formulation document reproduces the Formulation and RecoveryMap
 field-for-field, which is what lets a verification run consume an emitted
 file instead of an in-process object.
+
+``document_text`` is the one JSON writer. Its bytes equal
+``json.dumps(doc, indent=2) + "\\n"``, which the tests check against that
+oracle; it writes each list of plain ints with one join in C, where
+json.dumps with an indent falls back to its pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -147,7 +152,9 @@ def _rational(value, field: str) -> Fraction:
                              f"in absolute value")
     try:
         return Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as err:
+    except ZeroDivisionError as err:
+        raise InputError(f"{field}: zero denominator") from err
+    except (ValueError, TypeError) as err:
         _fail(field, err)
 
 
@@ -219,8 +226,12 @@ def _encoding_spec(body: dict, field: str, allow_explicit: bool):
     if isinstance(spec, dict) and set(spec) == {"explicit"}:
         if not allow_explicit:
             raise InputError(f"{field}: this problem kind picks its own codes")
-        return EncodingKind.EXPLICIT, _list(spec["explicit"], f"{field}.explicit",
-                                            _ints, "integer rows")
+        rows = _list(spec["explicit"], f"{field}.explicit", _ints, "integer rows")
+        for i, row in enumerate(rows):
+            if len(row) != len(rows[0]):
+                raise InputError(f"{field}.explicit[{i}]: expected {len(rows[0])} "
+                                 f"entries like row 0, got {len(row)}")
+        return EncodingKind.EXPLICIT, rows
     raise InputError(f"{field}: expected an encoding name or {{'explicit': rows}}")
 
 
@@ -415,4 +426,34 @@ def _recovery_map(raw) -> RecoveryMap:
 
 
 def document_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """The bytes of ``json.dumps(doc, indent=2) + "\\n"``; keys are strings,
+    as in every document. The pieces are collected and joined once."""
+    out: list[str] = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, pad: str, out: list[str]) -> None:
+    """Append value's text to out; pad is a newline and its line's indent."""
+    inner = pad + "  "
+    if not isinstance(value, (dict, list, tuple)):
+        out.append(json.dumps(value))
+    elif not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
+        sep = "{" + inner
+        for key, item in value.items():
+            out += (sep, json.dumps(key), ": ")
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif set(map(type, value)) == {int}:
+        out += ("[", inner, ("," + inner).join(map(int.__repr__, value)), pad, "]")
+    else:
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(pad + "]")

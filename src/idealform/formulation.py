@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import gt
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,7 @@ class GeneralRow:
     def __post_init__(self) -> None:
         if not any(self.normal):
             raise ValueError("a general row needs a nonzero normal")
-        if any(lo > up for lo, up in zip(self.lower, self.upper)):
+        if any(map(gt, self.lower, self.upper)):
             raise ValueError("row lower coefficients exceed the upper ones")
 
 

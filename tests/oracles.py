@@ -15,12 +15,16 @@ package implementation, so agreement is evidence rather than tautology:
   replaced it),
 * convex-hull membership via an exact phase-one simplex, one LP per
   question (the facets of the code hull in idealform.encoding replaced it).
+* JSON text via json.dumps with an indent, which runs the standard
+  library's pure-Python encoder (idealform.documents.document_text
+  replaced it).
 
 Most are exponential and meant for desk-scale fixtures only.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
@@ -231,6 +235,11 @@ def hull_equations_from_all_directions(points) -> list[tuple[int, ...]]:
     base = vec(points[0])
     dirs = [tuple(Fraction(x) - b for x, b in zip(p, base)) for p in points[1:]]
     return [primitive_canonical(v) for v in nullspace(dirs, len(base))]
+
+
+def json_text(doc) -> str:
+    """The document as json.dumps writes it with a two-space indent."""
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def rows_by_covering_lists(c, e, normals) -> list[tuple]:

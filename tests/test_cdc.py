@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idealform import encoding
+from idealform.annulus import annulus_cdc
 from idealform.cdc import (
     cdc,
     check_dim_condition,
@@ -259,10 +260,21 @@ class TestConnectivityImpliesSpanning:
 class TestFormulationForNormals:
     def test_rows_match_the_covering_list_oracle(self):
         rng = random.Random(20261018)
-        for _ in range(40):
-            c = random_connected_cdc(rng)
+        cases = [random_connected_cdc(rng) for _ in range(40)]
+        # SOS-k windows: the end elements have one user, the middle ones k.
+        cases += [cdc(d + k - 1, [range(i, i + k) for i in range(1, d + 1)])
+                  for d, k in ((4, 1), (5, 4), (8, 3), (16, 5))]
+        cases += [annulus_cdc(d) for d in (4, 8, 16)]
+        users = [[sum(v in alt for alt in c.alternatives) for v in range(1, c.n + 1)]
+                 for c in cases]
+        assert any(1 in u for u in users) and any(max(u) >= 5 for u in users)
+        for c in cases:
             e = make_encoding(c.d, rng.choice([EncodingKind.GRAY, EncodingKind.ZIGZAG]))
             normals = [tuple(rng.randint(-3, 3) for _ in range(e.r)) for _ in range(4)]
+            # Sparse normals, as the closed forms use: zero entries are skipped.
+            normals += unit_normals(e.r) + [
+                tuple(rng.choice([0, 0, rng.randint(-4, 4)]) for _ in range(e.r))
+                for _ in range(4)]
             normals = [b for b in normals if any(b)]
             rows = rows_for_normals(c, e, normals)
             assert [(r.normal, r.lower, r.upper) for r in rows] == (

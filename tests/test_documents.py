@@ -24,6 +24,7 @@ from idealform.errors import IdealformError, InputError, NotPowerOfTwo
 from idealform.formulation import RecoveryMap
 from idealform.pwl import pwl, pwl_formulation
 from idealform.verify import check_ideal
+from oracles import json_text
 
 import json
 
@@ -161,6 +162,9 @@ class TestParseProblem:
             ('{"kind": "cdc", "cdc": {"alternatives": [[1, 2], [2, 3]],'
              ' "encoding": {"explicit": [[0], 1]}}}',
              r"cdc.encoding.explicit\[1\]: expected a list"),
+            ('{"kind": "cdc", "cdc": {"alternatives": [[1, 2], [2, 3], [3, 4], [4, 1]],'
+             ' "encoding": {"explicit": [[0, 0], [1], [1, 1], [0, 1]]}}}',
+             r"^cdc\.encoding\.explicit\[1\]: expected 2 entries like row 0, got 1$"),
             ('{"kind": "cdc", "cdc": {"alternatives": [[1, 2], 3]}}',
              r"cdc.alternatives\[1\]: expected a list"),
             ('{"kind": "cdc", "cdc": {"n": -3, "alternatives": [[1, 2], [2, 3]]}}',
@@ -172,6 +176,9 @@ class TestParseProblem:
             ('{"kind": "pwl", "pwl": {"breakpoints": [0, 1, 2],'
              ' "slopes": ["1e1000000", 2], "intercepts": [0, -1]}}',
              r"^pwl\.slopes\[0\]: exponents are limited"),
+            ('{"kind": "pwl", "pwl": {"breakpoints": [0, 1, 2],'
+             ' "slopes": ["1/0", 2], "intercepts": [0, -1]}}',
+             r"^pwl\.slopes\[0\]: zero denominator$"),
             ('{"kind": "pwl", "pwl": {"breakpoints": [0, "-1e-1_000_000", 2],'
              ' "slopes": [1, 2], "intercepts": [0, -1]}}',
              r"^pwl\.breakpoints\[1\]: exponents are limited"),
@@ -216,6 +223,20 @@ class TestParseProblem:
             frozenset({1, 2}),
             frozenset({2, 3}),
         )
+
+
+# Values for the JSON writer: escaped and non-ASCII strings, ints wider than
+# 64 bits, lists of ints with bools among them, finite floats, tuples and
+# empty or nested containers.
+WIDE_INTS = st.integers() | st.integers(min_value=-2**100, max_value=2**100)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | WIDE_INTS | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.lists(WIDE_INTS | st.booleans(), max_size=6) | st.lists(WIDE_INTS, max_size=6)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
 
 
 def roundtrip(f, recovery=None, **kwargs):
@@ -273,6 +294,11 @@ class TestRoundTrip:
         }
         back, _ = formulation_from_document(doc)
         assert back == f
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=st.dictionaries(st.text(), JSON_VALUES, max_size=6))
+    def test_document_text_matches_json_dumps(self, doc):
+        assert document_text(doc) == json_text(doc)
 
     def test_document_text_is_deterministic(self):
         c = cdc(5, [[1, 2], [2, 3], [3, 4], [4, 5]])

@@ -12,6 +12,7 @@ import io
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,21 @@ def _pwl(intercepts) -> dict:
             "pwl": {"breakpoints": [0, 1, 3, 4, 6, 7, 9],
                     "slopes": [5, 3, 2, "1/2", -1, -4],
                     "intercepts": intercepts, "encoding": "gray"}}
+
+
+# A continuous function over d pieces, with one jump of +1 at breakpoint
+# `jump`; fractional slopes put "p/q" strings in the recovery points. A jump
+# outside the middle quarter spans keeps the closed form.
+def _pwl_one_jump(d: int, jump: int) -> dict:
+    slopes = [Fraction((i * 7) % 11 - 5, 1 + i % 3) for i in range(d)]
+    intercepts = [Fraction(0)]
+    for i in range(1, d):
+        step = (slopes[i - 1] - slopes[i]) * i + (1 if i + 1 == jump else 0)
+        intercepts.append(intercepts[-1] + step)
+    return {"kind": "pwl",
+            "pwl": {"breakpoints": list(range(d + 1)),
+                    "slopes": [str(x) for x in slopes],
+                    "intercepts": [str(x) for x in intercepts], "encoding": "gray"}}
 
 
 # An explicit encoding: a corner simplex plus the all-ones code, hole-free.
@@ -73,6 +89,7 @@ DOCUMENTS = {
     "sos3": _cdc(_sos(8, 3), "gray"),
     "pwl-jumps": _pwl([0, 4, 7, 13, 22, 45]),
     "pwl-deficit": _pwl([0, 2, 7, 13, 22, 45]),
+    "pwl-d64-one-jump": _pwl_one_jump(64, 5),
     "explicit": EXPLICIT,
     "flat": FLAT,
     "sos2-d4": _cdc(_sos(4, 2), "gray"),
@@ -97,6 +114,8 @@ MALFORMED = {
     "float-slope": {"kind": "pwl",
                     "pwl": {**_pwl([0, 4, 7, 13, 22, 45])["pwl"],
                             "slopes": [5, 3, 2, 0.5, -1, -4]}},
+    "ragged-explicit-rows": _cdc([[1, 2], [2, 3], [3, 4], [4, 1]],
+                                 {"explicit": [[0, 0], [1], [1, 1], [0, 1]]}),
     "unknown-check": {**_cdc(_sos(8, 2), "gray"), "options": {"check": "full"}},
     "annulus-d6": {"kind": "annulus", "annulus": {"d": 6}},
     "unknown-kind": {"kind": "milp", "milp": {}},
@@ -113,8 +132,12 @@ CASES = {
     **{f"pwl-jumps-{enc}": ["pwl", "pwl-jumps", "--encoding", enc]
        for enc in ("gray", "zigzag")},
     "pwl-deficit": ["pwl", "pwl-deficit"],
+    "pwl-d64-one-jump": ["pwl", "pwl-d64-one-jump"],
     **{f"annulus-d8-{enc}-{fmt}": ["annulus", "--d", "8", "--encoding", enc, "--format", fmt]
        for enc in ("gray", "zigzag") for fmt in ("json", "lp")},
+    **{f"annulus-d256-zigzag-{fmt}": ["annulus", "--d", "256", "--encoding", "zigzag",
+                                      "--format", fmt] for fmt in ("json", "lp")},
+    "annulus-d64-radii": ["annulus", "--d", "64", "--inner", "1", "--outer", "2"],
     **{f"encode-{kind}-s{s}": ["encode", "--kind", kind, "--s", str(s)]
        for kind in ("gray", "zigzag") for s in range(1, 5)},
     **{f"malformed-{name}": ["formulate", f"malformed-{name}"] for name in MALFORMED},
@@ -225,6 +248,21 @@ GOLDEN = {
     'verify-malformed': (1,
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         '2dbc095a4cf034b48ce8dae195e726c66fecb5535e7883474dd5d86f3a9a7334'),
+    'annulus-d256-zigzag-json': (0,
+        '1a7e4e52429a3a60899ba251baf58faf49a014d6f9c4ead26b5db4758aaf8d56',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'annulus-d256-zigzag-lp': (0,
+        '1033212627bb30b6364b4659cc240bfb344da9e9b0f77b073ac0cffcbb4452b6',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'annulus-d64-radii': (0,
+        '065b731de09d90c3b30762459f7e767b0b091cf712ae79fc4f47ac6e9746da3f',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'pwl-d64-one-jump': (0,
+        'f0ba9798dcf64aa890b35440e7dc3f9b5d5c6ee31a2007a23cc77b2747412435',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'malformed-ragged-explicit-rows': (1,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'c6de6c2af7478d8541723e3f7af89120c15cbf3193c9479619f1e36b16e144ce'),
 }
 
 
