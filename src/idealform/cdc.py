@@ -14,6 +14,7 @@ than merely valid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, islice
 from math import comb
 
@@ -28,7 +29,7 @@ from .errors import (
     TooManyDirections,
 )
 from .formulation import Formulation, GeneralRow, LinearEquality
-from .linalg import kernel, primitive, rank
+from .linalg import kernel, pivot_kernel, pivot_step, primitive, rank
 
 # C(20, 10): any set of at most 20 directions fits, whatever its rank.
 DEFAULT_SUBSET_CAP = comb(20, 10)
@@ -134,15 +135,19 @@ def check_dim_condition(dirs: DifferenceDirections, e: Encoding) -> bool:
 
 def spanned_hyperplane_normals(directions) -> tuple[tuple[int, ...], ...]:
     """Primitive normals of all hyperplanes of span(directions) spanned by
-    the directions themselves.
+    the integer directions themselves.
 
     With m the rank of the directions, an (m-1)-subset spans a hyperplane
     of the span exactly when the subset rows together with the orthogonal
     complement of the span leave a one-dimensional kernel, and that kernel
-    is the hyperplane's normal inside the span. For m = 1 the empty subset
-    leaves the line itself. Results are deduplicated and sorted. Directions
-    of rank 0, none at all included, raise NoDirections; more than
-    DEFAULT_SUBSET_CAP subsets raise TooManyDirections before any is built.
+    is the hyperplane's normal inside the span. The walk goes depth-first
+    in combinations order, one pivot step per level from the complement's
+    pivots, and prunes a branch at the first direction dependent on its
+    prefix; each leaf reads its normal from its pivots. For m = 1 the empty
+    subset leaves the line itself. Results are deduplicated and sorted.
+    Directions of rank 0, none at all included, raise NoDirections; more
+    than DEFAULT_SUBSET_CAP subsets, C(k, m-1) for k directions and a bound
+    on the leaves, raise TooManyDirections before the walk.
     """
     dirs = list(directions)
     r = len(dirs[0]) if dirs else 0
@@ -157,10 +162,17 @@ def spanned_hyperplane_normals(directions) -> tuple[tuple[int, ...], ...]:
             f"over the enumeration cap of {DEFAULT_SUBSET_CAP}"
         )
     normals: set[tuple[int, ...]] = set()
-    for subset in combinations(dirs, m - 1):
-        normal = kernel([*subset, *complement], r)
-        if len(normal) == 1:
-            normals.add(normal[0])
+
+    def walk(pivots, first: int, left: int) -> None:
+        if not left:
+            normals.add(pivot_kernel(pivots, r)[0])
+            return
+        for j in range(first, len(dirs) - left + 1):
+            extended = pivot_step(pivots, dirs[j])
+            if extended is not None:
+                walk(extended, j + 1, left - 1)
+
+    walk(reduce(pivot_step, complement, []), 0, m - 1)
     return tuple(sorted(normals))
 
 

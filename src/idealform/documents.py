@@ -448,8 +448,10 @@ def _write(value, pad: str, out: list[str]) -> None:
             _write(item, inner, out)
             sep = "," + inner
         out.append(pad + "}")
-    elif set(map(type, value)) == {int}:
-        out += ("[", inner, ("," + inner).join(map(int.__repr__, value)), pad, "]")
+    elif (kinds := set(map(type, value))) == {int} or (
+            kinds == {float} and all(map(math.isfinite, value))):
+        # json.dumps writes an int or a finite float as its repr.
+        out += ("[", inner, ("," + inner).join(map(repr, value)), pad, "]")
     else:
         sep = "[" + inner
         for item in value:

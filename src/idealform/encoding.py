@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
-from math import prod
+from math import gcd, prod
 from operator import mul
 
 from .errors import (
@@ -28,7 +28,7 @@ from .errors import (
     TooFewAlternatives,
     TooLargeToEnumerate,
 )
-from .linalg import DEFAULT_ENUM_CAP, affine_hull, dd_cut, independent_rows, kernel
+from .linalg import DEFAULT_ENUM_CAP, affine_hull, dd_cut, independent_rows, pivot_step
 
 Row = tuple[int, ...]
 
@@ -90,17 +90,20 @@ class Encoding:
         lies on it. The facets are the extreme rays of the cone of valid
         inequalities in (a, b)-space, where code h is the cut (h, -1). The
         start cone is simplicial: the first k + 1 affinely independent codes
-        and the hull equations, which make it pointed.
+        and the hull equations, which make it pointed. Together they are a
+        square nonsingular M, and the ray opposite cut i is -(column i of
+        M^-1), the pivot of column i in one elimination of [M^T | I].
         """
         cuts = {(*code, -1): i for i, code in enumerate(self.rows)}
         start = [cuts[row] for row in independent_rows(cuts)]
-        fixed = [(*lhs, rhs) for lhs, rhs in self.equations]
+        m = [(*self.rows[i], -1) for i in start] + [(*a, b) for a, b in self.equations]
+        n = len(m)
+        pivots = reduce(pivot_step, [[*column, *(int(j == i) for j in range(n))]
+                                     for i, column in enumerate(zip(*m))], [])
         rays, masks = [], []
-        for i in start:
-            rows = [(*self.rows[j], -1) for j in start if j != i] + fixed
-            (ray,) = kernel(rows, self.r + 1)
-            sign = -1 if sum(map(mul, (*self.rows[i], -1), ray)) > 0 else 1
-            rays.append([sign * x for x in ray])
+        for (_, pivot), i in zip(sorted(pivots), start):
+            g = -gcd(*pivot[n:])
+            rays.append([x // g for x in pivot[n:]])
             masks.append(sum(1 << j for j in start if j != i))
         for row, i in cuts.items():
             if i in start:

@@ -4,15 +4,16 @@ Everything downstream (gates, hyperplane enumeration, vertex enumeration)
 reduces to the operations in this module, so geometric predicates are
 decided exactly, without tolerances. Floating point never enters.
 
-:func:`rank`, :func:`independent_rows`, :func:`kernel` and
-:func:`affine_hull` share one fraction-free Gauss-Jordan elimination, in
-the integer-preserving sense of Bareiss ("Sylvester's identity and
-multistep integer-preserving Gaussian elimination", 1968), except that
-each row is divided by the gcd of its entries rather than by the previous
-pivot. Rational rows are scaled to integers on entry and no Fraction is
-formed. Kernel vectors and hull equations come out as primitive integer
-tuples whose first nonzero entry is positive, so equal spaces give equal
-results.
+Everything that eliminates goes through one fraction-free Gauss-Jordan
+pivot step, :func:`pivot_step`, in the integer-preserving sense of Bareiss
+("Sylvester's identity and multistep integer-preserving Gaussian
+elimination", 1968), except that each row is divided by the gcd of its
+entries rather than by the previous pivot. The step leaves its input alone,
+so the spanned-hyperplane walk branches from shared prefixes of pivots; the
+batch elimination behind :func:`rank`, :func:`independent_rows`,
+:func:`kernel` and :func:`affine_hull` applies it row by row, scaling
+rational rows to integers on entry. Kernel vectors and hull equations are
+primitive integer tuples whose first nonzero entry is positive.
 
 :func:`dd_cut` is the double-description step (Fukuda and Prodon,
 "Double description method revisited", 1996) on homogeneous integer
@@ -29,6 +30,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
+Pivots = list[tuple[int, list[int]]]
 
 # The most vertices or rays a double-description run may hold at once.
 DEFAULT_ENUM_CAP = 50_000
@@ -40,43 +42,59 @@ def vec(values: Iterable) -> Vec:
     return tuple([Fraction(v) for v in values])
 
 
-def _eliminate(rows: Iterable[Sequence]) -> tuple[list[int], list[tuple[int, list[int]]]]:
+def _eliminate(rows: Iterable[Sequence]) -> tuple[list[int], Pivots]:
     """Fraction-free Gauss-Jordan elimination of integer or rational rows.
 
     Returns the indices of the first-occurrence independent rows and the
-    reduced pivot rows as (pivot column, primitive integer row) pairs, each
-    with a positive pivot and zeros in every other pivot column. Each row,
-    scaled to integers, is reduced against the pivots kept so far; a row
-    that survives becomes a pivot and is eliminated from the earlier ones.
-    The scan stops once the rank reaches the row width.
+    reduced pivot rows, as :func:`pivot_step` builds them from each row in
+    turn. Rational rows are scaled to integers first; rows of exact ints go
+    in as they are. The scan stops once the rank reaches the row width.
     """
     kept: list[int] = []
-    pivots: list[tuple[int, list[int]]] = []
+    pivots: Pivots = []
     for i, row in enumerate(rows):
-        scale = lcm(*(x.denominator for x in row))
-        reduced = [x.numerator * (scale // x.denominator) for x in row]
-        for col, pivot in pivots:
-            factor = reduced[col]
-            if factor:
-                lead = pivot[col]
-                reduced = [lead * x - factor * y for x, y in zip(reduced, pivot)]
-        col = next((j for j, x in enumerate(reduced) if x), None)
-        if col is None:
-            continue
-        g = gcd(*reduced) if reduced[col] > 0 else -gcd(*reduced)
-        reduced = [x // g for x in reduced]
-        lead = reduced[col]
-        for k, (c, pivot) in enumerate(pivots):
-            factor = pivot[col]
-            if factor:
-                pivot = [lead * x - factor * y for x, y in zip(pivot, reduced)]
-                g = gcd(*pivot)
-                pivots[k] = (c, [x // g for x in pivot])
-        pivots.append((col, reduced))
-        kept.append(i)
-        if len(pivots) == len(reduced):
-            break
+        if set(map(type, row)) != {int}:
+            scale = lcm(*(x.denominator for x in row))
+            row = [x.numerator * (scale // x.denominator) for x in row]
+        if (extended := pivot_step(pivots, row)) is not None:
+            pivots = extended
+            kept.append(i)
+            if len(pivots) == len(row):
+                break
     return kept, pivots
+
+
+def pivot_step(pivots: Pivots, row: Sequence[int]) -> Pivots | None:
+    """The pivots extended by one integer row, or None when it is dependent.
+
+    Pivots are (pivot column, primitive integer row) pairs, each with a
+    positive pivot and zeros in every other pivot column. The row is reduced
+    against them; if it survives, it becomes a pivot and is eliminated from
+    the earlier ones. Neither argument is changed, so a caller can branch
+    several extensions from one prefix.
+    """
+    reduced = row
+    for col, pivot in pivots:
+        factor = reduced[col]
+        if factor:
+            lead = pivot[col]
+            reduced = [lead * x - factor * y for x, y in zip(reduced, pivot)]
+    col = next((j for j, x in enumerate(reduced) if x), None)
+    if col is None:
+        return None
+    g = gcd(*reduced) if reduced[col] > 0 else -gcd(*reduced)
+    reduced = [x // g for x in reduced]
+    lead = reduced[col]
+    extended = []
+    for c, pivot in pivots:
+        factor = pivot[col]
+        if factor:
+            pivot = [lead * x - factor * y for x, y in zip(pivot, reduced)]
+            g = gcd(*pivot)
+            pivot = [x // g for x in pivot]
+        extended.append((c, pivot))
+    extended.append((col, reduced))
+    return extended
 
 
 def rank(rows: Iterable[Sequence]) -> int:
@@ -103,7 +121,11 @@ def kernel(rows: Iterable[Sequence], dim: int) -> list[tuple[int, ...]]:
     basis. Parallel to the free-column basis of the reduced row echelon
     form, so the basis depends only on the row space.
     """
-    _, pivots = _eliminate(rows)
+    return pivot_kernel(_eliminate(rows)[1], dim)
+
+
+def pivot_kernel(pivots: Pivots, dim: int) -> list[tuple[int, ...]]:
+    """The :func:`kernel` of the rows that :func:`pivot_step` reduced to ``pivots``."""
     lead = lcm(*(pivot[col] for col, pivot in pivots))
     pivot_cols = {col for col, _ in pivots}
     basis = []

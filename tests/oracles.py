@@ -14,10 +14,13 @@ package implementation, so agreement is evidence rather than tautology:
   every tight set on every cut (the integer engine in idealform.verify
   replaced it),
 * convex-hull membership via an exact phase-one simplex, one LP per
-  question (the facets of the code hull in idealform.encoding replaced it).
+  question (the facets of the code hull in idealform.encoding replaced it),
 * JSON text via json.dumps with an indent, which runs the standard
   library's pure-Python encoder (idealform.documents.document_text
-  replaced it).
+  replaced it),
+* the facets of the code hull from a start cone of one kernel per ray
+  (the single elimination in idealform.encoding.Encoding.facets replaced
+  it).
 
 Most are exponential and meant for desk-scale fixtures only.
 """
@@ -31,7 +34,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from idealform.errors import TooLargeToEnumerate
-from idealform.linalg import Vec, vec
+from idealform.linalg import Vec, dd_cut, independent_rows, kernel, vec
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -240,6 +243,26 @@ def hull_equations_from_all_directions(points) -> list[tuple[int, ...]]:
 def json_text(doc) -> str:
     """The document as json.dumps writes it with a two-space indent."""
     return json.dumps(doc, indent=2) + "\n"
+
+
+def facets_from_kernel_start_cone(e) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """The (a, b, mask) facets of conv(e.rows) with each start ray found as
+    the kernel of the other start cuts and the hull equations, then the same
+    double-description cuts in the same order."""
+    cuts = {(*code, -1): i for i, code in enumerate(e.rows)}
+    start = [cuts[row] for row in independent_rows(cuts)]
+    fixed = [(*lhs, rhs) for lhs, rhs in e.equations]
+    rays, masks = [], []
+    for i in start:
+        rows = [(*e.rows[j], -1) for j in start if j != i] + fixed
+        (ray,) = kernel(rows, e.r + 1)
+        sign = -1 if sum(a * b for a, b in zip((*e.rows[i], -1), ray)) > 0 else 1
+        rays.append([sign * x for x in ray])
+        masks.append(sum(1 << j for j in start if j != i))
+    for row, i in cuts.items():
+        if i not in start:
+            rays, masks = dd_cut(rays, masks, row, 1 << i, False, e.dim - 1)
+    return tuple((tuple(ray[:-1]), ray[-1], mask) for ray, mask in zip(rays, masks))
 
 
 def rows_by_covering_lists(c, e, normals) -> list[tuple]:

@@ -5,7 +5,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from idealform import encoding
@@ -158,17 +158,30 @@ class TestSpannedHyperplaneNormals:
         assert str(info.value) == ("21 directions of rank 12 give 352716 subsets, "
                                    "over the enumeration cap of 184756")
 
-    @given(
-        st.lists(
-            st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)),
-            min_size=1, max_size=6,
-        ).filter(lambda ds: any(any(d) for d in ds))
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_matches_all_subsets_oracle(self, dirs):
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_all_subsets_oracle(self, data):
+        # Up to 9 directions in r <= 5, drawn as integer combinations of
+        # fewer generators than r in some draws (a nonempty complement) and
+        # of a single one in others (m = 1).
+        r = data.draw(st.integers(1, 5), label="r")
+        generators = data.draw(st.lists(
+            st.tuples(*[st.integers(-2, 2)] * r), min_size=1, max_size=r), label="generators")
+        weights = st.tuples(*[st.integers(-2, 2)] * len(generators))
+        dirs = [tuple(sum(w * g[j] for w, g in zip(ws, generators)) for j in range(r))
+                for ws in data.draw(st.lists(weights, min_size=1, max_size=9), label="weights")]
         dirs = [d for d in dirs if any(d)]
+        assume(dirs)
         got = set(spanned_hyperplane_normals(dirs))
         assert got == hyperplane_normals_all_subsets(dirs)
+
+    @pytest.mark.parametrize("dirs", [
+        [(2, 0, 0), (1, 0, 0), (3, 0, 0)],            # m = 1
+        [(1, 1, 0), (2, 2, 0), (0, 1, 0), (1, 2, 0)],  # rank 2 in r = 3
+        [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 1)],
+    ])
+    def test_rank_deficient_sets_match_the_oracle(self, dirs):
+        assert set(spanned_hyperplane_normals(dirs)) == hyperplane_normals_all_subsets(dirs)
 
 
 class TestTheorem1Formulation:

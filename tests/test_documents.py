@@ -300,6 +300,14 @@ class TestRoundTrip:
     def test_document_text_matches_json_dumps(self, doc):
         assert document_text(doc) == json_text(doc)
 
+    @settings(max_examples=200, deadline=None)
+    @given(doc=st.dictionaries(st.text(max_size=3), st.lists(st.floats(), max_size=6)
+                               | st.lists(st.floats(-1e3, 1e3), max_size=6), max_size=4))
+    def test_float_lists_match_json_dumps(self, doc):
+        # Finite floats take the repr fast path; a NaN or an infinity in a
+        # list sends the whole list through json.dumps.
+        assert document_text(doc) == json_text(doc)
+
     def test_document_text_is_deterministic(self):
         c = cdc(5, [[1, 2], [2, 3], [3, 4], [4, 5]])
         f = theorem1_formulation(c, make_encoding(4, EncodingKind.ZIGZAG))

@@ -27,7 +27,12 @@ from idealform.errors import (
     TooFewAlternatives,
     TooLargeToEnumerate,
 )
-from oracles import convex_position_by_simplex, hole_free_by_simplex, in_hull_caratheodory
+from oracles import (
+    convex_position_by_simplex,
+    facets_from_kernel_start_cone,
+    hole_free_by_simplex,
+    in_hull_caratheodory,
+)
 
 K3 = (
     (0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
@@ -243,3 +248,35 @@ class TestGatesAgainstSimplex:
         assert info.value.exit_code == 4
         assert main(["encode", "--kind", "zigzag", "--s", "3"]) == 4
         assert "code hull" in capsys.readouterr().err
+
+
+@st.composite
+def _lifted_rows(draw):
+    """Two to eight distinct integer rows of width 1 to 5. The last few
+    coordinates may be integer affine functions of the others, which puts
+    the codes in a flat of lower dimension."""
+    width = draw(st.integers(1, 5))
+    base = draw(st.integers(1, width))
+    rows = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * base),
+                         min_size=2, max_size=8, unique=True))
+    for _ in range(width - base):
+        weights = draw(st.tuples(*[st.integers(-2, 2)] * base))
+        shift = draw(st.integers(-2, 2))
+        rows = [(*row, shift + sum(w * x for w, x in zip(weights, row))) for row in rows]
+    return rows
+
+
+class TestFacetsAgainstKernelStartCone:
+    """The start cone from one elimination against one kernel per ray."""
+
+    @pytest.mark.parametrize("kind", [EncodingKind.GRAY, EncodingKind.ZIGZAG])
+    def test_both_families_up_to_sixty_four(self, kind):
+        for d in range(2, 65):
+            e = make_encoding(d, kind)
+            assert e.facets == facets_from_kernel_start_cone(e), d
+
+    @given(_lifted_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_random_explicit_rows(self, rows):
+        e = explicit_encoding(rows)
+        assert e.facets == facets_from_kernel_start_cone(e)

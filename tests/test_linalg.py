@@ -223,3 +223,34 @@ class TestSmallSolvers:
     @settings(max_examples=60, deadline=None)
     def test_affine_hull_of_integer_points_matches_all_directions(self, pts):
         assert [a for a, _ in affine_hull(pts)] == hull_equations_from_all_directions(pts)
+
+
+class TestIntegerEntry:
+    """Rows of exact ints enter the elimination unscaled; the same rows as
+    Fractions, divided by a positive integer or not, are scaled to integers
+    first. Both paths give the same results."""
+
+    @given(int_matrix(max_rows=6), st.lists(st.integers(1, 6), min_size=6, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_rank_kernel_and_independent_rows(self, matrix, divisors):
+        rows, n = matrix
+        exact = [[Fraction(x) for x in row] for row in rows]
+        divided = [[Fraction(x, q) for x in row] for row, q in zip(rows, divisors)]
+        for fractions in (exact, divided):
+            assert rank(rows) == rank(fractions)
+            assert kernel(rows, n) == kernel(fractions, n)
+        assert independent_rows(rows) == independent_rows(exact)
+        # One divisor for every row, so each kept row maps back by itself.
+        q = divisors[0]
+        assert independent_rows(rows) == [tuple(x * q for x in row) for row in
+                                          independent_rows([[Fraction(x, q) for x in row]
+                                                            for row in rows])]
+
+    @given(st.lists(st.lists(small_ints, min_size=3, max_size=3), min_size=1, max_size=6),
+           st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_affine_hull(self, points, q):
+        # Dividing every point by q divides each right-hand side by q.
+        assert affine_hull(points) == affine_hull([[Fraction(x) for x in p] for p in points])
+        assert affine_hull(points) == [
+            (a, b * q) for a, b in affine_hull([[Fraction(x, q) for x in p] for p in points])]
