@@ -22,6 +22,7 @@ import copy
 import functools
 import json
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -226,7 +227,11 @@ def _cmd_annulus(args) -> int:
     if args.inner is not None:
         spec = AnnulusSpec(args.inner, args.outer, args.d)
     doc = AnnulusProblem(args.d, spec, EncodingKind(args.encoding), ProblemOptions())
-    return _document_command(args, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", RuntimeWarning)
+        # One line with no source path, so stderr stays byte-stable.
+        warnings.showwarning = lambda message, *_: _say(f"warning: {message}")
+        return _document_command(args, doc)
 
 
 def _cmd_verify(args) -> int:

@@ -26,9 +26,9 @@ from .errors import (
     NeedsExplicitRows,
     ResourceCapExceeded,
     TooFewAlternatives,
-    TooLargeToEnumerate,
 )
-from .linalg import DEFAULT_ENUM_CAP, affine_hull, dd_cut, independent_rows, pivot_step
+from .linalg import (DEFAULT_ENUM_CAP, affine_hull, double_description, independent_rows,
+                     pivot_step)
 
 Row = tuple[int, ...]
 
@@ -105,15 +105,10 @@ class Encoding:
             g = -gcd(*pivot[n:])
             rays.append([x // g for x in pivot[n:]])
             masks.append(sum(1 << j for j in start if j != i))
-        for row, i in cuts.items():
-            if i in start:
-                continue
-            rays, masks = dd_cut(rays, masks, row, 1 << i, False, self.dim - 1)
-            if len(rays) > DEFAULT_ENUM_CAP:
-                raise TooLargeToEnumerate(
-                    f"facet enumeration of the code hull exceeded the cap of "
-                    f"{DEFAULT_ENUM_CAP} intermediate rays: {len(rays)} after code {i}"
-                )
+        rays, masks = double_description(
+            rays, masks, [(row, 1 << i, False, f"code {i}") for row, i in cuts.items()
+                          if i not in start],
+            self.dim - 1, DEFAULT_ENUM_CAP, "facet enumeration of the code hull")
         return tuple((tuple(ray[:-1]), ray[-1], mask) for ray, mask in zip(rays, masks))
 
 

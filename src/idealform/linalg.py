@@ -17,8 +17,8 @@ primitive integer tuples whose first nonzero entry is positive.
 
 :func:`dd_cut` is the double-description step (Fukuda and Prodon,
 "Double description method revisited", 1996) on homogeneous integer
-vectors. The certificate applies it to the vertices of a relaxation, the
-encoding gates to the facets of the code hull.
+vectors; :func:`double_description` applies it cut by cut under both caps,
+for the vertices of a relaxation and for the facets of the code hull.
 """
 
 from __future__ import annotations
@@ -29,11 +29,16 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
+from .errors import TooLargeToEnumerate
+
 Vec = tuple[Fraction, ...]
 Pivots = list[tuple[int, list[int]]]
 
 # The most vertices or rays a double-description run may hold at once.
 DEFAULT_ENUM_CAP = 50_000
+# The most integers it may hold at once, n + 1 per vector in dimension n:
+# the vector budget alone lets a wide run exhaust memory.
+DEFAULT_ENTRY_CAP = 10**7
 
 
 def vec(values: Iterable) -> Vec:
@@ -203,3 +208,28 @@ def dd_cut(vertices, masks, row, bit, is_equality, need):
                 kept.append([p // g for p in point] if g > 1 else point)
                 kept_masks.append(common | bit)
     return kept, kept_masks
+
+
+def check_entries(count: int, width: int, what: str) -> None:
+    """TooLargeToEnumerate when count vectors of width integers pass DEFAULT_ENTRY_CAP."""
+    if count * width > DEFAULT_ENTRY_CAP:
+        raise TooLargeToEnumerate(
+            f"{what}: {count} vectors of {width} integers, {count * width} in all, "
+            f"over the cap of {DEFAULT_ENTRY_CAP} integers")
+
+
+def double_description(rays, masks, cuts, need, cap, what):
+    """The rays and masks of a pointed cone, given by all its extreme rays,
+    after :func:`dd_cut` applies each cut (row, bit, is_equality, name).
+
+    After every cut, TooLargeToEnumerate names the run ``what`` and the cut
+    when the rays are more than ``cap`` or hold more than DEFAULT_ENTRY_CAP
+    integers.
+    """
+    for index, (row, bit, is_equality, name) in enumerate(cuts):
+        rays, masks = dd_cut(rays, masks, row, bit, is_equality, need)
+        if len(rays) > cap:
+            raise TooLargeToEnumerate(f"{what} exceeded the cap of {cap} intermediate "
+                                      f"rays: {len(rays)} after cut {index}, {name}")
+        check_entries(len(rays), len(row), f"{what} after cut {index}, {name}")
+    return rays, masks

@@ -6,29 +6,30 @@ element w it covers. This module enumerates the relaxation's vertex set
 exactly and compares, so a pass is a proof for the given instance rather
 than a numerical hint.
 
-Enumeration is one integer double-description loop (Fukuda and Prodon,
-"Double description method revisited", 1996). The relaxation lives inside
-the product of the unit simplex on lambda and the integer box on z, whose
-vertices are known in closed form; each row of the formulation is then
-applied as a cut by the shared step ``linalg.dd_cut``. Vertices are
-homogeneous integer vectors, numerators and then a positive denominator,
-in lowest terms. That form is canonical, so the certificate compares it
-with the embedding points (e^w, h^j, 1) as it is, and only the witnesses
-of a failure become Fractions. A row a . x <= b is the list (a, -b), so
-its dot product with a vertex has the sign of the real slack. A cut drops
-the vertices on the wrong side, and every cut edge from a vertex i with
-slack s_i < 0 to a vertex j with s_j > 0 contributes the integer
-combination s_j x_i - s_i x_j, divided by its gcd (integer-only pivoting,
-as in Avis's lrs).
+Enumeration is one integer double-description run (Fukuda and Prodon,
+"Double description method revisited", 1996). It starts from the cone over
+{simplex, lambda >= 0, z <= hi}, whose n + r extreme rays are known in
+closed form: the points (e^v, hi) and the directions -e_k. Every other row
+of the formulation is a cut, the lower bounds z >= lo last, applied by
+``linalg.double_description``. Rays are homogeneous integer vectors,
+numerators and then a denominator (0 for a direction, and none is left
+once the lower bounds are cut), in lowest terms. That form is canonical,
+so the certificate compares it with the embedding points (e^w, h^j, 1) as
+it is, and only the witnesses of a failure become Fractions. A row
+a . x <= b is the list (a, -b), so its dot product with a ray has the sign
+of the real slack. A cut drops the rays on the wrong side, and every cut
+edge from a ray i with slack s_i < 0 to a ray j with s_j > 0 contributes
+the integer combination s_j x_i - s_i x_j, divided by its gcd
+(integer-only pivoting, as in Avis's lrs).
 
-Each vertex carries the bitmask of the rows it is tight on. A kept vertex
-gains the cut's bit when its slack is 0, and a new vertex's mask is its
-parents' common mask plus that bit, so masks are never recomputed. Keeping
-the vertex set exact at every step makes edge detection combinatorial: two
-vertices span an edge exactly when no third vertex is tight on every row
-they are both tight on. An edge's tight rows have rank n + r - 1, so a pair
-with fewer common tight rows is skipped before that scan. Nothing is ever
-rounded.
+Each ray carries the bitmask of the rows it is tight on; the simplex
+equation holds on every ray and has none. A kept ray gains the cut's bit
+when its slack is 0, and a new ray's mask is its parents' common mask plus
+that bit. Keeping the ray set exact at every step makes edge detection
+combinatorial: two rays span a 2-face exactly when no third ray is tight
+on every row they are both tight on. The cone has dimension n + r, so a
+pair with fewer than n + r - 2 common tight rows is skipped before that
+scan. Nothing is ever rounded.
 
 The working vertices and rows are lists, and every tuple here is built
 from a list of its final length. Tuples grown from an iterator, and on
@@ -41,19 +42,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import prod
 from operator import mul
 
 from .cdc import Cdc
 from .encoding import Encoding
 from .errors import InputError, TooLargeToEnumerate
 from .formulation import Formulation
-from .linalg import DEFAULT_ENUM_CAP, Vec, dd_cut
-
-# Integers held across all vertices at once, n + r + 1 per vertex: the
-# vertex budget alone lets a wide formulation exhaust memory.
-DEFAULT_ENTRY_CAP = 10**7
+from .linalg import DEFAULT_ENUM_CAP, Vec, check_entries, double_description
 
 
 @dataclass(frozen=True)
@@ -103,19 +98,10 @@ def _check_sizes(c: Cdc, e: Encoding, f: Formulation | None = None) -> None:
         )
 
 
-def _check_entries(count: int, width: int, what: str) -> None:
-    """TooLargeToEnumerate when count vectors of width integers are too many."""
-    if count * width > DEFAULT_ENTRY_CAP:
-        raise TooLargeToEnumerate(
-            f"{what}: {count} vertices of {width} integers, {count * width} in all, "
-            f"over the cap of {DEFAULT_ENTRY_CAP} integers"
-        )
-
-
 def embedding_extreme_points(c: Cdc, e: Encoding) -> VertexSet:
     """All points (e^w, h^j) with w covered by alternative j."""
     _check_sizes(c, e)
-    _check_entries(sum(map(len, c.alternatives)), c.n + e.r + 1, "the embedding")
+    check_entries(sum(map(len, c.alternatives)), c.n + e.r + 1, "the embedding")
     points: set[tuple[int, ...]] = set()
     for alt, code in zip(c.alternatives, e.rows):
         tail = [*code, 1]
@@ -126,10 +112,21 @@ def embedding_extreme_points(c: Cdc, e: Encoding) -> VertexSet:
     return VertexSet(frozenset(points))
 
 
-def _cuts(f: Formulation):
-    """The rows as (homogeneous cut, is equality, name): the equalities,
-    then both sides of each general row, lower first. The simplex and the
-    box are not included; the enumeration starts from them."""
+def _cone_and_cuts(f: Formulation):
+    """The start cone's rays and masks, and every other row as a cut.
+
+    The cone is over {simplex, lambda >= 0, z <= hi}: the points
+    (e^v, hi, 1) and the directions (0, -e_k, 0). Mask bit v is the row
+    lambda_v >= 0 and bit n + k the row z_k <= hi_k; ray i is tight on all
+    but bit i. The cuts (homogeneous row, bit, is equality, name) are the
+    equalities, both sides of each general row, lower first, and z_k >= lo_k
+    last: every formulation built here bounds z by its general rows, so
+    these only remove the directions, while cut first they rebuild the box.
+    """
+    n, r = f.n_lambda, f.r_z
+    tail = [hi for _, hi in f.z_bounds] + [1]
+    rays = [[0] * v + [1] + [0] * (n - 1 - v) + tail for v in range(n)]
+    rays += [[0] * (n + k) + [-1] + [0] * (r - k) for k in range(r)]
     cuts = [([*eq.lam, *eq.z, -eq.rhs], True, f"equality row {i}")
             for i, eq in enumerate(f.equalities)]
     for k, row in enumerate(f.general_rows):
@@ -139,33 +136,11 @@ def _cuts(f: Formulation):
         # b . z - upper . lambda <= 0
         cuts.append(([*(-x for x in row.upper), *row.normal, 0], False,
                      f"general row {k} (upper side)"))
-    return cuts
-
-
-def _base_polytope(n: int, z_bounds):
-    """Vertices of the simplex times the box, with their tight-row masks.
-
-    Vertices are homogeneous: numerators, then the denominator 1. Bit 0 of
-    a mask is the simplex equation, bit 1 + v the row lambda_v >= 0, and
-    bits 1 + n + 2k and 2 + n + 2k the rows z_k >= lo and z_k <= hi.
-    Returns the vertices, their masks and the first bit free for cuts.
-    """
-    axes = []
-    for k, (lo, hi) in enumerate(z_bounds):
-        lo_bit, hi_bit = 1 << (1 + n + 2 * k), 1 << (2 + n + 2 * k)
-        axes.append(((lo, lo_bit | hi_bit),) if lo == hi
-                    else ((lo, lo_bit), (hi, hi_bit)))
-    simplex_bits = (1 << (n + 1)) - 1
-    vertices, masks = [], []
-    for corner in product(*axes):
-        tail = [z for z, _ in corner] + [1]
-        box_mask = simplex_bits
-        for _, bit in corner:
-            box_mask |= bit
-        for v in range(n):
-            vertices.append([0] * v + [1] + [0] * (n - 1 - v) + tail)
-            masks.append(box_mask & ~(2 << v))
-    return vertices, masks, 1 + n + 2 * len(z_bounds)
+    # lo - z_k <= 0: the direction -e_k with lo in place of its 0
+    cuts += [([*ray[:-1], lo], False, f"z bound {k} (lower side)")
+             for k, ((lo, _), ray) in enumerate(zip(f.z_bounds, rays[n:]))]
+    return (rays, [(1 << (n + r)) - 1 - (1 << i) for i in range(n + r)],
+            [(row, 1 << (n + r + i), eq, name) for i, (row, eq, name) in enumerate(cuts)])
 
 
 def _to_fractions(x) -> Vec:
@@ -180,30 +155,24 @@ def enumerate_vertices(f: Formulation, *, max_vertices: int = DEFAULT_ENUM_CAP) 
 
     The relaxation keeps every row of the formulation, including the z
     bounds, but drops integrality. Raises TooLargeToEnumerate when an
-    intermediate vertex set grows past ``max_vertices``, or holds more than
-    DEFAULT_ENTRY_CAP integers.
+    intermediate set passes ``max_vertices`` rays or DEFAULT_ENTRY_CAP
+    integers, and before any cut for a start cone over the entry cap or for
+    f free z coordinates (lo < hi, zero in every row): the relaxation is
+    then a product with their segments: 2**f vertices or more, or none.
     """
-    start = f.n_lambda * prod(len({lo, hi}) for lo, hi in f.z_bounds)
-    if start > max_vertices:
+    n, r = f.n_lambda, f.r_z
+    width = n + r + 1
+    check_entries(n + r, width, "the start cone")
+    columns = zip([0] * r, *(eq.z for eq in f.equalities), *(g.normal for g in f.general_rows))
+    free = sum(lo < hi and not any(col) for (lo, hi), col in zip(f.z_bounds, columns))
+    what = f"the relaxation, a product over {free} z coordinates that no row uses"
+    if 1 << free > max_vertices:
         raise TooLargeToEnumerate(
-            f"the starting simplex-times-box polytope already has "
-            f"{start} vertices, over the cap of {max_vertices}"
-        )
-    width = f.n_lambda + f.r_z + 1
-    _check_entries(start, width, "the starting simplex-times-box polytope")
-    vertices, masks, first_bit = _base_polytope(f.n_lambda, f.z_bounds)
-    need = f.n_lambda + f.r_z - 1
-    for index, (row, is_equality, name) in enumerate(_cuts(f)):
-        vertices, masks = dd_cut(vertices, masks, row, 1 << (first_bit + index),
-                                 is_equality, need)
-        if len(vertices) > max_vertices:
-            raise TooLargeToEnumerate(
-                f"vertex enumeration exceeded the cap of {max_vertices} "
-                f"intermediate vertices: {len(vertices)} after cut {index}, {name}"
-            )
-        _check_entries(len(vertices), width,
-                       f"vertex enumeration after cut {index}, {name}")
-    return VertexSet(frozenset(map(tuple, vertices)))
+            f"{what}: at least 2**{free} vertices, over the cap of {max_vertices}")
+    check_entries(1 << free, width, what)
+    rays, _ = double_description(*_cone_and_cuts(f), n + r - 2, max_vertices,
+                                 "vertex enumeration")
+    return VertexSet(frozenset(map(tuple, rays)))
 
 
 def check_validity_only(c: Cdc, e: Encoding, f: Formulation) -> bool:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from idealform import encoding
+from idealform import encoding, linalg
 from idealform.annulus import annulus_cdc
 from idealform.cdc import (
     cdc,
@@ -324,7 +324,8 @@ class TestHullComputedOnce:
         return calls
 
     def test_one_facet_enumeration_per_formulation(self, monkeypatch, capsys):
-        cuts = self.count_calls(monkeypatch, "dd_cut", [encoding])
+        # The facets go through the double-description loop in linalg.
+        cuts = self.count_calls(monkeypatch, "dd_cut", [linalg])
         e = make_encoding(8, EncodingKind.GRAY)
         theorem1_formulation(sos2(8), e)
         assert len(cuts) == e.d - e.r - 1 == 4

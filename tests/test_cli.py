@@ -448,8 +448,8 @@ class TestVerify:
 
     def test_start_polytope_over_the_cap_exits_4_at_once(self, capsys, write_doc,
                                                          tmp_path):
-        # Two codes of width 40 and z in [0, 1]^40: 3 * 2**40 corners to start
-        # from, counted before any is built.
+        # Two codes of width 40 and z in [0, 1]^40, which no row uses: the
+        # relaxation has 3 * 2**40 vertices, refused before any cut.
         r = 40
         problem = write_doc({"kind": "cdc", "cdc": {
             "alternatives": [[1, 2], [2, 3]],
@@ -466,12 +466,12 @@ class TestVerify:
                              "--check", "ideal")
         assert time.perf_counter() - start < 1
         assert (code, out) == (4, "")
-        assert err == (f"error: the starting simplex-times-box polytope already has "
-                       f"{3 * 2**r} vertices, over the cap of 50000\n")
+        assert err == (f"error: the relaxation, a product over {r} z coordinates that "
+                       f"no row uses: at least 2**{r} vertices, over the cap of 50000\n")
 
     def test_wide_start_polytope_exits_4_at_once(self, capsys, write_doc):
-        # 20,000 elements in two alternatives with 1-bit codes: 40,000 start
-        # vertices, under the vertex budget, of 20,002 integers each.
+        # 20,000 elements in two alternatives with 1-bit codes: a start cone
+        # of 20,001 rays, under the vertex budget, of 20,002 integers each.
         problem = write_doc({"kind": "cdc", "cdc": {
             "alternatives": [list(range(1, 10001)), list(range(10000, 20001))],
             "encoding": {"explicit": [[0], [1]]}}})
@@ -479,9 +479,8 @@ class TestVerify:
         code, out, err = run(capsys, "formulate", problem, "--check", "ideal")
         assert time.perf_counter() - start < 1
         assert (code, out) == (4, "")
-        assert err == ("error: the starting simplex-times-box polytope: 40000 vertices "
-                       "of 20002 integers, 800080000 in all, over the cap of 10000000 "
-                       "integers\n")
+        assert err == ("error: the start cone: 20001 vectors of 20002 integers, "
+                       "400060002 in all, over the cap of 10000000 integers\n")
 
     @pytest.mark.parametrize("cap", ["0", "-5"])
     def test_enum_cap_below_one_is_a_usage_error(self, capsys, write_doc, tmp_path, cap):

@@ -145,6 +145,13 @@ CASES = {
     "verify-validity": ["verify", "sos2-d4", "sos2-d4-formulation", "--check", "validity"],
     "verify-one-row": ["verify", "sos2-d4", "sos2-d4-one-row"],
     "verify-malformed": ["verify", "sos2-d4", "sos2-d4-no-rhs"],
+    # Certificates at d = 32 and 64, each under a second.
+    "annulus-d32-zigzag-ideal": ["annulus", "--d", "32", "--encoding", "zigzag",
+                                 "--check", "ideal"],
+    "annulus-d64-gray-ideal": ["annulus", "--d", "64", "--encoding", "gray",
+                               "--check", "ideal"],
+    # A warning is one line on stderr, with no source path in it.
+    "annulus-d4-inner-zero": ["annulus", "--d", "4", "--inner", "0", "--outer", "1"],
 }
 
 # case -> (exit code, sha256 of stdout, sha256 of stderr)
@@ -263,6 +270,15 @@ GOLDEN = {
     'malformed-ragged-explicit-rows': (1,
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'c6de6c2af7478d8541723e3f7af89120c15cbf3193c9479619f1e36b16e144ce'),
+    'annulus-d32-zigzag-ideal': (0,
+        '4919618d009b903b1b961a5e534bb478b7c4458c2c4043be3192c09fd93a53f7',
+        '5749bd14883e1e5e40d07c70197e2044acb1573523f5f0220ef2c8c812192ddb'),
+    'annulus-d64-gray-ideal': (0,
+        '7b0c7b4b2e3f73bfdcfe64a88904ed1eb394127e1341006f25b32bcf11d37578',
+        '72cad3a5549d9cc021bc66cd063b894b76be9dac54c19d27d997597ea45dde62'),
+    'annulus-d4-inner-zero': (0,
+        '78c2394f2a433622518262f28f630bb581466f2b546962d8de7633a58f656aa8',
+        'b5991426d7890e062ea94966af9a6e6d9c709a1f8d7944e2962972974d14320b'),
 }
 
 

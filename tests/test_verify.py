@@ -7,8 +7,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from idealform import verify
+from idealform import linalg, verify
 from idealform.annulus import annulus_cdc, annulus_gray_formulation, annulus_zigzag_formulation
 from idealform.cdc import cdc, intersection_digraph, is_weakly_connected, theorem1_formulation
 from idealform.encoding import EncodingKind, make_encoding
@@ -98,6 +100,49 @@ def corpus_formulations():
     for kind in (EncodingKind.GRAY, EncodingKind.ZIGZAG):
         out[f"pwl-{kind.value}-d8"] = pwl_formulation(f, kind)[0]
     return out
+
+
+def widen(f, bounds):
+    """f with one more z coordinate per extra bound pair, used by no row."""
+    extra = (0,) * (len(bounds) - f.r_z)
+    return Formulation(
+        f.n_lambda, len(bounds),
+        tuple(LinearEquality(eq.lam, eq.z + extra, eq.rhs) for eq in f.equalities),
+        tuple(GeneralRow(row.normal + extra, row.lower, row.upper)
+              for row in f.general_rows),
+        tuple(bounds))
+
+
+@st.composite
+def varied_formulations(draw):
+    """A theorem-1 formulation of a small SOS disjunction, changed in the
+    ways the enumeration's start must survive: z coordinates that no row
+    uses, bounds with lo == hi, equalities written by hand, a dropped row
+    and shuffled rows. One embedding point stays feasible throughout, so
+    the relaxation is never empty."""
+    d, width = draw(st.integers(2, 4)), draw(st.integers(2, 3))
+    c = sos(d, width)
+    e = make_encoding(d, draw(st.sampled_from([EncodingKind.GRAY, EncodingKind.ZIGZAG])))
+    f = theorem1_formulation(c, e)
+    j = draw(st.integers(0, d - 1))
+    w = draw(st.sampled_from(sorted(c.alternatives[j])))
+    bounds = [(h, h) if draw(st.booleans()) else b for h, b in zip(e.rows[j], f.z_bounds)]
+    extra = draw(st.lists(st.tuples(st.integers(-1, 1), st.integers(0, 2)), max_size=2))
+    bounds += [(lo, lo + span) for lo, span in extra]
+    f = widen(f, bounds)
+    point = [int(v == w) for v in range(1, f.n_lambda + 1)] + [*e.rows[j]] + [
+        lo for lo, _ in extra]
+    equalities = list(f.equalities[draw(st.integers(0, 1)):])
+    for _ in range(draw(st.integers(0, 2))):
+        coeffs = draw(st.lists(st.integers(-1, 1), min_size=len(point),
+                               max_size=len(point)))
+        equalities.append(LinearEquality(
+            tuple(coeffs[:f.n_lambda]), tuple(coeffs[f.n_lambda:]),
+            sum(a * x for a, x in zip(coeffs, point))))
+    rows = draw(st.permutations(f.general_rows))
+    if rows and draw(st.booleans()):
+        del rows[draw(st.integers(0, len(rows) - 1))]
+    return Formulation(f.n_lambda, f.r_z, tuple(equalities), tuple(rows), f.z_bounds)
 
 
 def oracle_vertex_set(f):
@@ -197,14 +242,15 @@ class TestEnumerateVertices:
             enumerate_vertices(f, max_vertices=3)
 
     def test_base_polytope_counted_before_it_is_built(self):
-        # 3 * 2**40 corners: over the cap, so none of them is made.
+        # No row uses z in [0, 1]^40: 3 * 2**40 vertices, refused before any cut.
         r = 40
         f = Formulation(3, r, (LinearEquality((1,) * 3, (0,) * r, 1),), (),
                         ((0, 1),) * r)
         start = time.perf_counter()
         with pytest.raises(TooLargeToEnumerate,
-                           match=f"^the starting simplex-times-box polytope already has "
-                                 f"{3 * 2**r} vertices, over the cap of {DEFAULT_ENUM_CAP}$"):
+                           match=fr"^the relaxation, a product over {r} z coordinates that "
+                                 fr"no row uses: at least 2\*\*{r} vertices, over the cap "
+                                 fr"of {DEFAULT_ENUM_CAP}$"):
             enumerate_vertices(f)
         assert time.perf_counter() - start < 1
 
@@ -501,20 +547,79 @@ class TestAgainstFractionCutOracle:
                     found = self.agree(g)
                     assert all(v[f.n_lambda + k] == fixed for v in found)
 
-    def test_both_engines_trip_the_cap_at_the_same_sizes(self):
-        f = drop_row(self.FORMULATIONS["sos2-zigzag-d4"], 1)
-        outcomes = set()
-        for cap in range(1, 60):
-            try:
-                found = fractions(enumerate_vertices(f, max_vertices=cap))
-            except TooLargeToEnumerate:
+    def test_the_cap_trips_exactly_below_the_largest_set(self, monkeypatch):
+        # The engines start from different sets, so each cap is compared with
+        # the sizes the engine itself went through, recorded around dd_cut.
+        f = drop_row(self.FORMULATIONS["sos3-gray-d4"], 1)
+        sizes, cut = [], linalg.dd_cut
+
+        def recording(*args):
+            rays, masks = cut(*args)
+            sizes.append(len(rays))
+            return rays, masks
+
+        monkeypatch.setattr(linalg, "dd_cut", recording)
+        final = enumerate_vertices(f).count
+        largest = max(sizes)
+        expected = vertices_by_fraction_cuts(f)
+        assert len(expected) == final < largest
+        for cap in range(1, largest + 3):
+            if cap < largest:
                 with pytest.raises(TooLargeToEnumerate):
-                    vertices_by_fraction_cuts(f, cap)
-                outcomes.add("cap")
+                    enumerate_vertices(f, max_vertices=cap)
             else:
-                assert found == vertices_by_fraction_cuts(f, cap)
-                outcomes.add("done")
-        assert outcomes == {"cap", "done"}
+                assert fractions(enumerate_vertices(f, max_vertices=cap)) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_varied_formulations(self, data):
+        f = data.draw(varied_formulations())
+        expected = vertices_by_fraction_cuts(f)
+        assert expected and fractions(enumerate_vertices(f)) == expected
+        cap = data.draw(st.integers(1, 2 * len(expected)))
+        try:
+            found = fractions(enumerate_vertices(f, max_vertices=cap))
+        except TooLargeToEnumerate as err:
+            # The free-z guard refuses only a relaxation over the budget.
+            assert "no row uses" not in str(err) or len(expected) > cap
+        else:
+            assert found == expected
+
+
+class TestFreeCoordinates:
+    """z coordinates that no row uses make the relaxation a product with
+    their segments, refused before any cut when that product is too large."""
+
+    @pytest.mark.parametrize("free", range(4))
+    def test_guard_trips_only_over_the_budget(self, free):
+        f = theorem1_formulation(sos2(2), make_encoding(2, EncodingKind.GRAY))
+        f = widen(f, f.z_bounds + ((0, 1),) * free + ((2, 2),))
+        expected = vertices_by_fraction_cuts(f)
+        assert len(expected) == 4 * 2**free
+        for cap in range(1, len(expected) + 1):
+            if cap < 2**free:
+                with pytest.raises(TooLargeToEnumerate,
+                                   match=fr"^the relaxation, a product over {free} z "
+                                         fr"coordinates that no row uses: at least "
+                                         fr"2\*\*{free} vertices, over the cap of {cap}$"):
+                    enumerate_vertices(f, max_vertices=cap)
+            else:
+                try:
+                    assert fractions(enumerate_vertices(f, max_vertices=cap)) == expected
+                except TooLargeToEnumerate as err:
+                    assert "no row uses" not in str(err)
+
+    def test_guard_counts_the_integers(self, monkeypatch):
+        # 2**3 vertices of 3 + 4 + 1 integers: over a cap of 63, refused
+        # before any cut; the start cone's 7 rays hold 56.
+        f = theorem1_formulation(sos2(2), make_encoding(2, EncodingKind.GRAY))
+        f = widen(f, f.z_bounds + ((0, 1),) * 3)
+        monkeypatch.setattr(linalg, "DEFAULT_ENTRY_CAP", 63)
+        monkeypatch.setattr(linalg, "dd_cut", None)  # no cut may run
+        with pytest.raises(TooLargeToEnumerate,
+                           match=r"^the relaxation, a product over 3 z coordinates that "
+                                 r"no row uses: 8 vectors of 8 integers, 64 in all"):
+            enumerate_vertices(f)
 
 
 class TestCapMessage:
@@ -532,48 +637,51 @@ class TestCapMessage:
         f = self.square(GeneralRow((1, 0), (0,), (1,)), GeneralRow((2, 2), (0,), (3,)))
         assert enumerate_vertices(f, max_vertices=5).count == 5
         with pytest.raises(TooLargeToEnumerate,
-                           match=r"cap of 4 intermediate vertices: 5 after cut 4, "
+                           match=r"cap of 4 intermediate rays: 5 after cut 4, "
                                  r"general row 1 \(upper side\)$"):
             enumerate_vertices(f, max_vertices=4)
 
     def test_lower_side(self):
-        # -3 <= -2 z1 - 2 z2 cuts the same corner from the lower side.
+        # -3 <= -2 z1 - 2 z2 cuts the same corner from the lower side: the
+        # start's point z = (1, 1) gives way to one point on each of the two
+        # directions, four rays in all.
         f = self.square(GeneralRow((-2, -2), (-3,), (0,)))
         with pytest.raises(TooLargeToEnumerate,
-                           match=r"5 after cut 1, general row 0 \(lower side\)$"):
-            enumerate_vertices(f, max_vertices=4)
+                           match=r"4 after cut 1, general row 0 \(lower side\)$"):
+            enumerate_vertices(f, max_vertices=3)
 
     def test_equality_row(self):
-        # The slice 2 (z1 + ... + z8) = 7 of the 8-cube crosses 56 * 5 edges,
-        # more than the cube's 256 vertices.
-        f = Formulation(1, 8, (LinearEquality((1,), (0,) * 8, 1),
-                               LinearEquality((0,), (2,) * 8, 7)), (),
-                        ((0, 1),) * 8)
-        assert enumerate_vertices(f).count == 280
+        # The start cone's three points have 2 (z1 + z2 + z3) > 3 and its
+        # three directions < 3, so the slice crosses its 9 point-direction
+        # faces. The relaxation is a triangle times a hexagon.
+        f = Formulation(3, 3, (LinearEquality((1,) * 3, (0,) * 3, 1),
+                               LinearEquality((0,) * 3, (2,) * 3, 3)), (),
+                        ((0, 1),) * 3)
+        assert enumerate_vertices(f).count == 18
         with pytest.raises(TooLargeToEnumerate,
-                           match=r"cap of 256 intermediate vertices: 280 after cut 1, "
+                           match=r"cap of 8 intermediate rays: 9 after cut 1, "
                                  r"equality row 1$"):
-            enumerate_vertices(f, max_vertices=256)
+            enumerate_vertices(f, max_vertices=8)
 
 
 class TestEntryCap:
     """The integers held across all vertices are capped, not only their count."""
 
     def test_after_a_cut(self, monkeypatch):
-        # Four vertices of four integers to start; the upper side of row 1
-        # leaves five.
-        monkeypatch.setattr(verify, "DEFAULT_ENTRY_CAP", 16)
+        # Three rays of four integers to start, four after the lower side of
+        # row 1; the upper side leaves five.
+        monkeypatch.setattr(linalg, "DEFAULT_ENTRY_CAP", 16)
         f = TestCapMessage.square(GeneralRow((1, 0), (0,), (1,)),
                                   GeneralRow((2, 2), (0,), (3,)))
         with pytest.raises(TooLargeToEnumerate,
                            match=r"^vertex enumeration after cut 4, general row 1 "
-                                 r"\(upper side\): 5 vertices of 4 integers, 20 in all, "
+                                 r"\(upper side\): 5 vectors of 4 integers, 20 in all, "
                                  r"over the cap of 16 integers$"):
             enumerate_vertices(f)
 
     def test_embedding_counted_before_it_is_built(self, monkeypatch):
         # Eight points (e^w, h^j, 1) of 5 + 2 + 1 integers.
-        monkeypatch.setattr(verify, "DEFAULT_ENTRY_CAP", 63)
+        monkeypatch.setattr(linalg, "DEFAULT_ENTRY_CAP", 63)
         with pytest.raises(TooLargeToEnumerate,
-                           match=r"^the embedding: 8 vertices of 8 integers, 64 in all"):
+                           match=r"^the embedding: 8 vectors of 8 integers, 64 in all"):
             embedding_extreme_points(sos2(4), make_encoding(4, EncodingKind.GRAY))
