@@ -58,7 +58,7 @@ class CdcProblem:
     kind: ClassVar[str] = "cdc"
     cdc: Cdc
     encoding_kind: EncodingKind
-    explicit_rows: tuple[tuple[int, ...], ...] | None
+    explicit: Encoding | None  # the document's own codes, built when it is read
     options: ProblemOptions
 
     def disjunction(self) -> Cdc:
@@ -66,7 +66,7 @@ class CdcProblem:
 
     def encoding(self) -> Encoding:
         if self.encoding_kind is EncodingKind.EXPLICIT:
-            return explicit_encoding(self.explicit_rows)
+            return self.explicit
         return make_encoding(self.cdc.d, self.encoding_kind)
 
     def formulate(self) -> tuple[Formulation, RecoveryMap | None, dict]:
@@ -259,7 +259,9 @@ def _parse_cdc(body: dict, options: ProblemOptions) -> CdcProblem:
         raise InputError(
             f"cdc.encoding: {len(rows)} explicit rows for {c.d} alternatives"
         )
-    return CdcProblem(c, encoding_kind, rows, options)
+    explicit = None if rows is None else _build("cdc.encoding.explicit",
+                                                explicit_encoding, rows)
+    return CdcProblem(c, encoding_kind, explicit, options)
 
 
 def _parse_pwl(body: dict, options: ProblemOptions) -> PwlProblem:
@@ -394,13 +396,13 @@ def formulation_from_document(doc: dict) -> tuple[Formulation, RecoveryMap | Non
     variables = _object(doc.get("variables"), "variables")
     lam = _object(variables.get("lambda"), "variables.lambda")
     z = _object(variables.get("z"), "variables.z")
-    # Formulation checks the rows and bounds against the variable counts.
-    f = _build("variables", Formulation,
-               _int(lam.get("count"), "variables.lambda.count"),
-               _int(z.get("count"), "variables.z.count"),
-               _list(doc.get("equalities"), "equalities", _equality, "objects"),
-               _list(doc.get("general_rows"), "general_rows", _general_row, "objects"),
-               _list(z.get("bounds"), "variables.z.bounds", _bound, "[lo, hi] pairs"))
+    # Formulation checks the rows and bounds against the variable counts and
+    # names the field at fault.
+    f = Formulation(_int(lam.get("count"), "variables.lambda.count"),
+                    _int(z.get("count"), "variables.z.count"),
+                    _list(doc.get("equalities"), "equalities", _equality, "objects"),
+                    _list(doc.get("general_rows"), "general_rows", _general_row, "objects"),
+                    _list(z.get("bounds"), "variables.z.bounds", _bound, "[lo, hi] pairs"))
     recovery = None
     if "recovery" in doc:
         recovery = _recovery_map(doc["recovery"])

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import gt
 
+from .errors import InputError
+
 
 @dataclass(frozen=True)
 class LinearEquality:
@@ -53,18 +55,25 @@ class Formulation:
     z_bounds: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        for eq in self.equalities:
-            if len(eq.lam) != self.n_lambda or len(eq.z) != self.r_z:
-                raise ValueError("equality row width mismatch")
-        for row in self.general_rows:
-            if len(row.normal) != self.r_z or len(row.lower) != self.n_lambda:
-                raise ValueError("general row width mismatch")
-            if len(row.upper) != self.n_lambda:
-                raise ValueError("general row width mismatch")
-        if len(self.z_bounds) != self.r_z:
-            raise ValueError("need one bound pair per z variable")
-        if any(lo > hi for lo, hi in self.z_bounds):
-            raise ValueError("z bounds need lo <= hi")
+        # Each error names its field as a formulation document does.
+        n, r = self.n_lambda, self.r_z
+        for i, eq in enumerate(self.equalities):
+            for key, row, width in (("lambda", eq.lam, n), ("z", eq.z, r)):
+                if len(row) != width:
+                    raise InputError(f"equalities[{i}].{key}: expected {width} "
+                                     f"entries, got {len(row)}")
+        for i, g in enumerate(self.general_rows):
+            for key, row, width in (("normal", g.normal, r), ("lower", g.lower, n),
+                                    ("upper", g.upper, n)):
+                if len(row) != width:
+                    raise InputError(f"general_rows[{i}].{key}: expected {width} "
+                                     f"entries, got {len(row)}")
+        if len(self.z_bounds) != r:
+            raise InputError(f"variables.z.bounds: expected {r} [lo, hi] pairs, "
+                             f"got {len(self.z_bounds)}")
+        for k, (lo, hi) in enumerate(self.z_bounds):
+            if lo > hi:
+                raise InputError(f"variables.z.bounds[{k}]: z bounds need lo <= hi")
 
     @property
     def gamma(self) -> int:

@@ -7,13 +7,20 @@ meeting point when the function is continuous there, so a ground element
 is duplicated only at actual jumps. With the jump count kappa this spends
 d + 1 + kappa multiplier variables instead of two per segment.
 
-The fast path applies when d is a power of two (at least 4) and the
-function is continuous across one of the two middle quarter spans of
-breakpoints. The reflected and zig-zag code families step through single
-coordinates in a fixed pattern, and each quarter span's steps touch every
-coordinate, so continuity there guarantees the difference directions span
-the full code space and the paired rows need only unit normals. No
-hyperplane enumeration, no feasibility subproblems.
+Theorem 1 on this disjunction gives one paired row per unit normal of the
+code space, so that closed form is the only route. It exists exactly when
+the code steps at the continuous breakpoints reach all r code coordinates.
+Rows: segments i and i + 1 share a ground point exactly when f is
+continuous at breakpoint i + 1, and no other pair does. Both code families
+step from row i - 1 to row i by +-1 in coordinate ctz(i) alone, so the
+directions are unit vectors. Coordinate k first moves at row 2^k <= d - 1,
+so a family prefix is full-dimensional, and the directions span it exactly
+when they reach every coordinate; their hyperplanes are then the coordinate
+hyperplanes. A deficit needs a jump, and a jump disconnects the chain.
+Gates: a subset S of a hole-free set C in convex position is both too, as
+a lattice point of conv(S) is a code and a vertex of conv(C), so it is no
+convex combination of other codes and lies in S. A family prefix is a
+subset of the full 2^r matrix, which passes both gates, so neither runs.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .cdc import Cdc, formulation_for_normals, theorem1_formulation, unit_normals
+from .cdc import Cdc, formulation_for_normals, unit_normals
 from .encoding import EncodingKind, make_encoding
 from .errors import DimensionDeficit, InputError
 from .formulation import Formulation, RecoveryMap
@@ -117,49 +124,42 @@ def pwl_ground_set(f: PwlFunction) -> PwlGroundSet:
 
 
 def pwl_prop3_applicable(f: PwlFunction) -> bool:
-    """Whether the unit-normal closed form is guaranteed to be ideal.
-
-    Requires d = 2^r with r >= 2 and continuity at every breakpoint of one
-    of the two middle quarter spans, indices [d/4+1, d/2+1] or
-    [d/2+1, 3d/4+1]. Those spans' code steps touch every coordinate, which
-    is exactly what the dimension condition needs.
+    """Whether Proposition 3 certifies the unit-normal rows: d = 2^r with
+    r >= 2 and f continuous across one of the two middle quarter spans of
+    breakpoints, [d/4+1, d/2+1] or [d/2+1, 3d/4+1]. The rows are the same
+    either way; provenance.path names the result that certifies them,
+    "closed-form" (Proposition 3) or "general" (Theorem 1), not the code
+    that ran.
     """
     d = f.d
     if d < 4 or d & (d - 1):
         return False
-    first = range(d // 4 + 1, d // 2 + 2)
-    second = range(d // 2 + 1, 3 * d // 4 + 2)
-    return any(
-        all(f.is_continuous_at(j) for j in span) for span in (first, second)
-    )
+    spans = range(d // 4 + 1, d // 2 + 2), range(d // 2 + 1, 3 * d // 4 + 2)
+    return any(all(f.is_continuous_at(j) for j in span) for span in spans)
 
 
-def pwl_formulation(
-    f: PwlFunction, kind: EncodingKind
-) -> tuple[Formulation, RecoveryMap]:
+def pwl_formulation(f: PwlFunction, kind: EncodingKind) -> tuple[Formulation, RecoveryMap]:
     """An ideal formulation of the epigraph of f, plus the point map.
 
     The λ variables stand for the ground points: the modeled pair is
     x = Σ λ_v x_v with output y ≥ Σ λ_v y_v (the epigraph direction is a
-    free ray and needs no vertex bookkeeping). When the fast path does not
-    apply the general pipeline runs on the segment disjunction; it can
-    reject the instance when too many jumps starve the code steps.
+    free ray and needs no vertex bookkeeping). Jumps that leave a code
+    coordinate unreached raise DimensionDeficit, which names them.
     """
     if kind is EncodingKind.EXPLICIT:
         raise InputError("this pipeline picks its own codes; use gray or zigzag")
     ground = pwl_ground_set(f)
     c = Cdc(ground.n, ground.alternatives)
     e = make_encoding(f.d, kind)
-    recovery = RecoveryMap(kind="pwl", points=ground.points, epigraph=True)
-
-    if pwl_prop3_applicable(f):
-        return formulation_for_normals(c, e, sorted(unit_normals(e.r))), recovery
-
-    try:
-        return theorem1_formulation(c, e), recovery
-    except DimensionDeficit as err:
+    # Segments i and i + 1 meet unless f jumps; codes i - 1, i differ at ctz(i) < r.
+    ends = f.ends
+    reached = {(i & -i).bit_length() - 1 for i in range(1, f.d) if ends[i - 1][1] == ends[i][0]}
+    if len(reached) < e.r:  # Theorem 1's text, where e.dim == e.r
         jumps = ", ".join(f"t{j}" for j in f.jump_indices())
         raise DimensionDeficit(
-            f"{err}; the jumps at {jumps} remove the consecutive-segment "
-            f"steps that would supply the missing code coordinates"
-        ) from err
+            f"difference directions span {len(reached)} of {e.r} dimensions; "
+            f"intersection digraph is not weakly connected; the jumps at {jumps} remove "
+            f"the consecutive-segment steps that would supply the missing code coordinates"
+        )
+    recovery = RecoveryMap(kind="pwl", points=ground.points, epigraph=True)
+    return formulation_for_normals(c, e, sorted(unit_normals(e.r))), recovery

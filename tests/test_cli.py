@@ -520,7 +520,8 @@ class TestMalformedInput:
             (lambda d: d["recovery"].pop("kind"), "recovery.kind"),
             (lambda d: d["recovery"]["points"][0].__setitem__(0, "x"),
              "recovery.points[0]"),
-            (lambda d: d["variables"]["z"]["bounds"][0].reverse(), "variables"),
+            (lambda d: d["variables"]["z"]["bounds"][0].reverse(),
+             "variables.z.bounds[0]"),
         ],
     )
     def test_verify(self, capsys, write_doc, tmp_path, damage, field):
@@ -546,6 +547,12 @@ class TestMalformedInput:
             (lambda d: d["equalities"][0].__delitem__("rhs"), "equalities[0].rhs"),
             (lambda d: d["general_rows"][1].update(normal=[0, 0]), "general_rows[1]"),
             (lambda d: [d], "formulation document"),
+            (lambda d: d["equalities"][0]["lambda"].__delitem__(-1), "equalities[0].lambda"),
+            (lambda d: d["general_rows"][1]["normal"].append(0), "general_rows[1].normal"),
+            # Its own id: the missing entry above names the same field.
+            pytest.param(lambda d: d["variables"]["z"]["bounds"][1].reverse(),
+                         "variables.z.bounds[1]", id="reversed-variables.z.bounds[1]"),
+            (lambda d: d["variables"]["z"]["bounds"].__delitem__(1), "variables.z.bounds"),
         ],
     )
     def test_verify_names_the_formulation_field(self, capsys, write_doc, tmp_path,

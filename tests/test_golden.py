@@ -28,9 +28,9 @@ def _cdc(alternatives, encoding) -> dict:
     return {"kind": "cdc", "cdc": {"alternatives": alternatives, "encoding": encoding}}
 
 
-# Six pieces, so the fast path does not apply, with jumps at breakpoints 2
-# and 6. Jumps at 3 and 6 leave the code differences short of the code
-# space, which the general path reports as a dimension deficit.
+# Six pieces, so Proposition 3 does not apply and the provenance path is
+# "general", with jumps at breakpoints 2 and 6. Jumps at 3 and 6 leave the
+# code differences short of the code space: a dimension deficit.
 def _pwl(intercepts) -> dict:
     return {"kind": "pwl",
             "pwl": {"breakpoints": [0, 1, 3, 4, 6, 7, 9],
@@ -38,14 +38,14 @@ def _pwl(intercepts) -> dict:
                     "intercepts": intercepts, "encoding": "gray"}}
 
 
-# A continuous function over d pieces, with one jump of +1 at breakpoint
-# `jump`; fractional slopes put "p/q" strings in the recovery points. A jump
-# outside the middle quarter spans keeps the closed form.
-def _pwl_one_jump(d: int, jump: int) -> dict:
+# A continuous function over d pieces, with a jump of +1 at each breakpoint
+# in `jumps`; fractional slopes put "p/q" strings in the recovery points. A
+# jump outside the middle quarter spans keeps Proposition 3's certificate.
+def _pwl_jumps(d: int, *jumps: int) -> dict:
     slopes = [Fraction((i * 7) % 11 - 5, 1 + i % 3) for i in range(d)]
     intercepts = [Fraction(0)]
     for i in range(1, d):
-        step = (slopes[i - 1] - slopes[i]) * i + (1 if i + 1 == jump else 0)
+        step = (slopes[i - 1] - slopes[i]) * i + (1 if i + 1 in jumps else 0)
         intercepts.append(intercepts[-1] + step)
     return {"kind": "pwl",
             "pwl": {"breakpoints": list(range(d + 1)),
@@ -89,7 +89,10 @@ DOCUMENTS = {
     "sos3": _cdc(_sos(8, 3), "gray"),
     "pwl-jumps": _pwl([0, 4, 7, 13, 22, 45]),
     "pwl-deficit": _pwl([0, 2, 7, 13, 22, 45]),
-    "pwl-d64-one-jump": _pwl_one_jump(64, 5),
+    "pwl-d64-one-jump": _pwl_jumps(64, 5),
+    # Jumps in both middle quarter spans, none on a coordinate's only step.
+    "pwl-d100-two-jumps": _pwl_jumps(100, 30, 70),
+    "pwl-d128-two-jumps": _pwl_jumps(128, 40, 90),
     "explicit": EXPLICIT,
     "flat": FLAT,
     "sos2-d4": _cdc(_sos(4, 2), "gray"),
@@ -119,6 +122,8 @@ MALFORMED = {
     "unknown-check": {**_cdc(_sos(8, 2), "gray"), "options": {"check": "full"}},
     "annulus-d6": {"kind": "annulus", "annulus": {"d": 6}},
     "unknown-kind": {"kind": "milp", "milp": {}},
+    "repeated-explicit-rows": _cdc([[1, 2], [2, 3]], {"explicit": [[0], [0]]}),
+    "empty-explicit-rows": _cdc([[1, 2], [2, 3]], {"explicit": [[], []]}),
 }
 DOCUMENTS.update({f"malformed-{name}": doc for name, doc in MALFORMED.items()})
 
@@ -133,6 +138,9 @@ CASES = {
        for enc in ("gray", "zigzag")},
     "pwl-deficit": ["pwl", "pwl-deficit"],
     "pwl-d64-one-jump": ["pwl", "pwl-d64-one-jump"],
+    **{f"pwl-{name}-zigzag-validity": ["pwl", f"pwl-{name}", "--encoding", "zigzag",
+                                       "--check", "validity"]
+       for name in ("d100-two-jumps", "d128-two-jumps")},
     **{f"annulus-d8-{enc}-{fmt}": ["annulus", "--d", "8", "--encoding", enc, "--format", fmt]
        for enc in ("gray", "zigzag") for fmt in ("json", "lp")},
     **{f"annulus-d256-zigzag-{fmt}": ["annulus", "--d", "256", "--encoding", "zigzag",
@@ -279,6 +287,18 @@ GOLDEN = {
     'annulus-d4-inner-zero': (0,
         '78c2394f2a433622518262f28f630bb581466f2b546962d8de7633a58f656aa8',
         'b5991426d7890e062ea94966af9a6e6d9c709a1f8d7944e2962972974d14320b'),
+    'malformed-empty-explicit-rows': (1,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'c9d9bd72b9ba7daba521b4a3f7f3c2b3b6e8ee55008ca1fe5c0efbac3fb5ec79'),
+    'malformed-repeated-explicit-rows': (1,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '294910eb3f1f455df054ccc00013b797786557fbf93f1433b58278c2b8ab4acc'),
+    'pwl-d100-two-jumps-zigzag-validity': (0,
+        'b7332b8e7e2287d0dee33de04d07bc643d7bbbf4cf249a50431d32dd54e7ec84',
+        'ff76873a8460f60a605de8cdad973b270db1c5cd1ab6cad5a63993e63792c6c2'),
+    'pwl-d128-two-jumps-zigzag-validity': (0,
+        '734a0869ff8962ff0bbdafb3cd4ad1961e6c396cbaef7c199442467f8723dedb',
+        'ff76873a8460f60a605de8cdad973b270db1c5cd1ab6cad5a63993e63792c6c2'),
 }
 
 

@@ -1,14 +1,24 @@
 """Tests for the piecewise-linear epigraph pipeline."""
 
 import json
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idealform.cdc import Cdc, intersection_digraph, is_weakly_connected, theorem1_formulation
 from idealform.cli import main
-from idealform.encoding import EncodingKind, make_encoding
+from idealform.encoding import (
+    EncodingKind,
+    gray_matrix,
+    is_hole_free,
+    is_in_convex_position,
+    make_encoding,
+    zigzag_matrix,
+)
 from idealform.errors import DimensionDeficit, InputError
 from idealform.pwl import (
     PwlFunction,
@@ -191,3 +201,64 @@ class TestFormulation:
         assert recovery.kind == "pwl"
         assert recovery.points == pwl_ground_set(func).points
         assert all(isinstance(x, Fraction) for p in recovery.points for x in p)
+
+
+FAMILIES = (EncodingKind.GRAY, EncodingKind.ZIGZAG)
+
+
+class TestSingleRoute:
+    """The unit-normal closed form is Theorem 1 on every PWL chain."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_theorem1_or_both_raise_the_same_deficit(self, data):
+        d = data.draw(st.integers(2, 40))
+        kind = data.draw(st.sampled_from(FAMILIES))
+        slopes = data.draw(st.lists(st.fractions(-9, 9, max_denominator=6),
+                                    min_size=d, max_size=d))
+        jumps = data.draw(st.sets(st.integers(2, d)))
+        func = chain(range(d + 1), slopes, {j: 1 for j in jumps})
+        g = pwl_ground_set(func)
+        c, e = Cdc(g.n, g.alternatives), make_encoding(d, kind)
+        try:
+            expected = theorem1_formulation(c, e)
+        except DimensionDeficit as err:
+            names = ", ".join(f"t{j}" for j in sorted(jumps))
+            with pytest.raises(DimensionDeficit) as info:
+                pwl_formulation(func, kind)
+            assert str(info.value) == (
+                f"{err}; the jumps at {names} remove the consecutive-segment "
+                f"steps that would supply the missing code coordinates")
+        else:
+            assert pwl_formulation(func, kind)[0] == expected
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_every_family_prefix_passes_both_gates(self, kind):
+        for d in [*range(2, 33), 64]:
+            e = make_encoding(d, kind)
+            assert e.dim == e.r
+            assert is_in_convex_position(e) and is_hole_free(e), d
+
+    @pytest.mark.parametrize("build", [gray_matrix, zigzag_matrix])
+    def test_row_i_steps_coordinate_ctz_i(self, build):
+        for s in range(1, 11):
+            rows = build(s)
+            for i in range(1, 2**s):
+                ctz = (i & -i).bit_length() - 1
+                step = [abs(a - b) for a, b in zip(rows[i], rows[i - 1])]
+                assert step == [int(k == ctz) for k in range(s)], (s, i)
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_no_gate_digraph_or_enumeration_runs(self, monkeypatch, kind):
+        def refuse(*args):
+            raise AssertionError("the PWL route ran a general-pipeline stage")
+
+        for name in ("is_in_convex_position", "is_hole_free", "intersection_digraph",
+                     "spanned_hyperplane_normals"):
+            monkeypatch.setattr(importlib.import_module("idealform.cdc"), name, refuse)
+        # Jumps at t4 and t6 break both middle quarter spans.
+        func = chain(range(9), [1, -1, 2, -2, 3, -3, 4, -4], jumps={4: 1, 6: -1})
+        assert not pwl_prop3_applicable(func)
+        f, _ = pwl_formulation(func, kind)
+        assert f.gamma == 3 and f.n_lambda == 11
+        assert [row.normal for row in f.general_rows] == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
