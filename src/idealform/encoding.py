@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, reduce
-from itertools import product
+from itertools import chain, compress, count, product, repeat
 from math import gcd, prod
-from operator import mul
+from operator import mul, ne
 
 from .errors import (
     HoleCheckTooLarge,
@@ -54,11 +54,17 @@ class Encoding:
         width = len(self.rows[0])
         if width < 1:
             raise InputError("encoding rows must have at least one coordinate")
-        for row in self.rows:
-            if len(row) != width:
-                raise InputError("encoding rows have unequal lengths")
-            if not all(isinstance(x, int) and not isinstance(x, bool) for x in row):
-                raise InputError("encoding rows must be integer vectors")
+        # Widths and entry types are each read in one C-level pass; an int
+        # subclass other than bool is checked type by type. Only the rows
+        # before the first ragged one are typed, so a bad entry there is
+        # named first, as a row-by-row check would.
+        ragged = next(compress(count(), map(ne, map(len, self.rows), repeat(width))),
+                      len(self.rows))
+        types = set(map(type, chain.from_iterable(self.rows[:ragged])))
+        if types != {int} and not all(issubclass(t, int) and t is not bool for t in types):
+            raise InputError("encoding rows must be integer vectors")
+        if ragged < len(self.rows):
+            raise InputError("encoding rows have unequal lengths")
         if len(set(self.rows)) != len(self.rows):
             raise InputError("encoding rows must be pairwise distinct")
 
@@ -215,7 +221,4 @@ def is_hole_free(e: Encoding) -> bool:
 
 def code_bounds(e: Encoding) -> tuple[tuple[int, int], ...]:
     """Componentwise (min, max) over the code rows: the box the codes live in."""
-    return tuple(
-        (min(row[k] for row in e.rows), max(row[k] for row in e.rows))
-        for k in range(e.r)
-    )
+    return tuple([(min(column), max(column)) for column in zip(*e.rows)])

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import chain, compress, count, filterfalse, repeat
 from math import gcd, lcm
-from operator import mul
+from operator import mul, ne
 from typing import Iterable, Sequence
 
 from .errors import TooLargeToEnumerate
@@ -162,9 +163,18 @@ def affine_hull(points: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ...], 
     point, so they are independent, primitive and canonical, and the hull
     has dimension len(points[0]) minus their number. A single point gets
     one equation per coordinate, an affinely full set gets none.
+
+    The kernel depends only on the row space, so the differences may enter
+    in any order. The first point off the base in each coordinate goes
+    first, found by a C-level scan of each column; the rest follow. For the
+    code families those r points are already independent, so the
+    elimination stops at full rank after r rows of d - 1.
     """
     base = points[0]
-    dirs = ([x - b for x, b in zip(p, base)] for p in points[1:])
+    leads = sorted({next(compress(count(), map(ne, column, repeat(b))), 0)
+                    for column, b in zip(zip(*points), base)} - {0})
+    order = chain(leads, filterfalse(set(leads).__contains__, range(1, len(points))))
+    dirs = ([x - b for x, b in zip(points[i], base)] for i in order)
     return [(a, sum(map(mul, a, base))) for a in kernel(dirs, len(base))]
 
 

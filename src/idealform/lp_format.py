@@ -9,46 +9,48 @@ all-on-the-left convention so every coefficient stays an integer:
 Variables are lambda_1..lambda_n (continuous, nonnegative; the simplex
 equality caps them at 1) and z_1..z_r (general integers with their box
 bounds). The writer is deterministic: same formulation, same bytes.
+
+Each row is written in one pass with C-level joins: zero coefficients drop
+out through ``filter`` and ``compress``, and each nonzero coefficient maps
+to its "+ 3 " or "- 3 " prefix through a dict filled once per emit. Row
+fields may be any sequences, tuples or lists. The bytes are checked against
+the per-term writer kept as a test oracle.
 """
 
 from __future__ import annotations
+
+from itertools import compress
+from operator import add, neg
 
 from .formulation import Formulation
 
 __all__ = ["emit_lp_text"]
 
 
-def _terms(pairs) -> str:
-    """Render [(coeff, name), ...] as '+ 2 x - 1 y', skipping zeros."""
-    parts = []
-    for coeff, name in pairs:
-        if coeff == 0:
-            continue
-        sign = "-" if coeff < 0 else "+"
-        parts.append(f"{sign} {abs(coeff)} {name}")
-    return " ".join(parts)
+class _Prefixes(dict):
+    """Coefficient -> its term prefix, '+ 3 ' or '- 3 ', made on first use."""
 
-
-def _lambda_names(n: int) -> list[str]:
-    return [f"lambda_{v}" for v in range(1, n + 1)]
-
-
-def _z_names(r: int) -> list[str]:
-    return [f"z_{k}" for k in range(1, r + 1)]
+    def __missing__(self, coeff):
+        prefix = self[coeff] = f"- {abs(coeff)} " if coeff < 0 else f"+ {coeff} "
+        return prefix
 
 
 def emit_lp_text(f: Formulation) -> str:
-    lam = _lambda_names(f.n_lambda)
-    z = _z_names(f.r_z)
+    lam = [f"lambda_{v}" for v in range(1, f.n_lambda + 1)]
+    z = [f"z_{k}" for k in range(1, f.r_z + 1)]
+    lam_z, z_lam = lam + z, z + lam
+    prefix = _Prefixes().__getitem__
+
+    def terms(coeffs, names) -> str:
+        """'+ 2 x - 1 y' over the nonzero coefficients and their names."""
+        return " ".join(map(add, map(prefix, filter(None, coeffs)), compress(names, coeffs)))
+
     lines = ["Minimize", f" obj: 0 {lam[0]}", "Subject To"]
     for i, eq in enumerate(f.equalities, 1):
-        run = _terms(list(zip(eq.lam, lam)) + list(zip(eq.z, z)))
-        lines.append(f" eq_{i}: {run} = {eq.rhs}")
+        lines.append(f" eq_{i}: {terms([*eq.lam, *eq.z], lam_z)} = {eq.rhs}")
     for k, row in enumerate(f.general_rows, 1):
-        lo = _terms(list(zip(row.lower, lam)) + [(-b, name) for b, name in zip(row.normal, z)])
-        up = _terms(list(zip(row.normal, z)) + [(-u, name) for u, name in zip(row.upper, lam)])
-        lines.append(f" g{k}_lo: {lo} <= 0")
-        lines.append(f" g{k}_up: {up} <= 0")
+        lines.append(f" g{k}_lo: {terms([*row.lower, *map(neg, row.normal)], lam_z)} <= 0")
+        lines.append(f" g{k}_up: {terms([*row.normal, *map(neg, row.upper)], z_lam)} <= 0")
     lines.append("Bounds")
     for name in lam:
         lines.append(f" {name} >= 0")

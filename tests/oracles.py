@@ -20,7 +20,9 @@ package implementation, so agreement is evidence rather than tautology:
   replaced it),
 * the facets of the code hull from a start cone of one kernel per ray
   (the single elimination in idealform.encoding.Encoding.facets replaced
-  it).
+  it),
+* LP text one formatted term at a time (the joined rows of
+  idealform.lp_format.emit_lp_text replaced it).
 
 Most are exponential and meant for desk-scale fixtures only.
 """
@@ -243,6 +245,42 @@ def hull_equations_from_all_directions(points) -> list[tuple[int, ...]]:
 def json_text(doc) -> str:
     """The document as json.dumps writes it with a two-space indent."""
     return json.dumps(doc, indent=2) + "\n"
+
+
+def _lp_terms(pairs) -> str:
+    """Render [(coeff, name), ...] as '+ 2 x - 1 y', skipping zeros."""
+    parts = []
+    for coeff, name in pairs:
+        if coeff == 0:
+            continue
+        sign = "-" if coeff < 0 else "+"
+        parts.append(f"{sign} {abs(coeff)} {name}")
+    return " ".join(parts)
+
+
+def lp_text(f) -> str:
+    """The LP text of a formulation, built term by term."""
+    lam = [f"lambda_{v}" for v in range(1, f.n_lambda + 1)]
+    z = [f"z_{k}" for k in range(1, f.r_z + 1)]
+    lines = ["Minimize", f" obj: 0 {lam[0]}", "Subject To"]
+    for i, eq in enumerate(f.equalities, 1):
+        run = _lp_terms(list(zip(eq.lam, lam)) + list(zip(eq.z, z)))
+        lines.append(f" eq_{i}: {run} = {eq.rhs}")
+    for k, row in enumerate(f.general_rows, 1):
+        lo = _lp_terms(list(zip(row.lower, lam)) + [(-b, name) for b, name in zip(row.normal, z)])
+        up = _lp_terms(list(zip(row.normal, z)) + [(-u, name) for u, name in zip(row.upper, lam)])
+        lines.append(f" g{k}_lo: {lo} <= 0")
+        lines.append(f" g{k}_up: {up} <= 0")
+    lines.append("Bounds")
+    for name in lam:
+        lines.append(f" {name} >= 0")
+    for name, (low, high) in zip(z, f.z_bounds):
+        lines.append(f" {low} <= {name} <= {high}")
+    if z:
+        lines.append("Generals")
+        lines.append(" " + " ".join(z))
+    lines.append("End")
+    return "\n".join(lines) + "\n"
 
 
 def facets_from_kernel_start_cone(e) -> tuple[tuple[tuple[int, ...], int, int], ...]:

@@ -1,5 +1,7 @@
 """Tests for the encoding families and the idealizability gates."""
 
+from enum import IntEnum
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -118,6 +120,35 @@ class TestMakeEncoding:
         # Checked as given, not truncated or coerced first.
         with pytest.raises(InputError, match="integer"):
             explicit_encoding([(0, 0), (1, entry), (0, 1)])
+
+
+class Level(IntEnum):
+    LOW = 0
+    HIGH = 1
+
+
+class TestAcceptanceSet:
+    """Exactly the int entries, int subclasses other than bool included."""
+
+    @pytest.mark.parametrize("entry", [True, False, Fraction(1), Fraction(1, 2), 1.0])
+    def test_bool_fraction_and_float_entries_are_refused(self, entry):
+        with pytest.raises(InputError, match="^encoding rows must be integer vectors$"):
+            Encoding(((0, 0), (1, entry), (0, 1)))
+
+    def test_an_int_subclass_is_accepted(self):
+        e = Encoding(((Level.LOW, Level.LOW), (Level.HIGH, 0), (0, Level.HIGH)))
+        assert (e.d, e.r) == (3, 2)
+
+    def test_a_ragged_row_is_refused(self):
+        with pytest.raises(InputError, match="^encoding rows have unequal lengths$"):
+            Encoding(((0, 0), (1, 0), (1,)))
+
+    def test_the_first_faulty_row_is_named(self):
+        # A bad entry before the first ragged row is reported, and one after it is not.
+        with pytest.raises(InputError, match="integer vectors"):
+            Encoding(((0, 0), (1, 0.5), (1,)))
+        with pytest.raises(InputError, match="unequal lengths"):
+            Encoding(((0, 0), (1,), (1, 0.5)))
 
 
 def _convex_position_oracle(rows):

@@ -134,8 +134,11 @@ CASES = {
     "formulate-explicit": ["formulate", "explicit"],
     "formulate-explicit-lp": ["formulate", "explicit", "--format", "lp"],
     "formulate-flat": ["formulate", "flat", "--check", "ideal"],
+    # A lower-dimensional explicit encoding: its eq_k lines carry z terms.
+    "formulate-flat-lp": ["formulate", "flat", "--format", "lp"],
     **{f"pwl-jumps-{enc}": ["pwl", "pwl-jumps", "--encoding", enc]
        for enc in ("gray", "zigzag")},
+    "pwl-jumps-gray-lp": ["pwl", "pwl-jumps", "--encoding", "gray", "--format", "lp"],
     "pwl-deficit": ["pwl", "pwl-deficit"],
     "pwl-d64-one-jump": ["pwl", "pwl-d64-one-jump"],
     **{f"pwl-{name}-zigzag-validity": ["pwl", f"pwl-{name}", "--encoding", "zigzag",
@@ -145,6 +148,8 @@ CASES = {
        for enc in ("gray", "zigzag") for fmt in ("json", "lp")},
     **{f"annulus-d256-zigzag-{fmt}": ["annulus", "--d", "256", "--encoding", "zigzag",
                                       "--format", fmt] for fmt in ("json", "lp")},
+    **{f"annulus-d512-{enc}-lp": ["annulus", "--d", "512", "--encoding", enc, "--format", "lp"]
+       for enc in ("gray", "zigzag")},
     "annulus-d64-radii": ["annulus", "--d", "64", "--inner", "1", "--outer", "2"],
     **{f"encode-{kind}-s{s}": ["encode", "--kind", kind, "--s", str(s)]
        for kind in ("gray", "zigzag") for s in range(1, 5)},
@@ -299,6 +304,18 @@ GOLDEN = {
     'pwl-d128-two-jumps-zigzag-validity': (0,
         '734a0869ff8962ff0bbdafb3cd4ad1961e6c396cbaef7c199442467f8723dedb',
         'ff76873a8460f60a605de8cdad973b270db1c5cd1ab6cad5a63993e63792c6c2'),
+    'annulus-d512-gray-lp': (0,
+        'fed7cf811cd28b9e685ffae3ef8cde68a63fdea50a6cb3c190cc9e04f23abe7e',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'annulus-d512-zigzag-lp': (0,
+        'ec1744f417ceb4f89a192c61faeaacd40643905300aa2c4c306fefacb11aee24',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'formulate-flat-lp': (0,
+        '59d4ef4fa31a39d5e975f3694fbca54545d8585dbd46c0b014f10f2e068c4388',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'pwl-jumps-gray-lp': (0,
+        '97486f352f04acca35522e3cfc391940bb55de417b59afd1f3ac69ddd8b6ab84',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
 }
 
 

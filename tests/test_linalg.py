@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idealform import linalg
+from idealform.encoding import EncodingKind, make_encoding
 from idealform.linalg import affine_hull, independent_rows, kernel, primitive, rank
 from oracles import (
     has_nonnegative_solution,
@@ -150,6 +152,32 @@ class TestAffineHull:
         assert 3 - len(equations) == rank([
             [Fraction(a) - Fraction(b) for a, b in zip(p, pts[0])] for p in pts
         ])
+
+    @given(st.one_of(
+        st.lists(st.lists(small_ints, min_size=3, max_size=3), min_size=1, max_size=6),
+        st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=1, max_size=6),
+        # Points on the plane x + 2y - z = 1, so the hull has an equation.
+        st.lists(st.tuples(small_ints, small_ints), min_size=1, max_size=6).map(
+            lambda pts: [(x, y, x + 2 * y - 1) for x, y in pts])), st.randoms())
+    @settings(max_examples=100, deadline=None)
+    def test_any_order_of_the_points_gives_the_same_equations(self, pts, random):
+        shuffled = list(pts)
+        random.shuffle(shuffled)
+        assert affine_hull(shuffled) == affine_hull(pts)
+
+    @pytest.mark.parametrize("kind", [EncodingKind.GRAY, EncodingKind.ZIGZAG])
+    @pytest.mark.parametrize("d", [2, 3, 100, 2**11 + 1, 2**12])
+    def test_a_code_prefix_takes_at_most_r_pivot_steps(self, monkeypatch, kind, d):
+        # The first code off the base in each coordinate enters first; for
+        # both families those r codes are independent, so the elimination
+        # stops at full rank however many codes follow.
+        rows = make_encoding(d, kind).rows
+        steps = []
+        original = linalg.pivot_step
+        monkeypatch.setattr(linalg, "pivot_step",
+                            lambda *args: steps.append(1) or original(*args))
+        assert affine_hull(rows) == []
+        assert len(steps) <= len(rows[0]) == (d - 1).bit_length()
 
 
 class TestPrimitive:

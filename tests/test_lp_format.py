@@ -1,14 +1,18 @@
 """LP text output: grammar, exact coefficient recovery, determinism."""
 
 import re
+from operator import neg
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idealform.annulus import annulus_zigzag_formulation
 from idealform.cdc import cdc, theorem1_formulation
 from idealform.encoding import EncodingKind, make_encoding
-from idealform.formulation import Formulation, LinearEquality
+from idealform.formulation import Formulation, GeneralRow, LinearEquality
 from idealform.lp_format import emit_lp_text
+from oracles import lp_text
 
 TERM = re.compile(r"([+-]) (\d+) (lambda_\d+|z_\d+)")
 CONSTRAINT = re.compile(r"^ (\w+): ((?:[+-] \d+ (?:lambda_\d+|z_\d+) ?)+)(<=|=) (-?\d+)$")
@@ -142,3 +146,58 @@ class TestEmit:
     def test_deterministic_bytes(self):
         f, _ = annulus_zigzag_formulation(8)
         assert emit_lp_text(f) == emit_lp_text(f)
+
+
+# Small coefficients, zeros among them, and some wider than 64 bits.
+coefficients = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))
+
+
+@st.composite
+def formulations(draw):
+    """Formulations with row fields as tuples or lists, r_z = 0 included,
+    equalities with z terms and general rows whose lower part may be zero."""
+    seq = draw(st.sampled_from([tuple, list]))
+    n, r = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+
+    def vector(width):
+        return seq(draw(st.lists(coefficients, min_size=width, max_size=width)))
+
+    equalities = [LinearEquality(lam=vector(n), z=vector(r), rhs=draw(coefficients))
+                  for _ in range(draw(st.integers(0, 2)))]
+    rows = []
+    for _ in range(draw(st.integers(0, 3)) if r else 0):
+        normal = vector(r)
+        if not any(normal):
+            continue
+        lower = seq([0] * n) if draw(st.booleans()) else vector(n)
+        gaps = draw(st.lists(st.integers(0, 2**66), min_size=n, max_size=n))
+        rows.append(GeneralRow(normal=normal, lower=lower,
+                               upper=seq([x + g for x, g in zip(lower, gaps)])))
+    bounds = [(lo, lo + draw(st.integers(0, 5))) for lo in draw(
+        st.lists(st.integers(-4, 4), min_size=r, max_size=r))]
+    return Formulation(n_lambda=n, r_z=r, equalities=tuple(equalities),
+                       general_rows=tuple(rows), z_bounds=tuple(bounds))
+
+
+def mirrored(f: Formulation) -> Formulation:
+    """The same formulation with every row multiplied by -1: each coefficient
+    appears with the opposite sign, and lower and upper trade places."""
+    return Formulation(
+        n_lambda=f.n_lambda, r_z=f.r_z,
+        equalities=tuple(LinearEquality(lam=tuple(map(neg, eq.lam)), z=tuple(map(neg, eq.z)),
+                                        rhs=-eq.rhs) for eq in f.equalities),
+        general_rows=tuple(GeneralRow(normal=tuple(map(neg, row.normal)),
+                                      lower=tuple(map(neg, row.upper)),
+                                      upper=tuple(map(neg, row.lower)))
+                           for row in f.general_rows),
+        z_bounds=f.z_bounds)
+
+
+class TestAgainstTermOracle:
+    @given(formulations())
+    @settings(max_examples=200, deadline=None)
+    def test_same_bytes_as_the_term_by_term_writer(self, f):
+        # The mirror, in the same example, shows a prefix kept from an
+        # earlier emit whose coefficients had the other sign.
+        for g in (f, mirrored(f)):
+            assert emit_lp_text(g) == lp_text(g)
