@@ -186,6 +186,19 @@ def formulation_equalities(c: Cdc, e: Encoding) -> tuple[LinearEquality, ...]:
     return tuple(rows)
 
 
+def check_sizes(c: Cdc, e: Encoding, f: Formulation | None = None) -> None:
+    """InputError unless c, e and, when given, f fit together."""
+    if f is not None and (f.n_lambda != c.n or f.r_z != e.r):
+        raise InputError(
+            f"formulation is over {f.n_lambda} lambda and {f.r_z} z variables, "
+            f"but the problem needs {c.n} and {e.r}"
+        )
+    if c.d != e.d:
+        raise InputError(
+            f"disjunction has {c.d} alternatives but the encoding has {e.d} rows"
+        )
+
+
 def theorem1_formulation(c: Cdc, e: Encoding) -> Formulation:
     """The ideal formulation of (c, e) via spanned-hyperplane enumeration.
 
@@ -195,10 +208,7 @@ def theorem1_formulation(c: Cdc, e: Encoding) -> Formulation:
     weak connectivity of the intersection digraph is the usual sufficient
     condition.
     """
-    if c.d != e.d:
-        raise InputError(
-            f"disjunction has {c.d} alternatives but encoding has {e.d} rows"
-        )
+    check_sizes(c, e)
     if not is_in_convex_position(e):
         raise EncodingNotIdealizable("a code row lies in the hull of the others")
     if not is_hole_free(e):

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, reduce
-from itertools import chain, compress, count, product, repeat
-from math import gcd, prod
+from itertools import chain, compress, count, repeat
+from math import gcd
 from operator import mul, ne
 
 from .errors import (
@@ -49,6 +49,7 @@ class Encoding:
     rows: tuple[Row, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))  # rows may be lists
         if len(self.rows) < 2:
             raise TooFewAlternatives("an encoding needs at least two rows")
         width = len(self.rows[0])
@@ -173,7 +174,7 @@ def make_encoding(d: int, kind: EncodingKind) -> Encoding:
 
 def explicit_encoding(rows) -> Encoding:
     """Wrap user-provided integer rows as an explicit encoding."""
-    return Encoding(tuple([tuple(row) for row in rows]))
+    return Encoding(rows)
 
 
 def is_in_convex_position(e: Encoding) -> bool:
@@ -197,26 +198,25 @@ def is_in_convex_position(e: Encoding) -> bool:
 def is_hole_free(e: Encoding) -> bool:
     """True when the hull of the rows contains no lattice point beyond them.
 
-    Scans the integer bounding box of the rows against the hull equations
-    and facets; boxes larger than DEFAULT_HOLE_CAP points raise
-    HoleCheckTooLarge instead of silently taking forever.
+    Level j extends each kept prefix by each value of coordinate j in the
+    code bounds. It keeps the codes' j-prefixes and, when there are others,
+    those in the hull of the prefixes, the projection of the code hull, so
+    level r keeps only the codes exactly when they are hole-free. Before a
+    level is built, more than DEFAULT_HOLE_CAP candidates raise HoleCheckTooLarge.
     """
-    bounds = code_bounds(e)
-    volume = prod(hi - lo + 1 for lo, hi in bounds)
-    if volume > DEFAULT_HOLE_CAP:
-        raise HoleCheckTooLarge(
-            f"lattice box has {volume} points, more than {DEFAULT_HOLE_CAP} points, "
-            f"the fixed cap of the hole-freeness scan"
-        )
-    equations, facets, row_set = e.equations, e.facets, set(e.rows)
-    for point in product(*(range(lo, hi + 1) for lo, hi in bounds)):
-        if point in row_set:
-            continue
-        if all(sum(map(mul, a, point)) == b for a, b in equations) and all(
-            sum(map(mul, a, point)) <= b for a, b, _ in facets
-        ):
-            return False
-    return True
+    kept: list[Row] = [()]
+    for j, (lo, hi) in enumerate(code_bounds(e), start=1):
+        if (size := len(kept) * (hi - lo + 1)) > DEFAULT_HOLE_CAP:
+            raise HoleCheckTooLarge(f"the hole-freeness scan would visit {size} points at "
+                                    f"coordinate {j}, over its fixed cap of {DEFAULT_HOLE_CAP}")
+        prefixes = dict.fromkeys(row[:j] for row in e.rows)
+        kept = [(*p, x) for p in kept for x in range(lo, hi + 1)]
+        if not all(map(prefixes.__contains__, kept)):
+            hull = e if j == e.r else Encoding(tuple(prefixes))
+            kept = [p for p in kept if p in prefixes or (
+                all(sum(map(mul, a, p)) == b for a, b in hull.equations)
+                and all(sum(map(mul, a, p)) <= b for a, b, _ in hull.facets))]
+    return len(kept) == e.d
 
 
 def code_bounds(e: Encoding) -> tuple[tuple[int, int], ...]:

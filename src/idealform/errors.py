@@ -68,7 +68,7 @@ class ResourceCapExceeded(IdealformError):
 
 
 class HoleCheckTooLarge(ResourceCapExceeded):
-    """The lattice box to scan for the hole-freeness gate exceeds the cap."""
+    """A level of the hole-freeness scan has more candidate points than the cap."""
 
 
 class TooManyDirections(ResourceCapExceeded):

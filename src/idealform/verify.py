@@ -44,9 +44,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .cdc import Cdc
+from .cdc import Cdc, check_sizes
 from .encoding import Encoding
-from .errors import InputError, TooLargeToEnumerate
+from .errors import TooLargeToEnumerate
 from .formulation import Formulation
 from .linalg import DEFAULT_ENUM_CAP, Vec, check_entries, double_description
 
@@ -85,22 +85,9 @@ class VerificationReport:
         return (self.expected_count, self.found_count)
 
 
-def _check_sizes(c: Cdc, e: Encoding, f: Formulation | None = None) -> None:
-    """InputError unless c, e and, when given, f fit together."""
-    if f is not None and (f.n_lambda != c.n or f.r_z != e.r):
-        raise InputError(
-            f"formulation is over {f.n_lambda} lambda and {f.r_z} z variables, "
-            f"but the problem needs {c.n} and {e.r}"
-        )
-    if c.d != e.d:
-        raise InputError(
-            f"disjunction has {c.d} alternatives but the encoding has {e.d} rows"
-        )
-
-
 def embedding_extreme_points(c: Cdc, e: Encoding) -> VertexSet:
     """All points (e^w, h^j) with w covered by alternative j."""
-    _check_sizes(c, e)
+    check_sizes(c, e)
     check_entries(sum(map(len, c.alternatives)), c.n + e.r + 1, "the embedding")
     points: set[tuple[int, ...]] = set()
     for alt, code in zip(c.alternatives, e.rows):
@@ -183,7 +170,7 @@ def check_validity_only(c: Cdc, e: Encoding, f: Formulation) -> bool:
     point (e^w, h^j) is checked from integers: a row's normal . h^j once
     per alternative, then its lambda coefficients at each covered w.
     """
-    _check_sizes(c, e, f)
+    check_sizes(c, e, f)
     for alt, code in zip(c.alternatives, e.rows):
         if not all(lo <= h <= hi for h, (lo, hi) in zip(code, f.z_bounds)):
             return False
@@ -212,7 +199,7 @@ def check_ideal(
     convex hull of the disjunction (no vertex lost, none gained), and since
     every embedding point carries an integer code the relaxation is ideal.
     """
-    _check_sizes(c, e, f)
+    check_sizes(c, e, f)
     # Enumeration first, so its cap trips before any embedding point exists.
     found = enumerate_vertices(f, max_vertices=max_vertices).vertices
     expected = embedding_extreme_points(c, e).vertices

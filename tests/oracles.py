@@ -22,7 +22,10 @@ package implementation, so agreement is evidence rather than tautology:
   (the single elimination in idealform.encoding.Encoding.facets replaced
   it),
 * LP text one formatted term at a time (the joined rows of
-  idealform.lp_format.emit_lp_text replaced it).
+  idealform.lp_format.emit_lp_text replaced it),
+* hole-freeness by testing every point of the code box against the hull's
+  equations and facets (the prefix-projection scan in
+  idealform.encoding.is_hole_free replaced it).
 
 Most are exponential and meant for desk-scale fixtures only.
 """
@@ -511,3 +514,15 @@ def hole_free_by_simplex(rows) -> bool:
     box = product(*(range(min(c), max(c) + 1) for c in zip(*rows)))
     return not any(point not in row_set and point_in_convex_hull(vec(point), gens)
                    for point in box)
+
+
+def hole_free_by_box(e) -> bool:
+    """No non-code point of the code box satisfies the equations and facets
+    of the code hull, by one test per box point."""
+    row_set = set(e.rows)
+    for point in product(*(range(min(c), max(c) + 1) for c in zip(*e.rows))):
+        if point not in row_set and all(
+            sum(k * x for k, x in zip(a, point)) == b for a, b in e.equations
+        ) and all(sum(k * x for k, x in zip(a, point)) <= b for a, b, _ in e.facets):
+            return False
+    return True

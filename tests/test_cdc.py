@@ -3,6 +3,7 @@
 import random
 import sys
 import time
+from functools import cached_property
 
 import pytest
 from hypothesis import assume, given, settings
@@ -323,21 +324,41 @@ class TestHullComputedOnce:
                                     calls.append(name) or original(*args))
         return calls
 
+    @staticmethod
+    def count_facet_enumerations(monkeypatch):
+        """The point sets whose facets are enumerated, one entry per run."""
+        enumerated, original = [], Encoding.facets.func
+        counted = cached_property(lambda e: enumerated.append(e.rows) or original(e))
+        counted.__set_name__(Encoding, "facets")
+        monkeypatch.setattr(Encoding, "facets", counted)
+        return enumerated
+
     def test_one_facet_enumeration_per_formulation(self, monkeypatch, capsys):
-        # The facets go through the double-description loop in linalg.
+        # The full code hull once per Encoding; the hole-freeness scan adds
+        # each projection hull it needs at most once.
+        enumerated = self.count_facet_enumerations(monkeypatch)
         cuts = self.count_calls(monkeypatch, "dd_cut", [linalg])
         e = make_encoding(8, EncodingKind.GRAY)
         theorem1_formulation(sos2(8), e)
+        # Prefixes of a full Gray cube need no projection hull.
+        assert enumerated == [e.rows]
         assert len(cuts) == e.d - e.r - 1 == 4
-        cuts.clear()
+        enumerated.clear()
         assert main(["encode", "--kind", "zigzag", "--s", "3"]) == 0
-        assert len(cuts) == 4
+        rows = make_encoding(8, EncodingKind.ZIGZAG).rows
+        assert enumerated.count(rows) == 1 and len(enumerated) == len(set(enumerated))
+        assert {len(points[0]) for points in enumerated} == {2, 3}
 
     def test_one_affine_hull_per_formulation(self, monkeypatch):
-        hulls = self.count_calls(monkeypatch, "affine_hull",
-                                 [encoding, sys.modules["idealform.cdc"]])
-        theorem1_formulation(sos2(8), make_encoding(8, EncodingKind.ZIGZAG))
-        assert len(hulls) == 1
+        # Counted per point set, as for the facets.
+        hulls = []
+        original = encoding.affine_hull
+        monkeypatch.setattr(encoding, "affine_hull",
+                            lambda points: hulls.append(points) or original(points))
+        e = make_encoding(8, EncodingKind.ZIGZAG)
+        theorem1_formulation(sos2(8), e)
+        assert hulls.count(e.rows) == 1
+        assert len(hulls) == len(set(hulls)) == 2
 
     def test_cached_values_take_no_part_in_equality(self):
         e = make_encoding(8, EncodingKind.ZIGZAG)

@@ -73,17 +73,27 @@ class TestEncode:
         assert code == 1
         assert "error" in err
 
-    def test_gate_over_its_cap_leaves_no_output(self, capsys, tmp_path):
-        # The zig-zag box at s = 8 is over the hole check's cap.
+    def test_gate_over_its_cap_leaves_no_output(self, capsys, tmp_path, monkeypatch):
+        # The widest level of the zig-zag scan at s = 8 has 8385 candidates.
+        monkeypatch.setattr(encoding, "DEFAULT_HOLE_CAP", 8384)
         code, out, err = run(capsys, "encode", "--kind", "zigzag", "--s", "8")
         assert (code, out) == (4, "")
-        assert err == "error: lattice box has 1270075950 points, more than 1000000 " \
-                      "points, the fixed cap of the hole-freeness scan\n"
+        assert err == "error: the hole-freeness scan would visit 8385 points at " \
+                      "coordinate 2, over its fixed cap of 8384\n"
         target = tmp_path / "codes.txt"
         code, out, _ = run(capsys, "encode", "--kind", "zigzag", "--s", "8",
                            "--out", str(target))
         assert (code, out) == (4, "")
         assert not target.exists()
+
+    @pytest.mark.parametrize("s", [7, 8])
+    def test_zigzag_codes_past_a_million_box_points_pass_the_gates(self, capsys, s):
+        # Code boxes of 9,845,550 and 1,270,075,950 points.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "encode", "--kind", "zigzag", "--s", str(s))
+        assert time.perf_counter() - start < 5
+        assert code == 0 and len(out.splitlines()) == 2**s
+        assert err == "convex position: yes\nhole-free: yes\n"
 
     def test_order_must_be_positive(self, capsys):
         code, _, err = run(capsys, "encode", "--kind", "gray", "--s", "0")
@@ -240,11 +250,30 @@ class TestFixedCaps:
                        "coefficients, over the cap of 10000000\n")
 
     def test_hole_cap(self, capsys, write_doc, monkeypatch):
+        # Gray d = 4: two kept 1-prefixes times two values at coordinate 2.
         monkeypatch.setattr(encoding, "DEFAULT_HOLE_CAP", 3)
         code, out, err = run(capsys, "formulate", write_doc(SOS2_DOC))
         assert (code, out) == (4, "")
-        assert err == ("error: lattice box has 4 points, more than 3 points, "
-                       "the fixed cap of the hole-freeness scan\n")
+        assert err == ("error: the hole-freeness scan would visit 4 points at "
+                       "coordinate 2, over its fixed cap of 3\n")
+
+    def test_zigzag_sos2_at_128_formulates(self, capsys, write_doc):
+        # Its code box has 9,845,550 points; the scan visits a few thousand.
+        alternatives = [[i, i + 1] for i in range(1, 129)]
+        doc = {"kind": "cdc", "cdc": {"alternatives": alternatives, "encoding": "zigzag"}}
+        code, out, _ = run(capsys, "formulate", write_doc(doc))
+        assert code == 0
+        assert len(json.loads(out)["general_rows"]) == 7
+
+    def test_a_pathological_code_range_fails_fast(self, capsys, write_doc):
+        explicit = [[0, 0], [10**30, 0], [0, 1]]
+        doc = {"kind": "cdc", "cdc": {"alternatives": [[1, 2], [2, 3], [3, 1]],
+                                      "encoding": {"explicit": explicit}}}
+        start = time.perf_counter()
+        code, out, err = run(capsys, "formulate", write_doc(doc))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (4, "")
+        assert err.startswith(f"error: the hole-freeness scan would visit {10**30 + 1} points")
 
 
 class TestPwl:

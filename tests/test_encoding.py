@@ -1,11 +1,12 @@
 """Tests for the encoding families and the idealizability gates."""
 
+import time
 from enum import IntEnum
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from idealform import encoding
@@ -32,6 +33,7 @@ from idealform.errors import (
 from oracles import (
     convex_position_by_simplex,
     facets_from_kernel_start_cone,
+    hole_free_by_box,
     hole_free_by_simplex,
     in_hull_caratheodory,
 )
@@ -143,6 +145,15 @@ class TestAcceptanceSet:
         with pytest.raises(InputError, match="^encoding rows have unequal lengths$"):
             Encoding(((0, 0), (1, 0), (1,)))
 
+    def test_list_rows_are_stored_as_tuples(self):
+        e = Encoding(([0, 1], [1, 0]))
+        assert e.rows == ((0, 1), (1, 0))
+        assert e == Encoding(((0, 1), (1, 0))) and hash(e) == hash(Encoding(((0, 1), (1, 0))))
+        with pytest.raises(InputError, match="^encoding rows must be pairwise distinct$"):
+            Encoding(([0, 1], [0, 1]))
+        with pytest.raises(InputError, match="^encoding rows must be integer vectors$"):
+            Encoding(([0, 1], [1, 0.5]))
+
     def test_the_first_faulty_row_is_named(self):
         # A bad entry before the first ragged row is reported, and one after it is not.
         with pytest.raises(InputError, match="integer vectors"):
@@ -218,10 +229,22 @@ class TestGates:
             zigzag_matrix(10**10)
 
     def test_hole_cap_is_enforced(self, monkeypatch):
-        monkeypatch.setattr(encoding, "DEFAULT_HOLE_CAP", 100)
-        e = explicit_encoding([(0, 0), (40, 40)])
-        with pytest.raises(HoleCheckTooLarge, match="more than 100 points"):
+        # The cap counts one level's candidates, kept prefixes times the
+        # coordinate's range, not the code box: the zig-zag box at s = 8 has
+        # 1,270,075,950 points, and the scan's widest level has 8,385.
+        e = make_encoding(256, EncodingKind.ZIGZAG)
+        monkeypatch.setattr(encoding, "DEFAULT_HOLE_CAP", 8385)
+        assert is_hole_free(e)
+        monkeypatch.setattr(encoding, "DEFAULT_HOLE_CAP", 8384)
+        with pytest.raises(HoleCheckTooLarge, match="^the hole-freeness scan would visit "
+                           "8385 points at coordinate 2, over its fixed cap of 8384$"):
             is_hole_free(e)
+        # A pathological range is refused at its level, before any point exists.
+        monkeypatch.undo()
+        start = time.perf_counter()
+        with pytest.raises(HoleCheckTooLarge, match=f"visit {10**30 + 1} points at coordinate 1,"):
+            is_hole_free(explicit_encoding([(0, 0), (10**30, 0), (0, 1)]))
+        assert time.perf_counter() - start < 1
 
 
 def _explicit_rows(width, top):
@@ -232,6 +255,71 @@ def _explicit_rows(width, top):
     rows = st.lists(row, min_size=2, max_size=8, unique=True)
     return st.tuples(rows, st.booleans()).map(
         lambda drawn: [r + (sum(r),) for r in drawn[0]] if drawn[1] else drawn[0])
+
+
+@st.composite
+def _shared_prefix_rows(draw, width, top):
+    """Two to nine distinct rows of the given width over 0..top, drawn as one
+    to three prefixes, each extended by one to three suffixes, so that codes
+    share a prefix at some level. Lifted by the coordinate sum in some draws,
+    as in _explicit_rows."""
+    cut = draw(st.integers(1, width - 1))
+    prefixes = draw(st.lists(st.tuples(*[st.integers(0, top)] * cut),
+                             min_size=1, max_size=3, unique=True))
+    suffixes = st.lists(st.tuples(*[st.integers(0, top)] * (width - cut)),
+                        min_size=1, max_size=3, unique=True)
+    rows = [p + q for p in prefixes for q in draw(suffixes)]
+    assume(len(rows) >= 2)
+    return [r + (sum(r),) for r in rows] if draw(st.booleans()) else rows
+
+
+class TestHoleFreeByPrefixes:
+    """The prefix-projection scan against the box scan and the simplex
+    oracle it replaced."""
+
+    @pytest.mark.parametrize("width, top", [(1, 6), (2, 3), (3, 2), (4, 1)])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_explicit_rows(self, width, top, data):
+        if width == 1 or data.draw(st.booleans()):
+            rows = data.draw(_explicit_rows(width, top))
+        else:
+            rows = data.draw(_shared_prefix_rows(width, top))
+        e = explicit_encoding(rows)
+        assert is_hole_free(e) == hole_free_by_box(e) == hole_free_by_simplex(rows)
+
+    @pytest.mark.parametrize(
+        "rows, hole_free",
+        [
+            # Every 1-prefix is a code's; the hole (1, 1) is found at level 2.
+            ([(0, 0), (0, 2), (1, 0), (1, 2), (2, 1)], False),
+            # The 1-prefix 1 is no code's but lies in the projection [0, 2].
+            ([(0, 0), (2, 0), (0, 2)], False),
+            # Area 1/2: 2 is no code's 1-prefix, and no lattice point has x = 2.
+            ([(1, 0), (3, 1), (0, 0)], True),
+            # Lifted into the plane z = x + y: equations at level 3.
+            ([(0, 0, 0), (2, 0, 2), (0, 2, 2)], False),
+            ([(1, 0, 1), (3, 1, 4), (0, 0, 0)], True),
+        ],
+    )
+    def test_holes_behind_shared_and_missing_prefixes(self, rows, hole_free):
+        e = explicit_encoding(rows)
+        assert is_hole_free(e) is hole_free
+        assert hole_free_by_box(e) is hole_free_by_simplex(rows) is hole_free
+
+    @pytest.mark.parametrize("kind", [EncodingKind.GRAY, EncodingKind.ZIGZAG])
+    def test_every_family_prefix_up_to_sixty_four_passes_both_gates(self, kind):
+        # A subset of a hole-free set in convex position is both (pwl.py).
+        for d in range(2, 65):
+            e = make_encoding(d, kind)
+            assert is_in_convex_position(e) and is_hole_free(e), d
+            assert d > 32 or hole_free_by_box(e), d
+
+    @given(st.integers(65, 256), st.sampled_from([EncodingKind.GRAY, EncodingKind.ZIGZAG]))
+    @settings(max_examples=12, deadline=None)
+    def test_family_prefixes_up_to_256_pass_both_gates(self, d, kind):
+        e = make_encoding(d, kind)
+        assert is_in_convex_position(e) and is_hole_free(e)
 
 
 class TestGatesAgainstSimplex:
