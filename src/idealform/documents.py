@@ -2,7 +2,9 @@
 
 Problems come in as JSON with one body per kind (cdc, pwl, annulus) and
 every rational written as an integer or a "p/q" string, never a float, so
-parsing is lossless. Formulations go out the same way: integer rows,
+parsing is lossless. A rational is read as a plain int whenever it is
+integral, whether written 3, "3" or "6/2", and as a Fraction only where a
+denominator remains. Formulations go out the same way: integer rows,
 string rationals in the recovery map, float pairs only in the annulus
 recovery where the corner coordinates are display data. Parsing an
 emitted formulation document reproduces the Formulation and RecoveryMap
@@ -12,7 +14,8 @@ file instead of an in-process object.
 ``document_text`` is the one JSON writer. Its bytes equal
 ``json.dumps(doc, indent=2) + "\\n"``, which the tests check against that
 oracle; it writes each list of plain ints with one join in C, where
-json.dumps with an indent falls back to its pure-Python encoder.
+json.dumps with an indent falls back to its pure-Python encoder, and each
+key and plain str through the C string encoder that json.dumps calls.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import ClassVar
 
 from .annulus import (
@@ -138,12 +142,15 @@ _MAX_EXPONENT = 1000
 _EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 
 
-def _rational(value, field: str) -> Fraction:
+def _rational(value, field: str) -> int | Fraction:
+    """The exact value: a plain int when it is integral, else a Fraction."""
     if isinstance(value, bool) or isinstance(value, float):
         raise InputError(
             f"{field}: write exact rationals as integers or strings like '3/2', "
             f"not floats"
         )
+    if type(value) is int:
+        return value
     exponent = _EXPONENT.search(value) if isinstance(value, str) else None
     if exponent is not None:
         digits = exponent.group(1).replace("_", "").lstrip("0")
@@ -151,18 +158,21 @@ def _rational(value, field: str) -> Fraction:
             raise InputError(f"{field}: exponents are limited to {_MAX_EXPONENT} "
                              f"in absolute value")
     try:
-        return Fraction(value)
+        q = Fraction(value)
     except ZeroDivisionError as err:
         raise InputError(f"{field}: zero denominator") from err
     except (ValueError, TypeError) as err:
         _fail(field, err)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _real(value, field: str) -> float:
     if isinstance(value, bool):
         raise InputError(f"{field}: expected a number")
     try:
-        x = float(value if isinstance(value, (int, float)) else _rational(value, field))
+        # Through Fraction even when integral: one overflow message for every string.
+        x = float(value if isinstance(value, (int, float))
+                  else Fraction(_rational(value, field)))
     except OverflowError as err:
         _fail(field, err)
     if not math.isfinite(x):
@@ -194,6 +204,13 @@ def _ints(raw, field: str) -> tuple[int, ...]:
     if isinstance(raw, list) and all(type(x) is int for x in raw):
         return tuple(raw)
     return _list(raw, field, _int, "integers")
+
+
+def _rationals(raw, field: str) -> tuple[int | Fraction, ...]:
+    # As _ints: a list of plain ints is taken whole.
+    if isinstance(raw, list) and all(type(x) is int for x in raw):
+        return tuple(raw)
+    return _list(raw, field, _rational, "rationals")
 
 
 def _choice(value, field: str, choices: tuple):
@@ -266,7 +283,7 @@ def _parse_cdc(body: dict, options: ProblemOptions) -> CdcProblem:
 
 def _parse_pwl(body: dict, options: ProblemOptions) -> PwlProblem:
     encoding_kind, _ = _encoding_spec(body, "pwl.encoding", allow_explicit=False)
-    fields = [_list(body.get(key), f"pwl.{key}", _rational, "rationals")
+    fields = [_rationals(body.get(key), f"pwl.{key}")
               for key in ("breakpoints", "slopes", "intercepts")]
     return PwlProblem(_build("pwl", PwlFunction, *fields), encoding_kind, options)
 
@@ -439,14 +456,16 @@ def document_text(doc: dict) -> str:
 def _write(value, pad: str, out: list[str]) -> None:
     """Append value's text to out; pad is a newline and its line's indent."""
     inner = pad + "  "
-    if not isinstance(value, (dict, list, tuple)):
+    if type(value) is str:
+        out.append(encode_basestring_ascii(value))
+    elif not isinstance(value, (dict, list, tuple)):
         out.append(json.dumps(value))
     elif not value:
         out.append("{}" if isinstance(value, dict) else "[]")
     elif isinstance(value, dict):
         sep = "{" + inner
         for key, item in value.items():
-            out += (sep, json.dumps(key), ": ")
+            out += (sep, encode_basestring_ascii(key), ": ")
             _write(item, inner, out)
             sep = "," + inner
         out.append(pad + "}")
@@ -454,6 +473,9 @@ def _write(value, pad: str, out: list[str]) -> None:
             kinds == {float} and all(map(math.isfinite, value))):
         # json.dumps writes an int or a finite float as its repr.
         out += ("[", inner, ("," + inner).join(map(repr, value)), pad, "]")
+    elif kinds == {str}:
+        out += ("[", inner, ("," + inner).join(map(encode_basestring_ascii, value)),
+                pad, "]")
     else:
         sep = "[" + inner
         for item in value:

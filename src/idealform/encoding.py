@@ -201,22 +201,35 @@ def is_hole_free(e: Encoding) -> bool:
     Level j extends each kept prefix by each value of coordinate j in the
     code bounds. It keeps the codes' j-prefixes and, when there are others,
     those in the hull of the prefixes, the projection of the code hull, so
-    level r keeps only the codes exactly when they are hole-free. Before a
-    level is built, more than DEFAULT_HOLE_CAP candidates raise HoleCheckTooLarge.
+    level r keeps only the codes exactly when they are hole-free. Level r
+    is tested lazily against the hull of e itself and stops at its first
+    hole. Before a level is built, more than DEFAULT_HOLE_CAP candidates
+    raise HoleCheckTooLarge.
     """
+    *inner, last = code_bounds(e)
     kept: list[Row] = [()]
-    for j, (lo, hi) in enumerate(code_bounds(e), start=1):
-        if (size := len(kept) * (hi - lo + 1)) > DEFAULT_HOLE_CAP:
-            raise HoleCheckTooLarge(f"the hole-freeness scan would visit {size} points at "
-                                    f"coordinate {j}, over its fixed cap of {DEFAULT_HOLE_CAP}")
+    for j, bounds in enumerate(inner, start=1):
         prefixes = dict.fromkeys(row[:j] for row in e.rows)
-        kept = [(*p, x) for p in kept for x in range(lo, hi + 1)]
+        kept = list(_extend(kept, j, *bounds))
         if not all(map(prefixes.__contains__, kept)):
-            hull = e if j == e.r else Encoding(tuple(prefixes))
-            kept = [p for p in kept if p in prefixes or (
-                all(sum(map(mul, a, p)) == b for a, b in hull.equations)
-                and all(sum(map(mul, a, p)) <= b for a, b, _ in hull.facets))]
-    return len(kept) == e.d
+            hull = Encoding(tuple(prefixes))
+            kept = [p for p in kept if p in prefixes or _in_hull(hull, p)]
+    codes = set(e.rows)
+    return not any(p not in codes and _in_hull(e, p) for p in _extend(kept, e.r, *last))
+
+
+def _extend(kept: list[Row], j: int, lo: int, hi: int):
+    """Each kept prefix extended by each value in [lo, hi], lazily; the
+    level's size is checked against the cap first."""
+    if (size := len(kept) * (hi - lo + 1)) > DEFAULT_HOLE_CAP:
+        raise HoleCheckTooLarge(f"the hole-freeness scan would visit {size} points at "
+                                f"coordinate {j}, over its fixed cap of {DEFAULT_HOLE_CAP}")
+    return ((*p, x) for p in kept for x in range(lo, hi + 1))
+
+
+def _in_hull(hull: Encoding, p: Row) -> bool:
+    return (all(sum(map(mul, a, p)) == b for a, b in hull.equations)
+            and all(sum(map(mul, a, p)) <= b for a, b, _ in hull.facets))
 
 
 def code_bounds(e: Encoding) -> tuple[tuple[int, int], ...]:

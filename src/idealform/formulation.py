@@ -86,7 +86,9 @@ class RecoveryMap:
     """Per ground-set index, the point it stands for in the original space.
 
     For piecewise-linear instances the points are exact rational (x, y)
-    pairs and ``epigraph`` marks that the modeled y is an epigraph output.
+    pairs, each coordinate an int or a Fraction (read from a document, an
+    integral one is an int), and ``epigraph`` marks that the modeled y is
+    an epigraph output.
     For annulus instances the points are floating-point plane coordinates;
     they are display data only and nothing downstream consumes them.
     ``points`` is None when the geometry is degenerate and no embedding of
@@ -94,5 +96,6 @@ class RecoveryMap:
     """
 
     kind: str
-    points: tuple[tuple[Fraction, Fraction], ...] | tuple[tuple[float, float], ...] | None
+    points: (tuple[tuple[int | Fraction, int | Fraction], ...]
+             | tuple[tuple[float, float], ...] | None)
     epigraph: bool = False

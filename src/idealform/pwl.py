@@ -34,7 +34,10 @@ from .encoding import EncodingKind, make_encoding
 from .errors import DimensionDeficit, InputError
 from .formulation import Formulation, RecoveryMap
 
-Point = tuple[Fraction, Fraction]
+# An exact value: a plain int where it is integral, so integral data runs in
+# int arithmetic, and a Fraction elsewhere.
+Rational = int | Fraction
+Point = tuple[Rational, Rational]
 
 
 @dataclass(frozen=True)
@@ -43,12 +46,15 @@ class PwlFunction:
 
     Pieces are indexed 1..d and piece i lives on [breakpoints[i-1],
     breakpoints[i]]; at a jump the modeled set keeps both one-sided values,
-    which is the closure of either semi-continuous convention.
+    which is the closure of either semi-continuous convention. Entries are
+    exact rationals, ints or Fractions in any mix: the documents reader
+    keeps integral values as ints, and ``pwl`` coerces every entry to a
+    Fraction.
     """
 
-    breakpoints: tuple[Fraction, ...]
-    slopes: tuple[Fraction, ...]
-    intercepts: tuple[Fraction, ...]
+    breakpoints: tuple[Rational, ...]
+    slopes: tuple[Rational, ...]
+    intercepts: tuple[Rational, ...]
 
     def __post_init__(self) -> None:
         d = len(self.slopes)
@@ -65,7 +71,7 @@ class PwlFunction:
     def d(self) -> int:
         return len(self.slopes)
 
-    def segment_value(self, i: int, x: Fraction) -> Fraction:
+    def segment_value(self, i: int, x: Rational) -> Rational:
         """Value of segment i (1-based) extended to any x."""
         return self.slopes[i - 1] * x + self.intercepts[i - 1]
 

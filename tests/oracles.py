@@ -25,7 +25,10 @@ package implementation, so agreement is evidence rather than tautology:
   idealform.lp_format.emit_lp_text replaced it),
 * hole-freeness by testing every point of the code box against the hull's
   equations and facets (the prefix-projection scan in
-  idealform.encoding.is_hole_free replaced it).
+  idealform.encoding.is_hole_free replaced it),
+* exact rationals read from a document through Fraction alone, integral
+  or not (the reader in idealform.documents, which keeps integral values
+  as ints, replaced it).
 
 Most are exponential and meant for desk-scale fixtures only.
 """
@@ -33,12 +36,13 @@ Most are exponential and meant for desk-scale fixtures only.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
 from typing import Sequence
 
-from idealform.errors import TooLargeToEnumerate
+from idealform.errors import InputError, TooLargeToEnumerate
 from idealform.linalg import Vec, dd_cut, independent_rows, kernel, vec
 
 F0 = Fraction(0)
@@ -526,3 +530,29 @@ def hole_free_by_box(e) -> bool:
         ) and all(sum(k * x for k, x in zip(a, point)) <= b for a, b, _ in e.facets):
             return False
     return True
+
+
+_MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+
+
+def rational_by_fraction(value, field: str) -> Fraction:
+    """A document entry as a Fraction, whatever its value, with the errors
+    the documents reader gives for the same entry."""
+    if isinstance(value, bool) or isinstance(value, float):
+        raise InputError(
+            f"{field}: write exact rationals as integers or strings like '3/2', "
+            f"not floats"
+        )
+    exponent = _EXPONENT.search(value) if isinstance(value, str) else None
+    if exponent is not None:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
+            raise InputError(f"{field}: exponents are limited to {_MAX_EXPONENT} "
+                             f"in absolute value")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError as err:
+        raise InputError(f"{field}: zero denominator") from err
+    except (ValueError, TypeError) as err:
+        raise InputError(f"{field}: {err}") from err

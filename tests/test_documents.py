@@ -1,17 +1,21 @@
 """Problem parsing and the lossless formulation document round trip."""
 
+import contextlib
 import copy
+import io
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from idealform.annulus import AnnulusSpec, annulus_gray_formulation
 from idealform.cdc import cdc, theorem1_formulation
+from idealform.cli import main
 from idealform.documents import (
     AnnulusProblem,
     CdcProblem,
+    ProblemOptions,
     PwlProblem,
     document_text,
     emit_structured,
@@ -22,9 +26,10 @@ from idealform.documents import (
 from idealform.encoding import EncodingKind, make_encoding
 from idealform.errors import IdealformError, InputError, NotPowerOfTwo
 from idealform.formulation import RecoveryMap
-from idealform.pwl import pwl, pwl_formulation
+from idealform.lp_format import emit_lp_text
+from idealform.pwl import pwl, pwl_formulation, pwl_ground_set
 from idealform.verify import check_ideal
-from oracles import json_text
+from oracles import json_text, rational_by_fraction
 
 import json
 
@@ -225,6 +230,107 @@ class TestParseProblem:
         )
 
 
+# Exact rationals as a document may write them. An integral value can be a
+# JSON int or a string of several shapes; the others are "p/q" or decimal
+# exponent strings, and some of those are integral too.
+
+
+def _integral_entries(n: int) -> list:
+    entries = [n, str(n), f"{2 * n}/2", f"{n}e0", f" {n} ", f"{n:_}"]
+    return entries + ["-0"] if n == 0 else entries
+
+
+RATIONAL_ENTRIES = (
+    st.integers(-10**5, 10**5).flatmap(lambda n: st.sampled_from(_integral_entries(n)))
+    | st.builds("{}/{}".format, st.integers(-99, 99), st.integers(2, 12))
+    | st.builds("{}e-{}".format, st.integers(-999, 999), st.integers(1, 3))
+)
+
+
+@st.composite
+def pwl_documents(draw):
+    """A valid pwl problem whose entries mix the shapes above."""
+    by_value = {rational_by_fraction(x, "t"): x
+                for x in draw(st.lists(RATIONAL_ENTRIES, min_size=3, max_size=9))}
+    assume(len(by_value) >= 3)
+    breakpoints = [by_value[t] for t in sorted(by_value)]
+    d = len(breakpoints) - 1
+    slopes, intercepts = (draw(st.lists(RATIONAL_ENTRIES, min_size=d, max_size=d))
+                          for _ in range(2))
+    return {"kind": "pwl", "pwl": {"breakpoints": breakpoints, "slopes": slopes,
+                                   "intercepts": intercepts}}
+
+
+# 3x on [0, 1], x + 2, -x + 6, then a jump up to 2x - 1 at t4 = 3.
+PWL_INTS = {"breakpoints": [0, 1, 2, 3, 4], "slopes": [3, 1, -1, 2],
+            "intercepts": [0, 2, 6, -1]}
+
+
+def _pwl_cli(tmp_path, body: dict, *flags) -> tuple[int, str, str]:
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"kind": "pwl", "pwl": body}))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["pwl", str(path), *flags])
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestIntegralRationals:
+    """Integral values are read as ints, every other one as a Fraction, with
+    the values, bytes and errors of a reader that builds a Fraction for each."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=pwl_documents())
+    def test_values_and_types_match_the_fraction_oracle(self, doc):
+        function = parse_problem(json.dumps(doc)).function
+        for key in ("breakpoints", "slopes", "intercepts"):
+            read = getattr(function, key)
+            for i, (raw, value) in enumerate(zip(doc["pwl"][key], read, strict=True)):
+                expected = rational_by_fraction(raw, f"pwl.{key}[{i}]")
+                assert value == expected
+                assert type(value) is (int if expected.denominator == 1 else Fraction)
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=pwl_documents())
+    def test_recovery_points_read_back_as_ints_where_integral(self, doc):
+        # Most drawn functions jump too often to be formulated, so their
+        # ground points ride on a small formulation for the round trip.
+        function = parse_problem(json.dumps(doc)).function
+        recovery = RecoveryMap(kind="pwl", points=pwl_ground_set(function).points,
+                               epigraph=True)
+        form, _ = pwl_formulation(pwl([0, 1, 2], [1, 2], [0, -1]), EncodingKind.GRAY)
+        _, back = roundtrip(form, recovery)
+        assert back == recovery
+        for point in back.points:
+            assert all(type(x) is (int if Fraction(x).denominator == 1 else Fraction)
+                       for x in point)
+
+    @pytest.mark.parametrize("fmt", ["json", "lp"])
+    def test_int_string_and_quotient_write_the_same_bytes(self, tmp_path, fmt):
+        written = [
+            {key: [write(n) for n in values] for key, values in PWL_INTS.items()}
+            for write in (int, str, lambda n: f"{2 * n}/2")
+        ]
+        runs = [_pwl_cli(tmp_path, body, "--format", fmt) for body in written]
+        # The same function built from Fractions, as the pwl() constructor does.
+        problem = PwlProblem(pwl(*PWL_INTS.values()), EncodingKind.GRAY, ProblemOptions())
+        f, recovery, provenance = problem.formulate()
+        expected = (emit_lp_text(f) if fmt == "lp"
+                    else document_text(emit_structured(f, recovery, provenance=provenance)))
+        assert runs == [(0, expected, "")] * 3
+
+    @pytest.mark.parametrize("key", ["breakpoints", "slopes", "intercepts"])
+    @pytest.mark.parametrize("entry", [True, 1.5, [1], "1/0", "1e1001", "x"], ids=repr)
+    def test_rejected_entries_give_the_oracle_error(self, tmp_path, key, entry):
+        # The entry sits last among ints, so a bool is a bool among ints.
+        body = copy.deepcopy(PWL_INTS)
+        body[key][-1] = entry
+        field = f"pwl.{key}[{len(body[key]) - 1}]"
+        with pytest.raises(InputError) as oracle:
+            rational_by_fraction(entry, field)
+        assert _pwl_cli(tmp_path, body) == (1, "", f"error: {oracle.value}\n")
+
+
 # Values for the JSON writer: escaped and non-ASCII strings, ints wider than
 # 64 bits, lists of ints with bools among them, finite floats, tuples and
 # empty or nested containers.
@@ -237,6 +343,16 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(), inner, max_size=4),
     max_leaves=20,
 )
+
+
+class Tag(str):
+    """A str subclass whose str() and repr() are not its JSON text."""
+
+    def __str__(self):
+        return "tag"
+
+    def __repr__(self):
+        return "Tag()"
 
 
 def roundtrip(f, recovery=None, **kwargs):
@@ -306,6 +422,21 @@ class TestRoundTrip:
     def test_float_lists_match_json_dumps(self, doc):
         # Finite floats take the repr fast path; a NaN or an infinity in a
         # list sends the whole list through json.dumps.
+        assert document_text(doc) == json_text(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"words": ["plain", "caf\u00e9", "\u65e5\u672c", 'say "hi"', "back\\slash",
+                       "\x00\x1f\n\t\x7f", "\ud800", ""]},
+            {"\u043a\u043b\u044e\u0447": 1, "caf\u00e9": ["\u00e9"], "\U0001f600": {"\t": ""}},
+            {"tags": [Tag("a"), Tag("caf\u00e9")], "tag": Tag("b\""), Tag("k\u00e9y"): 1},
+            {"mixed": ["a", 1, "b\\", -2, "\u00e9"]},
+            {"scalar": "caf\u00e9 \"quoted\"\n", "empty": ""},
+        ],
+        ids=["string-list", "non-ascii-keys", "str-subclass", "str-and-int", "scalars"],
+    )
+    def test_strings_match_json_dumps(self, doc):
         assert document_text(doc) == json_text(doc)
 
     def test_document_text_is_deterministic(self):

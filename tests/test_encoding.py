@@ -307,6 +307,13 @@ class TestHoleFreeByPrefixes:
         assert is_hole_free(e) is hole_free
         assert hole_free_by_box(e) is hole_free_by_simplex(rows) is hole_free
 
+    def test_the_last_level_stops_at_its_first_hole(self):
+        # Level 2 has 10**6 candidates, exactly the cap; the second, (0, 1),
+        # is a hole, and the scan returns there instead of building the level.
+        start = time.perf_counter()
+        assert not is_hole_free(explicit_encoding([(0, 0), (999, 0), (0, 999), (999, 999)]))
+        assert time.perf_counter() - start < 1
+
     @pytest.mark.parametrize("kind", [EncodingKind.GRAY, EncodingKind.ZIGZAG])
     def test_every_family_prefix_up_to_sixty_four_passes_both_gates(self, kind):
         # A subset of a hole-free set in convex position is both (pwl.py).
