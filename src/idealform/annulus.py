@@ -63,11 +63,9 @@ def annulus_cdc(d: int) -> Cdc:
     """The cyclic window disjunction over the 2d corner indices."""
     _check_piece_count(d)
     n = 2 * d
-    windows = [
-        frozenset(((2 * i + s - 5) % n) + 1 for s in range(1, 5))
-        for i in range(1, d + 1)
-    ]
-    return Cdc(n, tuple(windows))
+    # Window i is corners 2i-3..2i, wrapping: four consecutive entries here.
+    corners = [n - 1, n, *range(1, n + 1)]
+    return Cdc(n, tuple([frozenset(corners[k:k + 4]) for k in range(0, n, 2)]))
 
 
 def annulus_vertices(spec: AnnulusSpec) -> tuple[tuple[float, float], ...]:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, islice
 from math import comb
+from operator import itemgetter
 
 from .encoding import Encoding, code_bounds, is_hole_free, is_in_convex_position
 from .errors import (
@@ -55,8 +56,8 @@ class Cdc:
         for i, alt in enumerate(self.alternatives, start=1):
             if not alt:
                 raise InputError(f"alternative {i} is empty")
-            bad = [v for v in alt if not (1 <= v <= self.n)]
-            if bad:
+            if min(alt) < 1 or max(alt) > self.n:
+                bad = [v for v in alt if not (1 <= v <= self.n)]
                 raise InputError(f"alternative {i} uses out-of-range elements {sorted(bad)}")
             covered |= alt
         uncovered = self.n - len(covered)
@@ -254,28 +255,37 @@ def rows_for_normals(c: Cdc, e: Encoding, normals) -> tuple[GeneralRow, ...]:
     """One paired row per normal: each ground element's coefficients are the
     extreme values of normal . code over the alternatives that use it.
 
-    The work goes column by column. Slot j lists each element's j-th user,
-    or its first user when it has fewer than j + 1, so a row is normal .
-    code from the code columns, one C-level lookup per slot and a pairwise
-    fold over the slots. Tuples are built from lists (see verify.py).
+    Elements with the same users share their extremes, so the fold runs
+    once per distinct user set and an ``itemgetter`` spreads each set's
+    value back to its elements as the tuple the row stores. Slot j lists
+    each set's j-th user, or its first when it has fewer than j + 1; a row
+    is normal . code from the code columns (a first column of weight 1 as
+    it is), one ``itemgetter`` pick per slot and a pairwise fold over them.
     """
     users: list[list[int]] = [[] for _ in range(c.n)]
     for i, alternative in enumerate(c.alternatives):
         for v in alternative:
             users[v - 1].append(i)
-    slots = [[u[j] if j < len(u) else u[0] for u in users]
-             for j in range(max(map(len, users)))]
-    columns = [[code[j] for code in e.rows] for j in range(e.r)]
+    sets: dict[tuple[int, ...], int] = {}
+    spread = _getter([sets.setdefault(u, len(sets)) for u in map(tuple, users)])
+    picks = [_getter([u[j] if j < len(u) else u[0] for u in sets])
+             for j in range(max(map(len, sets)))]
+    columns = list(zip(*e.rows))
     rows = []
     for normal in normals:
-        values = [0] * e.d
-        for b, column in zip(normal, columns):
-            if b:
-                values = [x + b * h for x, h in zip(values, column)]
-        lower = upper = list(map(values.__getitem__, slots[0]))
-        for slot in slots[1:]:
-            picked = list(map(values.__getitem__, slot))
+        (b, column), *rest = [(b, h) for b, h in zip(normal, columns) if b] or [(0, columns[0])]
+        values = column if b == 1 else [b * h for h in column]
+        for b, column in rest:
+            values = [x + b * h for x, h in zip(values, column)]
+        lower = upper = picks[0](values)
+        for pick in picks[1:]:
+            picked = pick(values)
             lower = [x if x < y else y for x, y in zip(lower, picked)]
             upper = [x if x > y else y for x, y in zip(upper, picked)]
-        rows.append(GeneralRow(tuple(normal), tuple(lower), tuple(upper)))
+        rows.append(GeneralRow(tuple(normal), spread(lower), spread(upper)))
     return tuple(rows)
+
+
+def _getter(indices: list[int]):
+    """``itemgetter(*indices)``, but a tuple even for one index."""
+    return itemgetter(*indices) if len(indices) > 1 else lambda xs: (xs[indices[0]],)

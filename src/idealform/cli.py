@@ -70,8 +70,11 @@ def _read_text(path: str) -> str:
 def _write_payload(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except OSError as err:
+        raise InputError(f"cannot write {out}: {err}") from err
 
 
 def _say(line: str) -> None:

@@ -14,8 +14,9 @@ file instead of an in-process object.
 ``document_text`` is the one JSON writer. Its bytes equal
 ``json.dumps(doc, indent=2) + "\\n"``, which the tests check against that
 oracle; it writes each list of plain ints with one join in C, where
-json.dumps with an indent falls back to its pure-Python encoder, and each
-key and plain str through the C string encoder that json.dumps calls.
+json.dumps with an indent falls back to its pure-Python encoder, each plain
+int from one table of texts per document, and each key and plain str
+through the C string encoder that json.dumps calls.
 """
 
 from __future__ import annotations
@@ -448,16 +449,27 @@ def document_text(doc: dict) -> str:
     """The bytes of ``json.dumps(doc, indent=2) + "\\n"``; keys are strings,
     as in every document. The pieces are collected and joined once."""
     out: list[str] = []
-    _write(doc, "\n", out)
+    _write(doc, "\n", out, _Reprs().__getitem__)
     out.append("\n")
     return "".join(out)
 
 
-def _write(value, pad: str, out: list[str]) -> None:
+class _Reprs(dict):
+    """Int -> its text, made on first use; _write's ints. Only type int may
+    be looked up: True == 1 with the same hash, so a bool would share 1's."""
+
+    def __missing__(self, x: int) -> str:
+        text = self[x] = repr(x)
+        return text
+
+
+def _write(value, pad: str, out: list[str], ints) -> None:
     """Append value's text to out; pad is a newline and its line's indent."""
     inner = pad + "  "
     if type(value) is str:
         out.append(encode_basestring_ascii(value))
+    elif type(value) is int:
+        out.append(ints(value))
     elif not isinstance(value, (dict, list, tuple)):
         out.append(json.dumps(value))
     elif not value:
@@ -466,12 +478,13 @@ def _write(value, pad: str, out: list[str]) -> None:
         sep = "{" + inner
         for key, item in value.items():
             out += (sep, encode_basestring_ascii(key), ": ")
-            _write(item, inner, out)
+            _write(item, inner, out, ints)
             sep = "," + inner
         out.append(pad + "}")
-    elif (kinds := set(map(type, value))) == {int} or (
-            kinds == {float} and all(map(math.isfinite, value))):
-        # json.dumps writes an int or a finite float as its repr.
+    elif (kinds := set(map(type, value))) == {int}:
+        out += ("[", inner, ("," + inner).join(map(ints, value)), pad, "]")
+    elif kinds == {float} and all(map(math.isfinite, value)):
+        # json.dumps writes a finite float as its repr.
         out += ("[", inner, ("," + inner).join(map(repr, value)), pad, "]")
     elif kinds == {str}:
         out += ("[", inner, ("," + inner).join(map(encode_basestring_ascii, value)),
@@ -480,6 +493,6 @@ def _write(value, pad: str, out: list[str]) -> None:
         sep = "[" + inner
         for item in value:
             out.append(sep)
-            _write(item, inner, out)
+            _write(item, inner, out, ints)
             sep = "," + inner
         out.append(pad + "]")

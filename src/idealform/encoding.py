@@ -17,7 +17,7 @@ from enum import Enum
 from functools import cached_property, reduce
 from itertools import chain, compress, count, repeat
 from math import gcd
-from operator import mul, ne
+from operator import add, mul, ne
 
 from .errors import (
     HoleCheckTooLarge,
@@ -155,8 +155,7 @@ def zigzag_matrix(s: int) -> tuple[Row, ...]:
     rows: list[Row] = [(0,), (1,)]
     for _ in range(s - 1):
         last = rows[-1]
-        shifted = [tuple(a + b for a, b in zip(row, last)) for row in rows]
-        rows = [r + (0,) for r in rows] + [r + (1,) for r in shifted]
+        rows = [r + (0,) for r in rows] + [(*map(add, r, last), 1) for r in rows]
     return tuple(rows)
 
 

@@ -12,15 +12,17 @@ bounds). The writer is deterministic: same formulation, same bytes.
 
 Each row is written in one pass with C-level joins: zero coefficients drop
 out through ``filter`` and ``compress``, and each nonzero coefficient maps
-to its "+ 3 " or "- 3 " prefix through a dict filled once per emit. Row
-fields may be any sequences, tuples or lists. The bytes are checked against
-the per-term writer kept as a test oracle.
+to its "+ 3 " or "- 3 " prefix through a dict filled once per emit. Prefixes
+and names, space-suffixed once per emit, fill alternate slots of one list,
+joined once less its last space, so no string is made per term. Row fields
+may be any sequences, tuples or lists. The bytes are checked against the
+per-term writer kept as a test oracle.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from operator import add, neg
+from operator import neg
 
 from .formulation import Formulation
 
@@ -38,12 +40,17 @@ class _Prefixes(dict):
 def emit_lp_text(f: Formulation) -> str:
     lam = [f"lambda_{v}" for v in range(1, f.n_lambda + 1)]
     z = [f"z_{k}" for k in range(1, f.r_z + 1)]
-    lam_z, z_lam = lam + z, z + lam
+    lam_z = [f"{name} " for name in lam + z]
+    z_lam = lam_z[f.n_lambda:] + lam_z[:f.n_lambda]
     prefix = _Prefixes().__getitem__
 
     def terms(coeffs, names) -> str:
         """'+ 2 x - 1 y' over the nonzero coefficients and their names."""
-        return " ".join(map(add, map(prefix, filter(None, coeffs)), compress(names, coeffs)))
+        kept = list(compress(names, coeffs))
+        parts = kept * 2
+        parts[::2] = map(prefix, filter(None, coeffs))
+        parts[1::2] = kept
+        return "".join(parts)[:-1]
 
     lines = ["Minimize", f" obj: 0 {lam[0]}", "Subject To"]
     for i, eq in enumerate(f.equalities, 1):

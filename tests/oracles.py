@@ -28,7 +28,10 @@ package implementation, so agreement is evidence rather than tautology:
   idealform.encoding.is_hole_free replaced it),
 * exact rationals read from a document through Fraction alone, integral
   or not (the reader in idealform.documents, which keeps integral values
-  as ints, replaced it).
+  as ints, replaced it),
+* paired rows folded once per ground element over per-element user slots
+  (idealform.cdc.rows_for_normals, which folds once per distinct user set,
+  replaced it).
 
 Most are exponential and meant for desk-scale fixtures only.
 """
@@ -43,6 +46,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from idealform.errors import InputError, TooLargeToEnumerate
+from idealform.formulation import GeneralRow
 from idealform.linalg import Vec, dd_cut, independent_rows, kernel, vec
 
 F0 = Fraction(0)
@@ -321,6 +325,31 @@ def rows_by_covering_lists(c, e, normals) -> list[tuple]:
         out.append((tuple(normal), tuple(min(vs) for vs in covering),
                     tuple(max(vs) for vs in covering)))
     return out
+
+
+def rows_by_slots(c, e, normals) -> tuple:
+    """The GeneralRow per normal, folding each element's own users: slot j
+    lists each element's j-th user, or its first when it has fewer."""
+    users: list[list[int]] = [[] for _ in range(c.n)]
+    for i, alternative in enumerate(c.alternatives):
+        for v in alternative:
+            users[v - 1].append(i)
+    slots = [[u[j] if j < len(u) else u[0] for u in users]
+             for j in range(max(map(len, users)))]
+    columns = [[code[j] for code in e.rows] for j in range(e.r)]
+    rows = []
+    for normal in normals:
+        values = [0] * e.d
+        for b, column in zip(normal, columns):
+            if b:
+                values = [x + b * h for x, h in zip(values, column)]
+        lower = upper = list(map(values.__getitem__, slots[0]))
+        for slot in slots[1:]:
+            picked = list(map(values.__getitem__, slot))
+            lower = [x if x < y else y for x, y in zip(lower, picked)]
+            upper = [x if x > y else y for x, y in zip(upper, picked)]
+        rows.append(GeneralRow(tuple(normal), tuple(lower), tuple(upper)))
+    return tuple(rows)
 
 
 def fraction_rows(f):

@@ -10,8 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from idealform import encoding, linalg
-from idealform.annulus import annulus_cdc
+from idealform.annulus import annulus_cdc, annulus_gray_formulation, annulus_zigzag_formulation
 from idealform.cdc import (
+    Cdc,
     cdc,
     check_dim_condition,
     difference_directions,
@@ -35,7 +36,8 @@ from idealform.errors import (
 )
 from idealform.formulation import GeneralRow, LinearEquality
 from idealform.linalg import rank
-from oracles import hyperplane_normals_all_subsets, rows_by_covering_lists
+from idealform.pwl import pwl, pwl_formulation, pwl_ground_set
+from oracles import hyperplane_normals_all_subsets, rows_by_covering_lists, rows_by_slots
 
 
 def sos2(d):
@@ -308,6 +310,80 @@ class TestFormulationForNormals:
         normals = unit_normals(e.r)
         f = formulation_for_normals(c, e, normals)
         assert [row.normal for row in f.general_rows] == [(1, 0), (0, 1)]
+
+
+@st.composite
+def shared_user_problems(draw):
+    """(cdc, encoding, normals) whose ground elements are drawn from a few
+    user sets, so elements share them; n = 1 and the whole ground set as
+    every alternative are among the draws."""
+    d = draw(st.integers(2, 8), label="d")
+    if draw(st.booleans()):
+        kinds = draw(st.lists(st.frozensets(st.integers(0, d - 1), min_size=1),
+                              min_size=1, max_size=4), label="user sets")
+        picks = draw(st.lists(st.integers(0, len(kinds) - 1), min_size=1, max_size=10))
+        alternatives = [{v for v, k in enumerate(picks, 1) if i in kinds[k]} or {1}
+                        for i in range(d)]
+    else:
+        alternatives = [set(range(1, draw(st.integers(1, 3), label="n") + 1))] * d
+    c = cdc(max(map(max, alternatives)), alternatives)
+    kind = draw(st.sampled_from(list(EncodingKind)), label="kind")
+    if kind is EncodingKind.EXPLICIT:
+        r = draw(st.integers(1, 3), label="r")
+        e = explicit_encoding(draw(st.lists(st.tuples(*[st.integers(-5, 5)] * r),
+                                            min_size=d, max_size=d, unique=True)))
+    else:
+        e = make_encoding(d, kind)
+    normals = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * e.r).filter(any),
+                            min_size=1, max_size=4), label="normals")
+    return c, e, normals + unit_normals(e.r)
+
+
+def assert_rows_match_the_slot_oracle(c, e, normals):
+    rows = rows_for_normals(c, e, normals)
+    assert rows == rows_by_slots(c, e, normals)
+    for row in rows:
+        assert type(row.lower) is tuple and type(row.upper) is tuple
+        assert {type(x) for x in row.lower + row.upper} == {int}
+
+
+class TestRowsAgainstSlotOracle:
+    """The fold over distinct user sets against the per-element fold."""
+
+    @given(shared_user_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_random_shared_user_sets(self, problem):
+        assert_rows_match_the_slot_oracle(*problem)
+
+    @pytest.mark.parametrize("alternatives", [[{1}, {1}, {1}], [{1, 2, 3}] * 4],
+                             ids=["n1", "one-user-set"])
+    @pytest.mark.parametrize("kind", [EncodingKind.GRAY, EncodingKind.ZIGZAG])
+    def test_a_single_user_set(self, alternatives, kind):
+        c = cdc(len(alternatives[0]), alternatives)
+        e = make_encoding(c.d, kind)
+        assert_rows_match_the_slot_oracle(c, e, [(2, -3)[:e.r], *unit_normals(e.r)])
+
+    @pytest.mark.parametrize("d", [4, 8, 16, 32, 64, 128, 256])
+    @pytest.mark.parametrize("kind", [EncodingKind.GRAY, EncodingKind.ZIGZAG])
+    def test_annulus_closed_forms(self, d, kind):
+        build = {EncodingKind.GRAY: annulus_gray_formulation,
+                 EncodingKind.ZIGZAG: annulus_zigzag_formulation}[kind]
+        normals = [row.normal for row in build(d)[0].general_rows]
+        assert_rows_match_the_slot_oracle(annulus_cdc(d), make_encoding(d, kind), normals)
+
+    @pytest.mark.parametrize("kind", [EncodingKind.GRAY, EncodingKind.ZIGZAG])
+    def test_pwl_with_jumps(self, kind):
+        # Continuous over breakpoints 0..16 but for jumps of +3 at 3 and 13.
+        d, slopes, intercepts = 16, [(-1) ** i * (i % 5) for i in range(16)], [0]
+        for i in range(1, d):
+            intercepts.append(intercepts[-1] + (slopes[i - 1] - slopes[i]) * i
+                              + 3 * (i + 1 in (3, 13)))
+        f = pwl(range(d + 1), slopes, intercepts)
+        assert f.jump_indices() == (3, 13)
+        ground = pwl_ground_set(f)
+        normals = [row.normal for row in pwl_formulation(f, kind)[0].general_rows]
+        assert_rows_match_the_slot_oracle(Cdc(ground.n, ground.alternatives),
+                                          make_encoding(d, kind), normals)
 
 
 class TestHullComputedOnce:

@@ -202,6 +202,14 @@ class TestFormulate:
         assert code == 1
         assert "cannot read" in err
 
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_unwritable_out_exits_1_with_one_line(self, capsys, tmp_path, where):
+        out_path = tmp_path if where == "directory" else tmp_path / "absent" / "f.json"
+        code, out, err = run(capsys, "annulus", "--d", "4", "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write {out_path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_kind_mismatch_exits_1(self, capsys, write_doc):
         code, _, err = run(capsys, "formulate", write_doc(PWL_DOC))
         assert code == 1

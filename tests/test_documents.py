@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import io
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -345,6 +346,13 @@ JSON_VALUES = st.recursive(
 )
 
 
+class Level(IntEnum):
+    """An int subclass whose repr() is not its JSON text."""
+
+    LOW = 1
+    HIGH = 2
+
+
 class Tag(str):
     """A str subclass whose str() and repr() are not its JSON text."""
 
@@ -437,6 +445,25 @@ class TestRoundTrip:
         ids=["string-list", "non-ascii-keys", "str-subclass", "str-and-int", "scalars"],
     )
     def test_strings_match_json_dumps(self, doc):
+        assert document_text(doc) == json_text(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"one": 1, "true": True, "ints": [1, 0, 1], "bools": [True, False],
+             "mixed": [1, True, 0, False, True, 1], "zero": 0, "false": False},
+            {"true": True, "one": 1, "mixed": [False, 0, True, 1], "tail": [0, 1]},
+            {"level": Level.HIGH, "levels": [Level.LOW, Level.HIGH], "mixed": [1, Level.LOW],
+             "ints": [2, 1]},
+            {"wide": [2**64, -2**64 - 1, 2**200, 0], "scalar": 3**90, "neg": -2**70},
+            {"a": 7, "b": [7, -7, {"c": 7, "d": [[7, 7], -7]}], "e": {"f": [-7, 7]}},
+            {"floats": [-0.0, 0.0, 1.5], "zero": -0.0, "ints": [0, 0]},
+        ],
+        ids=["int-then-bool", "bool-then-int", "int-enum", "wide-ints", "repeated-ints",
+             "negative-zero"],
+    )
+    def test_ints_match_json_dumps(self, doc):
+        # One int table serves a whole document; no bool may share it.
         assert document_text(doc) == json_text(doc)
 
     def test_document_text_is_deterministic(self):

@@ -90,6 +90,7 @@ DOCUMENTS = {
     "pwl-jumps": _pwl([0, 4, 7, 13, 22, 45]),
     "pwl-deficit": _pwl([0, 2, 7, 13, 22, 45]),
     "pwl-d64-one-jump": _pwl_jumps(64, 5),
+    "pwl-d512-one-jump": _pwl_jumps(512, 5),
     # Jumps in both middle quarter spans, none on a coordinate's only step.
     "pwl-d100-two-jumps": _pwl_jumps(100, 30, 70),
     "pwl-d128-two-jumps": _pwl_jumps(128, 40, 90),
@@ -141,6 +142,7 @@ CASES = {
     "pwl-jumps-gray-lp": ["pwl", "pwl-jumps", "--encoding", "gray", "--format", "lp"],
     "pwl-deficit": ["pwl", "pwl-deficit"],
     "pwl-d64-one-jump": ["pwl", "pwl-d64-one-jump"],
+    "pwl-d512-one-jump": ["pwl", "pwl-d512-one-jump"],
     **{f"pwl-{name}-zigzag-validity": ["pwl", f"pwl-{name}", "--encoding", "zigzag",
                                        "--check", "validity"]
        for name in ("d100-two-jumps", "d128-two-jumps")},
@@ -148,8 +150,9 @@ CASES = {
        for enc in ("gray", "zigzag") for fmt in ("json", "lp")},
     **{f"annulus-d256-zigzag-{fmt}": ["annulus", "--d", "256", "--encoding", "zigzag",
                                       "--format", fmt] for fmt in ("json", "lp")},
-    **{f"annulus-d512-{enc}-lp": ["annulus", "--d", "512", "--encoding", enc, "--format", "lp"]
-       for enc in ("gray", "zigzag")},
+    **{f"annulus-d512-{enc}-{fmt}": ["annulus", "--d", "512", "--encoding", enc,
+                                     "--format", fmt]
+       for enc in ("gray", "zigzag") for fmt in ("json", "lp")},
     "annulus-d64-radii": ["annulus", "--d", "64", "--inner", "1", "--outer", "2"],
     **{f"encode-{kind}-s{s}": ["encode", "--kind", kind, "--s", str(s)]
        for kind in ("gray", "zigzag") for s in range(1, 5)},
@@ -315,6 +318,15 @@ GOLDEN = {
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'pwl-jumps-gray-lp': (0,
         '97486f352f04acca35522e3cfc391940bb55de417b59afd1f3ac69ddd8b6ab84',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'annulus-d512-gray-json': (0,
+        'd6f589736781e969ec73e881f2fb6e7e53c7e8bc7f4920175d78da974aa31ce7',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'annulus-d512-zigzag-json': (0,
+        '03307341d282f8dcd25494904f4c877215959d01de8f2a170c6757f23b0d2f37',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'pwl-d512-one-jump': (0,
+        '89f2cce584f4b3061a84941c6348ee75132070d9c6016a9b49c6b158889c4f60',
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
 }
 

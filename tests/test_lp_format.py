@@ -201,3 +201,19 @@ class TestAgainstTermOracle:
         # earlier emit whose coefficients had the other sign.
         for g in (f, mirrored(f)):
             assert emit_lp_text(g) == lp_text(g)
+
+    @pytest.mark.parametrize("f", [
+        # An all-zero equality, a one-term equality, and a general row whose
+        # g1_lo line has the single term - 1 z_1.
+        Formulation(n_lambda=2, r_z=1,
+                    equalities=(LinearEquality(lam=(0, 0), z=(0,), rhs=0),
+                                LinearEquality(lam=(0, 5), z=(0,), rhs=5)),
+                    general_rows=(GeneralRow(normal=(1,), lower=(0, 0), upper=(0, 1)),),
+                    z_bounds=((0, 1),)),
+        Formulation(n_lambda=1, r_z=0, equalities=(LinearEquality(lam=(0,), z=(), rhs=0),),
+                    general_rows=(), z_bounds=()),
+    ], ids=["zero-and-one-term-rows", "zero-row-without-z"])
+    def test_rows_with_no_term_or_one(self, f):
+        for g in (f, mirrored(f)):
+            assert emit_lp_text(g) == lp_text(g)
+        assert " eq_1:  = 0\n" in emit_lp_text(f)
