@@ -36,7 +36,6 @@ from .documents import (
 from .encoding import (
     Encoding,
     EncodingKind,
-    explicit_encoding,
     gray_matrix,
     is_hole_free,
     is_in_convex_position,
@@ -51,7 +50,6 @@ from .errors import (
     IdealformError,
     InputError,
     InvalidOrder,
-    NeedsExplicitRows,
     NoDirections,
     NotPowerOfTwo,
     ResourceCapExceeded,
@@ -95,7 +93,6 @@ __all__ = [
     "InputError",
     "InvalidOrder",
     "LinearEquality",
-    "NeedsExplicitRows",
     "NoDirections",
     "NotPowerOfTwo",
     "ProblemDocument",
@@ -120,7 +117,6 @@ __all__ = [
     "emit_lp_text",
     "emit_structured",
     "enumerate_vertices",
-    "explicit_encoding",
     "formulation_from_document",
     "gray_matrix",
     "intersection_digraph",

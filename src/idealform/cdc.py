@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from math import comb
 from operator import itemgetter
 
@@ -52,14 +52,17 @@ class Cdc:
             raise InputError("ground set must be nonempty")
         if len(self.alternatives) < 2:
             raise TooFewAlternatives("a disjunction needs at least two alternatives")
-        covered: set[int] = set()
-        for i, alt in enumerate(self.alternatives, start=1):
-            if not alt:
-                raise InputError(f"alternative {i} is empty")
-            if min(alt) < 1 or max(alt) > self.n:
-                bad = [v for v in alt if not (1 <= v <= self.n)]
-                raise InputError(f"alternative {i} uses out-of-range elements {sorted(bad)}")
-            covered |= alt
+        covered = set(chain(*self.alternatives))
+        if not (all(self.alternatives) and set(map(type, chain(*self.alternatives))) <= {int}
+                and min(covered) >= 1 and max(covered) <= self.n):
+            for i, alt in enumerate(self.alternatives, start=1):  # name the first at fault
+                if not alt:
+                    raise InputError(f"alternative {i} is empty")
+                if bad := sorted(repr(v) for v in alt if type(v) is not int):
+                    raise InputError(f"alternative {i} has non-integer elements {', '.join(bad)}")
+                if min(alt) < 1 or max(alt) > self.n:
+                    bad = [v for v in alt if not (1 <= v <= self.n)]
+                    raise InputError(f"alternative {i} uses out-of-range elements {sorted(bad)}")
         uncovered = self.n - len(covered)
         if uncovered:
             # The first few suffice, and n may be far larger than the input.

@@ -49,6 +49,7 @@ from .verify import DEFAULT_ENUM_CAP, check_ideal, check_validity_only
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 3
+_FAMILY_NAMES = [kind.value for kind in EncodingKind]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,7 +122,7 @@ def _parser_tree() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("encode", help="print a code matrix and its gate results")
-    p.add_argument("--kind", choices=["gray", "zigzag"], required=True)
+    p.add_argument("--kind", choices=_FAMILY_NAMES, required=True)
     size = p.add_mutually_exclusive_group(required=True)
     size.add_argument("--s", type=int, help="recursion order: full 2**s row matrix")
     size.add_argument("--d", type=int, help="row count: the d-row prefix")
@@ -129,18 +130,18 @@ def _parser_tree() -> argparse.ArgumentParser:
 
     p = sub.add_parser("formulate", help="formulate a cdc problem document")
     p.add_argument("document", help="problem document path, or - for stdin")
-    p.add_argument("--encoding", choices=["gray", "zigzag"], default=None,
+    p.add_argument("--encoding", choices=_FAMILY_NAMES, default=None,
                    help="override the document's encoding choice")
     _add_output_flags(p)
 
     p = sub.add_parser("pwl", help="formulate a piecewise-linear epigraph document")
     p.add_argument("document", help="problem document path, or - for stdin")
-    p.add_argument("--encoding", choices=["gray", "zigzag"], default=None)
+    p.add_argument("--encoding", choices=_FAMILY_NAMES, default=None)
     _add_output_flags(p)
 
     p = sub.add_parser("annulus", help="emit a closed-form ring relaxation")
     p.add_argument("--d", type=int, required=True, help="number of pieces, a power of two")
-    p.add_argument("--encoding", choices=["gray", "zigzag"], default="gray")
+    p.add_argument("--encoding", choices=_FAMILY_NAMES, default=EncodingKind.GRAY.value)
     p.add_argument("--inner", type=float, default=None, metavar="L")
     p.add_argument("--outer", type=float, default=None, metavar="U")
     _add_output_flags(p)
@@ -219,7 +220,7 @@ def _cmd_document(args) -> int:
         raise InputError(f"{args.command} expects a {expected.kind} document, "
                          f"got kind {doc.kind!r}")
     if args.encoding is not None:
-        doc = replace(doc, encoding_kind=EncodingKind(args.encoding))
+        doc = replace(doc, codes=EncodingKind(args.encoding))
     return _document_command(args, doc)
 
 

@@ -37,7 +37,7 @@ from .annulus import (
     annulus_zigzag_formulation,
 )
 from .cdc import Cdc, theorem1_formulation
-from .encoding import Encoding, EncodingKind, explicit_encoding, make_encoding
+from .encoding import Encoding, EncodingKind, make_encoding
 from .errors import IdealformError, InputError
 from .formulation import Formulation, GeneralRow, LinearEquality, RecoveryMap
 from .pwl import PwlFunction, pwl_formulation, pwl_ground_set, pwl_prop3_applicable
@@ -62,22 +62,22 @@ class CdcProblem:
 
     kind: ClassVar[str] = "cdc"
     cdc: Cdc
-    encoding_kind: EncodingKind
-    explicit: Encoding | None  # the document's own codes, built when it is read
+    codes: EncodingKind | Encoding  # a family, or the document's own explicit rows
     options: ProblemOptions
 
     def disjunction(self) -> Cdc:
         return self.cdc
 
     def encoding(self) -> Encoding:
-        if self.encoding_kind is EncodingKind.EXPLICIT:
-            return self.explicit
-        return make_encoding(self.cdc.d, self.encoding_kind)
+        if isinstance(self.codes, Encoding):
+            return self.codes
+        return make_encoding(self.cdc.d, self.codes)
 
     def formulate(self) -> tuple[Formulation, RecoveryMap | None, dict]:
         f = theorem1_formulation(self.cdc, self.encoding())
-        return f, None, {"kind": self.kind, "encoding": self.encoding_kind.value,
-                         "path": "general", "gamma": f.gamma}
+        name = "explicit" if isinstance(self.codes, Encoding) else self.codes.value
+        return f, None, {"kind": self.kind, "encoding": name, "path": "general",
+                         "gamma": f.gamma}
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ class PwlProblem:
 
     kind: ClassVar[str] = "pwl"
     function: PwlFunction
-    encoding_kind: EncodingKind
+    codes: EncodingKind
     options: ProblemOptions
 
     def disjunction(self) -> Cdc:
@@ -94,13 +94,13 @@ class PwlProblem:
         return Cdc(ground.n, ground.alternatives)
 
     def encoding(self) -> Encoding:
-        return make_encoding(self.function.d, self.encoding_kind)
+        return make_encoding(self.function.d, self.codes)
 
     def formulate(self) -> tuple[Formulation, RecoveryMap | None, dict]:
-        f, recovery = pwl_formulation(self.function, self.encoding_kind)
+        f, recovery = pwl_formulation(self.function, self.codes)
         path = "closed-form" if pwl_prop3_applicable(self.function) else "general"
         # n_lambda = d + 1 + kappa: one ground point per breakpoint, two at a jump.
-        return f, recovery, {"kind": self.kind, "encoding": self.encoding_kind.value,
+        return f, recovery, {"kind": self.kind, "encoding": self.codes.value,
                              "path": path, "gamma": f.gamma,
                              "kappa": f.n_lambda - self.function.d - 1}
 
@@ -112,20 +112,20 @@ class AnnulusProblem:
     kind: ClassVar[str] = "annulus"
     pieces: int
     geometry: AnnulusSpec | None
-    encoding_kind: EncodingKind
+    codes: EncodingKind
     options: ProblemOptions
 
     def disjunction(self) -> Cdc:
         return annulus_cdc(self.pieces)
 
     def encoding(self) -> Encoding:
-        return make_encoding(self.pieces, self.encoding_kind)
+        return make_encoding(self.pieces, self.codes)
 
     def formulate(self) -> tuple[Formulation, RecoveryMap | None, dict]:
-        build = (annulus_gray_formulation if self.encoding_kind is EncodingKind.GRAY
-                 else annulus_zigzag_formulation)
+        build = {EncodingKind.GRAY: annulus_gray_formulation,
+                 EncodingKind.ZIGZAG: annulus_zigzag_formulation}[self.codes]
         f, recovery = build(self.pieces, self.geometry)
-        return f, recovery, {"kind": self.kind, "encoding": self.encoding_kind.value,
+        return f, recovery, {"kind": self.kind, "encoding": self.codes.value,
                              "path": "closed-form", "gamma": f.gamma}
 
 
@@ -228,19 +228,15 @@ def _build(field: str, make, *args):
         _fail(field, err)
 
 
-def _encoding_spec(body: dict, field: str, allow_explicit: bool):
-    spec = body.get("encoding", "gray")
+def _encoding_spec(body: dict, field: str, allow_explicit: bool) -> EncodingKind | tuple:
+    spec = body.get("encoding", EncodingKind.GRAY.value)
     if isinstance(spec, str):
         try:
-            kind = EncodingKind(spec)
+            return EncodingKind(spec)
         except ValueError:
-            raise InputError(
-                f"{field}: unknown encoding {spec!r}; use gray, zigzag, "
-                f"or an explicit row list"
-            ) from None
-        if kind is EncodingKind.EXPLICIT:
-            raise InputError(f"{field}: explicit encoding needs its rows inline")
-        return kind, None
+            names = ", ".join([*(kind.value for kind in EncodingKind),
+                               "or an explicit row list"])
+            raise InputError(f"{field}: unknown encoding {spec!r}; use {names}") from None
     if isinstance(spec, dict) and set(spec) == {"explicit"}:
         if not allow_explicit:
             raise InputError(f"{field}: this problem kind picks its own codes")
@@ -249,7 +245,7 @@ def _encoding_spec(body: dict, field: str, allow_explicit: bool):
             if len(row) != len(rows[0]):
                 raise InputError(f"{field}.explicit[{i}]: expected {len(rows[0])} "
                                  f"entries like row 0, got {len(row)}")
-        return EncodingKind.EXPLICIT, rows
+        return rows
     raise InputError(f"{field}: expected an encoding name or {{'explicit': rows}}")
 
 
@@ -271,27 +267,26 @@ def _parse_cdc(body: dict, options: ProblemOptions) -> CdcProblem:
         n = max((x for alt in alternatives for x in alt), default=0)
     elif _int(n, "cdc.n") < 1:
         raise InputError("cdc.n: ground set must be nonempty")
-    encoding_kind, rows = _encoding_spec(body, "cdc.encoding", allow_explicit=True)
+    codes = _encoding_spec(body, "cdc.encoding", allow_explicit=True)
     c = _build("cdc.alternatives", Cdc, n, tuple(frozenset(alt) for alt in alternatives))
-    if rows is not None and len(rows) != c.d:
-        raise InputError(
-            f"cdc.encoding: {len(rows)} explicit rows for {c.d} alternatives"
-        )
-    explicit = None if rows is None else _build("cdc.encoding.explicit",
-                                                explicit_encoding, rows)
-    return CdcProblem(c, encoding_kind, explicit, options)
+    if not isinstance(codes, EncodingKind):
+        if len(codes) != c.d:
+            raise InputError(f"cdc.encoding: {len(codes)} explicit rows for {c.d} "
+                             f"alternatives")
+        codes = _build("cdc.encoding.explicit", Encoding, codes)
+    return CdcProblem(c, codes, options)
 
 
 def _parse_pwl(body: dict, options: ProblemOptions) -> PwlProblem:
-    encoding_kind, _ = _encoding_spec(body, "pwl.encoding", allow_explicit=False)
+    codes = _encoding_spec(body, "pwl.encoding", allow_explicit=False)
     fields = [_rationals(body.get(key), f"pwl.{key}")
               for key in ("breakpoints", "slopes", "intercepts")]
-    return PwlProblem(_build("pwl", PwlFunction, *fields), encoding_kind, options)
+    return PwlProblem(_build("pwl", PwlFunction, *fields), codes, options)
 
 
 def _parse_annulus(body: dict, options: ProblemOptions) -> AnnulusProblem:
     d = _int(body.get("d"), "annulus.d")
-    encoding_kind, _ = _encoding_spec(body, "annulus.encoding", allow_explicit=False)
+    codes = _encoding_spec(body, "annulus.encoding", allow_explicit=False)
     inner, outer = body.get("inner_radius"), body.get("outer_radius")
     if (inner is None) != (outer is None):
         raise InputError("annulus: give both inner_radius and outer_radius or neither")
@@ -301,7 +296,7 @@ def _parse_annulus(body: dict, options: ProblemOptions) -> AnnulusProblem:
         geometry = _build("annulus", AnnulusSpec, *radii, d)
     else:
         _build("annulus.d", _check_piece_count, d)
-    return AnnulusProblem(d, geometry, encoding_kind, options)
+    return AnnulusProblem(d, geometry, codes, options)
 
 
 _PARSERS = {"cdc": _parse_cdc, "pwl": _parse_pwl, "annulus": _parse_annulus}

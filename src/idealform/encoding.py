@@ -23,7 +23,6 @@ from .errors import (
     HoleCheckTooLarge,
     InputError,
     InvalidOrder,
-    NeedsExplicitRows,
     ResourceCapExceeded,
     TooFewAlternatives,
 )
@@ -39,7 +38,6 @@ MAX_ORDER = 16  # the widest code built: no size asks for more than 2**16 rows
 class EncodingKind(Enum):
     GRAY = "gray"
     ZIGZAG = "zigzag"
-    EXPLICIT = "explicit"
 
 
 @dataclass(frozen=True)
@@ -159,21 +157,18 @@ def zigzag_matrix(s: int) -> tuple[Row, ...]:
     return tuple(rows)
 
 
+FAMILIES = {EncodingKind.GRAY: gray_matrix, EncodingKind.ZIGZAG: zigzag_matrix}
+
+
 def make_encoding(d: int, kind: EncodingKind) -> Encoding:
     """The first d rows of the chosen family, with r = ceil(log2(d)) bits."""
-    if kind is EncodingKind.EXPLICIT:
-        raise NeedsExplicitRows("explicit encodings are built from given rows")
+    if not isinstance(kind, EncodingKind):
+        raise InputError(f"expected {' or '.join(map(str, FAMILIES))}, got {type(kind).__name__}")
     if d < 2:
         raise TooFewAlternatives(f"need at least two alternatives, got {d}")
     r = (d - 1).bit_length()  # ceil(log2(d)), in integers
     check_order(r, f"{d} alternatives")
-    full = gray_matrix(r) if kind is EncodingKind.GRAY else zigzag_matrix(r)
-    return Encoding(full[:d])
-
-
-def explicit_encoding(rows) -> Encoding:
-    """Wrap user-provided integer rows as an explicit encoding."""
-    return Encoding(rows)
+    return Encoding(FAMILIES[kind](r)[:d])
 
 
 def is_in_convex_position(e: Encoding) -> bool:

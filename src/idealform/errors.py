@@ -20,19 +20,12 @@ class InputError(IdealformError, ValueError):
 
 # --- encodings ---
 
-class InvalidOrder(IdealformError):
+class InvalidOrder(InputError):
     """Recursion order s is out of the supported range."""
-    exit_code = 1
 
 
-class TooFewAlternatives(IdealformError):
+class TooFewAlternatives(InputError):
     """An encoding or disjunction needs at least two alternatives."""
-    exit_code = 1
-
-
-class NeedsExplicitRows(IdealformError):
-    """The explicit encoding kind was requested without providing rows."""
-    exit_code = 1
 
 
 # --- disjunctive core ---
@@ -51,9 +44,8 @@ class EncodingNotIdealizable(IdealformError):
 
 # --- applications ---
 
-class NotPowerOfTwo(IdealformError):
+class NotPowerOfTwo(InputError):
     """A construction that needs d = 2**r received some other d."""
-    exit_code = 1
 
 
 class DegenerateSecant(IdealformError):

@@ -152,8 +152,6 @@ def pwl_formulation(f: PwlFunction, kind: EncodingKind) -> tuple[Formulation, Re
     free ray and needs no vertex bookkeeping). Jumps that leave a code
     coordinate unreached raise DimensionDeficit, which names them.
     """
-    if kind is EncodingKind.EXPLICIT:
-        raise InputError("this pipeline picks its own codes; use gray or zigzag")
     ground = pwl_ground_set(f)
     c = Cdc(ground.n, ground.alternatives)
     e = make_encoding(f.d, kind)

@@ -1,6 +1,7 @@
 """Tests for the disjunction-to-formulation pipeline."""
 
 import random
+import re
 import sys
 import time
 from functools import cached_property
@@ -25,7 +26,7 @@ from idealform.cdc import (
     unit_normals,
 )
 from idealform.cli import main
-from idealform.encoding import Encoding, EncodingKind, explicit_encoding, make_encoding
+from idealform.encoding import Encoding, EncodingKind, make_encoding
 from idealform.errors import (
     DimensionDeficit,
     EncodingNotIdealizable,
@@ -51,12 +52,30 @@ class TestCdcValidation:
             cdc(3, [(1,), (3,)])
 
     def test_empty_alternative_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^alternative 2 is empty$"):
             cdc(2, [(1, 2), ()])
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"^alternative 2 uses out-of-range elements \[5\]$"):
             cdc(2, [(1, 2), (2, 5)])
+        with pytest.raises(InputError, match=r"^alternative 1 uses out-of-range elements \[0\]$"):
+            cdc(2, [(0, 1, 2), ()])
+
+    @pytest.mark.parametrize("n, element, shown", [
+        (2, 1.5, "1.5"), (2, float("nan"), "nan"), (2, "3", "'3'"),
+        (3, 3.0, "3.0"), (2, True, "True"),
+    ])
+    def test_elements_must_be_ints(self, n, element, shown):
+        # Refused by type before the range and cover checks, which would
+        # misread them; bools are refused as Encoding refuses them.
+        with pytest.raises(InputError,
+                           match=rf"^alternative 2 has non-integer elements {re.escape(shown)}$"):
+            cdc(n, [{1, 2}, {2, element}])
+
+    def test_every_bad_element_is_named(self):
+        with pytest.raises(InputError,
+                           match=r"^alternative 1 has non-integer elements 'a', 1\.5$"):
+            cdc(2, [{1, 2, "a", 1.5}, {2}])
 
     def test_single_alternative_rejected(self):
         with pytest.raises(TooFewAlternatives):
@@ -94,7 +113,7 @@ class TestDifferenceDirections:
         dirs = difference_directions(intersection_digraph(c), e)
         assert dirs.deduped == ((0, 1), (1, 0))
 
-    @given(st.integers(2, 9), st.sampled_from(list(EncodingKind)[:2]), st.randoms())
+    @given(st.integers(2, 9), st.sampled_from(list(EncodingKind)), st.randoms())
     @settings(max_examples=40, deadline=None)
     def test_deduped_span_what_the_arc_differences_span(self, d, kind, rnd):
         # The dimension check ranks the deduplicated directions alone.
@@ -214,13 +233,13 @@ class TestTheorem1Formulation:
 
     def test_gate_failure_convex_position(self):
         c = cdc(4, [(1, 2), (2, 3), (3, 4)])
-        e = explicit_encoding([(0,), (1,), (2,)])
+        e = Encoding([(0,), (1,), (2,)])
         with pytest.raises(EncodingNotIdealizable):
             theorem1_formulation(c, e)
 
     def test_gate_failure_holes(self):
         c = cdc(4, [(1, 2), (2, 3), (3, 4)])
-        e = explicit_encoding([(0, 0), (2, 0), (0, 2)])
+        e = Encoding([(0, 0), (2, 0), (0, 2)])
         with pytest.raises(EncodingNotIdealizable):
             theorem1_formulation(c, e)
 
@@ -243,7 +262,7 @@ class TestTheorem1Formulation:
             order = list(range(4))
             rng.shuffle(order)
             permuted = cdc(5, [sorted(c.alternatives[i]) for i in order])
-            permuted_e = explicit_encoding([e.rows[i] for i in order])
+            permuted_e = Encoding([e.rows[i] for i in order])
             f = theorem1_formulation(permuted, permuted_e)
             assert f.gamma == base.gamma
 
@@ -327,11 +346,11 @@ def shared_user_problems(draw):
     else:
         alternatives = [set(range(1, draw(st.integers(1, 3), label="n") + 1))] * d
     c = cdc(max(map(max, alternatives)), alternatives)
-    kind = draw(st.sampled_from(list(EncodingKind)), label="kind")
-    if kind is EncodingKind.EXPLICIT:
+    kind = draw(st.sampled_from([*EncodingKind, None]), label="kind")
+    if kind is None:  # explicit codes
         r = draw(st.integers(1, 3), label="r")
-        e = explicit_encoding(draw(st.lists(st.tuples(*[st.integers(-5, 5)] * r),
-                                            min_size=d, max_size=d, unique=True)))
+        e = Encoding(draw(st.lists(st.tuples(*[st.integers(-5, 5)] * r),
+                                   min_size=d, max_size=d, unique=True)))
     else:
         e = make_encoding(d, kind)
     normals = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * e.r).filter(any),

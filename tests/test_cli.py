@@ -649,11 +649,27 @@ class TestParserTree:
         assert second is not first and second.parse_args is not None
         assert run(capsys, "encode", "--kind", "gray", "--s", "1")[0] == 0
 
+    @pytest.mark.parametrize("command, flag", [
+        ("encode", "--kind"), ("formulate", "--encoding"), ("pwl", "--encoding"),
+        ("annulus", "--encoding"),
+    ])
+    def test_family_choices_come_from_the_enum(self, command, flag):
+        subparsers = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        parser = subparsers.choices[command]
+        action = next(a for a in parser._actions if flag in a.option_strings)
+        assert action.choices == [kind.value for kind in EncodingKind]
+        assert f"{flag} {{gray,zigzag}}" in parser.format_help()
+
+
+def test_every_export_resolves():
+    import idealform
+    assert [name for name in idealform.__all__ if not hasattr(idealform, name)] == []
+
 
 # Every error class and the exit code main returns for it.
 EXIT_CODES = {
     "IdealformError": 2, "InputError": 1, "InvalidOrder": 1, "TooFewAlternatives": 1,
-    "NeedsExplicitRows": 1, "NoDirections": 2, "DimensionDeficit": 2,
+    "NoDirections": 2, "DimensionDeficit": 2,
     "EncodingNotIdealizable": 2, "NotPowerOfTwo": 1, "DegenerateSecant": 2,
     "ResourceCapExceeded": 4, "HoleCheckTooLarge": 4, "TooManyDirections": 4,
     "TooLargeToEnumerate": 4,

@@ -24,7 +24,7 @@ from idealform.documents import (
     parse_problem,
     verification_summary,
 )
-from idealform.encoding import EncodingKind, make_encoding
+from idealform.encoding import Encoding, EncodingKind, make_encoding
 from idealform.errors import IdealformError, InputError, NotPowerOfTwo
 from idealform.formulation import RecoveryMap
 from idealform.lp_format import emit_lp_text
@@ -49,7 +49,7 @@ class TestParseProblem:
         assert doc.kind == "cdc"
         assert doc.cdc.n == 5
         assert doc.cdc.d == 4
-        assert doc.encoding_kind is EncodingKind.GRAY
+        assert doc.codes is EncodingKind.GRAY
         assert doc.options.check == "none"
         assert doc.options.output_format == "json"
 
@@ -67,15 +67,15 @@ class TestParseProblem:
 
     def test_cdc_default_encoding_is_gray(self):
         doc = parse_problem('{"kind": "cdc", "cdc": {"alternatives": [[1, 2], [2, 3]]}}')
-        assert doc.encoding_kind is EncodingKind.GRAY
+        assert doc.codes is EncodingKind.GRAY
 
     def test_cdc_explicit_rows(self):
         doc = parse_problem(
             '{"kind": "cdc", "cdc": {"alternatives": [[1, 2], [2, 3]],'
             ' "encoding": {"explicit": [[0], [1]]}}}'
         )
-        assert doc.encoding_kind is EncodingKind.EXPLICIT
-        assert doc.encoding().rows == ((0,), (1,))
+        assert doc.codes == Encoding([(0,), (1,)])
+        assert doc.encoding() is doc.codes
 
     def test_cdc_explicit_row_count_mismatch(self):
         with pytest.raises(InputError, match="explicit rows"):
@@ -94,7 +94,7 @@ class TestParseProblem:
             ' "slopes": ["1/2", "-3/2"], "intercepts": [0, 2], "encoding": "zigzag"}}'
         )
         assert doc.function.slopes == (Fraction(1, 2), Fraction(-3, 2))
-        assert doc.encoding_kind is EncodingKind.ZIGZAG
+        assert doc.codes is EncodingKind.ZIGZAG
 
     def test_pwl_rejects_float_literals(self):
         with pytest.raises(InputError, match="slopes.*not floats"):

@@ -14,7 +14,6 @@ from idealform.cli import main
 from idealform.encoding import (
     Encoding,
     EncodingKind,
-    explicit_encoding,
     gray_matrix,
     is_hole_free,
     is_in_convex_position,
@@ -25,7 +24,6 @@ from idealform.errors import (
     HoleCheckTooLarge,
     InputError,
     InvalidOrder,
-    NeedsExplicitRows,
     ResourceCapExceeded,
     TooFewAlternatives,
     TooLargeToEnumerate,
@@ -105,23 +103,32 @@ class TestMakeEncoding:
         with pytest.raises(TooFewAlternatives):
             make_encoding(1, EncodingKind.GRAY)
 
-    def test_explicit_kind_needs_rows(self):
-        with pytest.raises(NeedsExplicitRows):
-            make_encoding(4, EncodingKind.EXPLICIT)
+    @pytest.mark.parametrize("kind", ["gray", "zigzag", Encoding([(0,), (1,)]), None])
+    def test_only_a_family_builds_codes(self, kind):
+        # A family's name is not the family: at no input does make_encoding
+        # fall through to one of them.
+        with pytest.raises(InputError,
+                           match="^expected EncodingKind.GRAY or EncodingKind.ZIGZAG, got "):
+            make_encoding(4, kind)
+
+    def test_the_table_owns_every_family(self):
+        assert list(encoding.FAMILIES) == list(EncodingKind)
+        assert [make_encoding(4, kind).rows for kind in EncodingKind] == [
+            gray_matrix(2), zigzag_matrix(2)]
 
     def test_explicit_rows_validated(self):
         with pytest.raises(InputError):
-            explicit_encoding([(0, 0), (0, 0)])
+            Encoding([(0, 0), (0, 0)])
         with pytest.raises(InputError):
-            explicit_encoding([(0, 0), (1,)])
-        e = explicit_encoding([(0, 0), (1, 1)])
+            Encoding([(0, 0), (1,)])
+        e = Encoding([(0, 0), (1, 1)])
         assert e.rows == ((0, 0), (1, 1))
 
     @pytest.mark.parametrize("entry", [0.9, "1", True])
     def test_explicit_rows_reject_non_integers(self, entry):
         # Checked as given, not truncated or coerced first.
         with pytest.raises(InputError, match="integer"):
-            explicit_encoding([(0, 0), (1, entry), (0, 1)])
+            Encoding([(0, 0), (1, entry), (0, 1)])
 
 
 class Level(IntEnum):
@@ -185,13 +192,13 @@ class TestGates:
         assert is_in_convex_position(make_encoding(4, EncodingKind.GRAY))
 
     def test_collinear_codes_are_not(self):
-        assert not is_in_convex_position(explicit_encoding([(0,), (1,), (2,)]))
+        assert not is_in_convex_position(Encoding([(0,), (1,), (2,)]))
 
     def test_zigzag_prefix_is_hole_free(self):
-        assert is_hole_free(explicit_encoding(C3[:6]))
+        assert is_hole_free(Encoding(C3[:6]))
 
     def test_dilated_triangle_has_holes(self):
-        assert not is_hole_free(explicit_encoding([(0, 0), (2, 0), (0, 2)]))
+        assert not is_hole_free(Encoding([(0, 0), (2, 0), (0, 2)]))
 
     @pytest.mark.parametrize("kind", [EncodingKind.GRAY, EncodingKind.ZIGZAG])
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
@@ -215,7 +222,7 @@ class TestGates:
     )
     @settings(max_examples=40, deadline=None)
     def test_gates_agree_with_oracle_on_random_rows(self, rows):
-        e = explicit_encoding(rows)
+        e = Encoding(rows)
         assert is_in_convex_position(e) == _convex_position_oracle(rows)
         assert is_hole_free(e) == _hole_free_oracle(tuple(tuple(r) for r in rows))
 
@@ -243,7 +250,7 @@ class TestGates:
         monkeypatch.undo()
         start = time.perf_counter()
         with pytest.raises(HoleCheckTooLarge, match=f"visit {10**30 + 1} points at coordinate 1,"):
-            is_hole_free(explicit_encoding([(0, 0), (10**30, 0), (0, 1)]))
+            is_hole_free(Encoding([(0, 0), (10**30, 0), (0, 1)]))
         assert time.perf_counter() - start < 1
 
 
@@ -285,7 +292,7 @@ class TestHoleFreeByPrefixes:
             rows = data.draw(_explicit_rows(width, top))
         else:
             rows = data.draw(_shared_prefix_rows(width, top))
-        e = explicit_encoding(rows)
+        e = Encoding(rows)
         assert is_hole_free(e) == hole_free_by_box(e) == hole_free_by_simplex(rows)
 
     @pytest.mark.parametrize(
@@ -303,7 +310,7 @@ class TestHoleFreeByPrefixes:
         ],
     )
     def test_holes_behind_shared_and_missing_prefixes(self, rows, hole_free):
-        e = explicit_encoding(rows)
+        e = Encoding(rows)
         assert is_hole_free(e) is hole_free
         assert hole_free_by_box(e) is hole_free_by_simplex(rows) is hole_free
 
@@ -311,7 +318,7 @@ class TestHoleFreeByPrefixes:
         # Level 2 has 10**6 candidates, exactly the cap; the second, (0, 1),
         # is a hole, and the scan returns there instead of building the level.
         start = time.perf_counter()
-        assert not is_hole_free(explicit_encoding([(0, 0), (999, 0), (0, 999), (999, 999)]))
+        assert not is_hole_free(Encoding([(0, 0), (999, 0), (0, 999), (999, 999)]))
         assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("kind", [EncodingKind.GRAY, EncodingKind.ZIGZAG])
@@ -344,7 +351,7 @@ class TestGatesAgainstSimplex:
     @settings(max_examples=25, deadline=None)
     def test_random_explicit_rows(self, width, top, data):
         rows = data.draw(_explicit_rows(width, top))
-        e = explicit_encoding(rows)
+        e = Encoding(rows)
         assert is_in_convex_position(e) == convex_position_by_simplex(rows)
         assert is_hole_free(e) == hole_free_by_simplex(rows)
 
@@ -363,9 +370,9 @@ class TestGatesAgainstSimplex:
     )
     def test_codes_inside_an_edge_or_a_facet(self, rows):
         # The first row is the one inside; the others are the vertices.
-        assert not is_in_convex_position(explicit_encoding(rows))
+        assert not is_in_convex_position(Encoding(rows))
         assert not convex_position_by_simplex(rows)
-        assert is_in_convex_position(explicit_encoding(rows[1:]))
+        assert is_in_convex_position(Encoding(rows[1:]))
 
     def test_facet_cap_is_enforced(self, monkeypatch, capsys):
         monkeypatch.setattr(encoding, "DEFAULT_ENUM_CAP", 3)
@@ -404,5 +411,5 @@ class TestFacetsAgainstKernelStartCone:
     @given(_lifted_rows())
     @settings(max_examples=150, deadline=None)
     def test_random_explicit_rows(self, rows):
-        e = explicit_encoding(rows)
+        e = Encoding(rows)
         assert e.facets == facets_from_kernel_start_cone(e)

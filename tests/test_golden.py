@@ -84,6 +84,37 @@ SOS2_D4_FORMULATION = {
     ],
 }
 
+# The annulus --d 4 output under each family, less its provenance, for
+# verify against an annulus problem document.
+ANNULUS_D4_FORMULATIONS = {
+    "gray": {
+        "variables": {"lambda": {"count": 8, "lower": 0},
+                      "z": {"count": 2, "integer": True, "bounds": [[0, 1], [0, 1]]}},
+        "equalities": [{"lambda": [1] * 8, "z": [0, 0], "rhs": 1}],
+        "general_rows": [
+            {"normal": [0, 1], "lower": [0, 0, 0, 0, 1, 1, 0, 0],
+             "upper": [0, 0, 1, 1, 1, 1, 1, 1]},
+            {"normal": [1, 0], "lower": [0, 0, 1, 1, 0, 0, 0, 0],
+             "upper": [1, 1, 1, 1, 1, 1, 0, 0]},
+        ],
+        "recovery": {"kind": "annulus", "epigraph": False, "points": None},
+    },
+    "zigzag": {
+        "variables": {"lambda": {"count": 8, "lower": 0},
+                      "z": {"count": 2, "integer": True, "bounds": [[0, 2], [0, 1]]}},
+        "equalities": [{"lambda": [1] * 8, "z": [0, 0], "rhs": 1}],
+        "general_rows": [
+            {"normal": [0, 1], "lower": [0, 0, 0, 0, 1, 1, 0, 0],
+             "upper": [0, 0, 1, 1, 1, 1, 1, 1]},
+            {"normal": [1, -2], "lower": [0, 0, -1, -1, -1, -1, 0, 0],
+             "upper": [1, 1, 1, 1, 0, 0, 0, 0]},
+            {"normal": [1, 0], "lower": [0, 0, 1, 1, 1, 1, 0, 0],
+             "upper": [1, 1, 1, 1, 2, 2, 2, 2]},
+        ],
+        "recovery": {"kind": "annulus", "epigraph": False, "points": None},
+    },
+}
+
 DOCUMENTS = {
     "sos2": _cdc(_sos(8, 2), "gray"),
     "sos3": _cdc(_sos(8, 3), "gray"),
@@ -104,6 +135,9 @@ DOCUMENTS = {
                         "general_rows": SOS2_D4_FORMULATION["general_rows"][:1]},
     "sos2-d4-no-rhs": {**SOS2_D4_FORMULATION,
                        "equalities": [{"lambda": [1, 1, 1, 1, 1], "z": [0, 0]}]},
+    **{f"annulus-d4-{enc}": {"kind": "annulus", "annulus": {"d": 4, "encoding": enc}}
+       for enc in ANNULUS_D4_FORMULATIONS},
+    **{f"annulus-d4-{enc}-formulation": f for enc, f in ANNULUS_D4_FORMULATIONS.items()},
 }
 
 # One malformed problem document per field reader, each run through formulate.
@@ -125,6 +159,8 @@ MALFORMED = {
     "unknown-kind": {"kind": "milp", "milp": {}},
     "repeated-explicit-rows": _cdc([[1, 2], [2, 3]], {"explicit": [[0], [0]]}),
     "empty-explicit-rows": _cdc([[1, 2], [2, 3]], {"explicit": [[], []]}),
+    # "explicit" is no family: explicit codes are given as rows.
+    "explicit-string": _cdc([[1, 2], [2, 3]], "explicit"),
 }
 DOCUMENTS.update({f"malformed-{name}": doc for name, doc in MALFORMED.items()})
 
@@ -134,6 +170,8 @@ CASES = {
     "formulate-sos2-gray-ideal": ["formulate", "sos2", "--check", "ideal"],
     "formulate-explicit": ["formulate", "explicit"],
     "formulate-explicit-lp": ["formulate", "explicit", "--format", "lp"],
+    # The override replaces the document's explicit rows.
+    "formulate-explicit-zigzag": ["formulate", "explicit", "--encoding", "zigzag"],
     "formulate-flat": ["formulate", "flat", "--check", "ideal"],
     # A lower-dimensional explicit encoding: its eq_k lines carry z terms.
     "formulate-flat-lp": ["formulate", "flat", "--format", "lp"],
@@ -161,6 +199,10 @@ CASES = {
     "verify-validity": ["verify", "sos2-d4", "sos2-d4-formulation", "--check", "validity"],
     "verify-one-row": ["verify", "sos2-d4", "sos2-d4-one-row"],
     "verify-malformed": ["verify", "sos2-d4", "sos2-d4-no-rhs"],
+    # An annulus problem document: its disjunction and codes reach the check.
+    **{f"verify-annulus-d4-{enc}": ["verify", f"annulus-d4-{enc}",
+                                    f"annulus-d4-{enc}-formulation"]
+       for enc in ANNULUS_D4_FORMULATIONS},
     # Certificates at d = 32 and 64, each under a second.
     "annulus-d32-zigzag-ideal": ["annulus", "--d", "32", "--encoding", "zigzag",
                                  "--check", "ideal"],
@@ -328,6 +370,18 @@ GOLDEN = {
     'pwl-d512-one-jump': (0,
         '89f2cce584f4b3061a84941c6348ee75132070d9c6016a9b49c6b158889c4f60',
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'formulate-explicit-zigzag': (0,
+        '00cc1631a075f1ecc001ac5526eb1c66526aabc91bd5b2fef63c7c94cf71f769',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'verify-annulus-d4-gray': (0,
+        'de378cf1f60718e359549f8d16006f390895c929ef6b0eefc858b59c632dd95a',
+        '528ccdb2aab87d07d1b71c440883c1a8f4ecf292b539c5590cd165fecfda0fbf'),
+    'verify-annulus-d4-zigzag': (0,
+        'de378cf1f60718e359549f8d16006f390895c929ef6b0eefc858b59c632dd95a',
+        '528ccdb2aab87d07d1b71c440883c1a8f4ecf292b539c5590cd165fecfda0fbf'),
+    'malformed-explicit-string': (1,
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'b9fa5c30d3d12c9a6d25d4c960873361a8fbfaab8b35170bb1eba14df58bc7a1'),
 }
 
 

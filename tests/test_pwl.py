@@ -191,9 +191,13 @@ class TestFormulation:
         with pytest.raises(DimensionDeficit, match="t2, t3"):
             pwl_formulation(func, EncodingKind.GRAY)
 
-    def test_explicit_codes_rejected(self):
-        with pytest.raises(InputError):
-            pwl_formulation(chain(range(5), [1, 2, 3, 4]), EncodingKind.EXPLICIT)
+    @pytest.mark.parametrize("codes", [make_encoding(4, EncodingKind.GRAY), "gray"])
+    def test_explicit_codes_rejected(self, codes):
+        # Only a family builds the codes: neither explicit codes nor a
+        # family's name string.
+        with pytest.raises(InputError,
+                           match="^expected EncodingKind.GRAY or EncodingKind.ZIGZAG, got "):
+            pwl_formulation(chain(range(5), [1, 2, 3, 4]), codes)
 
     def test_recovery_points_are_the_ground_points(self):
         func = chain(range(5), [2, 2, 5, 5], jumps={4: -1})
