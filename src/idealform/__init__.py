@@ -61,7 +61,6 @@ from .formulation import Formulation, GeneralRow, LinearEquality, RecoveryMap
 from .lp_format import emit_lp_text
 from .pwl import (
     PwlFunction,
-    pwl,
     pwl_formulation,
     pwl_ground_set,
     pwl_prop3_applicable,
@@ -125,7 +124,6 @@ __all__ = [
     "is_weakly_connected",
     "make_encoding",
     "parse_problem",
-    "pwl",
     "pwl_formulation",
     "pwl_ground_set",
     "pwl_prop3_applicable",

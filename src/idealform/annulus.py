@@ -24,7 +24,7 @@ import warnings
 from dataclasses import dataclass
 
 from .cdc import Cdc, formulation_for_normals, unit_normals
-from .encoding import EncodingKind, check_order, make_encoding
+from .encoding import EncodingKind, check_int, check_order, make_encoding
 from .errors import DegenerateSecant, InputError, NotPowerOfTwo
 from .formulation import Formulation, RecoveryMap
 
@@ -54,6 +54,7 @@ class AnnulusSpec:
 
 
 def _check_piece_count(d: int) -> None:
+    check_int(d, "piece count")
     if d < 2 or d & (d - 1):
         raise NotPowerOfTwo(f"piece count must be a power of two, at least 2; got {d}")
     check_order(d.bit_length() - 1, f"{d} pieces")

@@ -19,7 +19,7 @@ from itertools import chain, combinations, islice
 from math import comb
 from operator import itemgetter
 
-from .encoding import Encoding, code_bounds, is_hole_free, is_in_convex_position
+from .encoding import Encoding, check_int, code_bounds, is_hole_free, is_in_convex_position
 from .errors import (
     DimensionDeficit,
     EncodingNotIdealizable,
@@ -48,6 +48,7 @@ class Cdc:
     alternatives: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
+        check_int(self.n, "ground set size")
         if self.n < 1:
             raise InputError("ground set must be nonempty")
         if len(self.alternatives) < 2:
@@ -190,13 +191,36 @@ def formulation_equalities(c: Cdc, e: Encoding) -> tuple[LinearEquality, ...]:
     return tuple(rows)
 
 
+def _integer_fields(f: Formulation):
+    """f's integer fields as (name in a formulation document, entries), in
+    document order."""
+    yield "variables.lambda.count", (f.n_lambda,)
+    yield "variables.z.count", (f.r_z,)
+    for k, bounds in enumerate(f.z_bounds):
+        yield f"variables.z.bounds[{k}]", bounds
+    for i, eq in enumerate(f.equalities):
+        yield from ((f"equalities[{i}].lambda", eq.lam), (f"equalities[{i}].z", eq.z),
+                    (f"equalities[{i}].rhs", (eq.rhs,)))
+    for i, g in enumerate(f.general_rows):
+        for key in ("normal", "lower", "upper"):
+            yield f"general_rows[{i}].{key}", getattr(g, key)
+
+
 def check_sizes(c: Cdc, e: Encoding, f: Formulation | None = None) -> None:
-    """InputError unless c, e and, when given, f fit together."""
-    if f is not None and (f.n_lambda != c.n or f.r_z != e.r):
-        raise InputError(
-            f"formulation is over {f.n_lambda} lambda and {f.r_z} z variables, "
-            f"but the problem needs {c.n} and {e.r}"
-        )
+    """InputError unless c, e and, when given, f fit together, with every
+    entry of f a plain int, so a certificate decides in integers only."""
+    if f is not None:
+        fields = list(_integer_fields(f))
+        # The entries' types in one C-level pass; the walk names the first at fault.
+        if set(map(type, chain.from_iterable(entries for _, entries in fields))) != {int}:
+            name, bad = next((name, x) for name, entries in fields for x in entries
+                             if type(x) is not int)
+            raise InputError(f"{name}: expected an integer, got {bad!r}")
+        if f.n_lambda != c.n or f.r_z != e.r:
+            raise InputError(
+                f"formulation is over {f.n_lambda} lambda and {f.r_z} z variables, "
+                f"but the problem needs {c.n} and {e.r}"
+            )
     if c.d != e.d:
         raise InputError(
             f"disjunction has {c.d} alternatives but the encoding has {e.d} rows"

@@ -37,7 +37,7 @@ from .annulus import (
     annulus_zigzag_formulation,
 )
 from .cdc import Cdc, theorem1_formulation
-from .encoding import Encoding, EncodingKind, make_encoding
+from .encoding import Encoding, EncodingKind, check_family, make_encoding
 from .errors import IdealformError, InputError
 from .formulation import Formulation, GeneralRow, LinearEquality, RecoveryMap
 from .pwl import PwlFunction, pwl_formulation, pwl_ground_set, pwl_prop3_applicable
@@ -99,10 +99,9 @@ class PwlProblem:
     def formulate(self) -> tuple[Formulation, RecoveryMap | None, dict]:
         f, recovery = pwl_formulation(self.function, self.codes)
         path = "closed-form" if pwl_prop3_applicable(self.function) else "general"
-        # n_lambda = d + 1 + kappa: one ground point per breakpoint, two at a jump.
         return f, recovery, {"kind": self.kind, "encoding": self.codes.value,
                              "path": path, "gamma": f.gamma,
-                             "kappa": f.n_lambda - self.function.d - 1}
+                             "kappa": len(self.function.jumps)}
 
 
 @dataclass(frozen=True)
@@ -122,6 +121,7 @@ class AnnulusProblem:
         return make_encoding(self.pieces, self.codes)
 
     def formulate(self) -> tuple[Formulation, RecoveryMap | None, dict]:
+        check_family(self.codes)
         build = {EncodingKind.GRAY: annulus_gray_formulation,
                  EncodingKind.ZIGZAG: annulus_zigzag_formulation}[self.codes]
         f, recovery = build(self.pieces, self.geometry)

@@ -117,8 +117,15 @@ class Encoding:
         return tuple((tuple(ray[:-1]), ray[-1], mask) for ray, mask in zip(rays, masks))
 
 
+def check_int(value, what: str) -> None:
+    """Refuse a size that is not a plain int: a bool or another int subclass too."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be an int, got {type(value).__name__}")
+
+
 def check_order(s: int, size: str) -> None:
     """Refuse an order below 1, or above MAX_ORDER, before any row is built."""
+    check_int(s, "recursion order")
     if s < 1:
         raise InvalidOrder(f"recursion order must be at least 1, got {s}")
     if s > MAX_ORDER:
@@ -160,10 +167,16 @@ def zigzag_matrix(s: int) -> tuple[Row, ...]:
 FAMILIES = {EncodingKind.GRAY: gray_matrix, EncodingKind.ZIGZAG: zigzag_matrix}
 
 
-def make_encoding(d: int, kind: EncodingKind) -> Encoding:
-    """The first d rows of the chosen family, with r = ceil(log2(d)) bits."""
+def check_family(kind) -> None:
+    """Refuse a value that is not one of the FAMILIES."""
     if not isinstance(kind, EncodingKind):
         raise InputError(f"expected {' or '.join(map(str, FAMILIES))}, got {type(kind).__name__}")
+
+
+def make_encoding(d: int, kind: EncodingKind) -> Encoding:
+    """The first d rows of the chosen family, with r = ceil(log2(d)) bits."""
+    check_family(kind)
+    check_int(d, "the number of alternatives")
     if d < 2:
         raise TooFewAlternatives(f"need at least two alternatives, got {d}")
     r = (d - 1).bit_length()  # ceil(log2(d)), in integers

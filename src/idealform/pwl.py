@@ -46,10 +46,9 @@ class PwlFunction:
 
     Pieces are indexed 1..d and piece i lives on [breakpoints[i-1],
     breakpoints[i]]; at a jump the modeled set keeps both one-sided values,
-    which is the closure of either semi-continuous convention. Entries are
-    exact rationals, ints or Fractions in any mix: the documents reader
-    keeps integral values as ints, and ``pwl`` coerces every entry to a
-    Fraction.
+    which is the closure of either semi-continuous convention. Each field
+    is held as a tuple of plain ints, with a Fraction where a denominator
+    remains; an entry of any other type raises InputError.
     """
 
     breakpoints: tuple[Rational, ...]
@@ -57,6 +56,14 @@ class PwlFunction:
     intercepts: tuple[Rational, ...]
 
     def __post_init__(self) -> None:
+        for field in ("breakpoints", "slopes", "intercepts"):
+            values = tuple(getattr(self, field))
+            kinds = set(map(type, values))
+            if kinds - {int}:  # only then a second pass: ints are the common case
+                if bad := sorted(t.__name__ for t in kinds - {int, Fraction}):
+                    raise InputError(f"{field}: expected ints or Fractions, got {bad[0]}")
+                values = tuple(x.numerator if x.denominator == 1 else x for x in values)
+            object.__setattr__(self, field, values)
         d = len(self.slopes)
         if d < 2:
             raise InputError("need at least two segments")
@@ -82,23 +89,11 @@ class PwlFunction:
         return tuple(((t[i - 1], self.segment_value(i, t[i - 1])),
                       (t[i], self.segment_value(i, t[i]))) for i in range(1, self.d + 1))
 
-    def is_continuous_at(self, j: int) -> bool:
-        """Whether segments j-1 and j agree at interior breakpoint j."""
-        if not 2 <= j <= self.d:
-            raise InputError(f"breakpoint {j} is not interior")
-        return self.ends[j - 2][1] == self.ends[j - 1][0]
-
-    def jump_indices(self) -> tuple[int, ...]:
-        return tuple(j for j in range(2, self.d + 1) if not self.is_continuous_at(j))
-
-
-def pwl(breakpoints, slopes, intercepts) -> PwlFunction:
-    """Build a PwlFunction, coercing entries to exact rationals."""
-    return PwlFunction(
-        tuple(Fraction(t) for t in breakpoints),
-        tuple(Fraction(a) for a in slopes),
-        tuple(Fraction(b) for b in intercepts),
-    )
+    @cached_property
+    def jumps(self) -> frozenset[int]:
+        """The interior breakpoints j where segments j - 1 and j do not meet."""
+        e = self.ends
+        return frozenset(j for j in range(2, self.d + 1) if e[j - 2][1] != e[j - 1][0])
 
 
 @dataclass(frozen=True)
@@ -111,7 +106,6 @@ class PwlGroundSet:
 
     points: tuple[Point, ...]
     alternatives: tuple[frozenset[int], ...]
-    kappa: int
 
     @property
     def n(self) -> int:
@@ -121,12 +115,12 @@ class PwlGroundSet:
 def pwl_ground_set(f: PwlFunction) -> PwlGroundSet:
     points: list[Point] = [f.ends[0][0]]
     alternatives: list[frozenset[int]] = []
-    for start, end in f.ends:
-        if start != points[-1]:  # a jump: the segment starts off the last end
+    for i, (start, end) in enumerate(f.ends, 1):
+        if i in f.jumps:  # segment i starts off the last end
             points.append(start)
         points.append(end)
         alternatives.append(frozenset({len(points) - 1, len(points)}))
-    return PwlGroundSet(tuple(points), tuple(alternatives), len(points) - f.d - 1)
+    return PwlGroundSet(tuple(points), tuple(alternatives))
 
 
 def pwl_prop3_applicable(f: PwlFunction) -> bool:
@@ -141,7 +135,7 @@ def pwl_prop3_applicable(f: PwlFunction) -> bool:
     if d < 4 or d & (d - 1):
         return False
     spans = range(d // 4 + 1, d // 2 + 2), range(d // 2 + 1, 3 * d // 4 + 2)
-    return any(all(f.is_continuous_at(j) for j in span) for span in spans)
+    return any(f.jumps.isdisjoint(span) for span in spans)
 
 
 def pwl_formulation(f: PwlFunction, kind: EncodingKind) -> tuple[Formulation, RecoveryMap]:
@@ -156,10 +150,9 @@ def pwl_formulation(f: PwlFunction, kind: EncodingKind) -> tuple[Formulation, Re
     c = Cdc(ground.n, ground.alternatives)
     e = make_encoding(f.d, kind)
     # Segments i and i + 1 meet unless f jumps; codes i - 1, i differ at ctz(i) < r.
-    ends = f.ends
-    reached = {(i & -i).bit_length() - 1 for i in range(1, f.d) if ends[i - 1][1] == ends[i][0]}
+    reached = {(i & -i).bit_length() - 1 for i in range(1, f.d) if i + 1 not in f.jumps}
     if len(reached) < e.r:  # Theorem 1's text, where e.dim == e.r
-        jumps = ", ".join(f"t{j}" for j in f.jump_indices())
+        jumps = ", ".join(f"t{j}" for j in sorted(f.jumps))
         raise DimensionDeficit(
             f"difference directions span {len(reached)} of {e.r} dimensions; "
             f"intersection digraph is not weakly connected; the jumps at {jumps} remove "

@@ -32,6 +32,10 @@ package implementation, so agreement is evidence rather than tautology:
 * paired rows folded once per ground element over per-element user slots
   (idealform.cdc.rows_for_normals, which folds once per distinct user set,
   replaced it).
+* the jumps of a piecewise-linear function, each one-sided value recomputed
+  in Fraction from the raw entries (idealform.pwl.PwlFunction.jumps, which
+  compares the cached segment ends of the stored entries, replaced the
+  derivations that each caller made of its own).
 
 Most are exponential and meant for desk-scale fixtures only.
 """
@@ -585,3 +589,11 @@ def rational_by_fraction(value, field: str) -> Fraction:
         raise InputError(f"{field}: zero denominator") from err
     except (ValueError, TypeError) as err:
         raise InputError(f"{field}: {err}") from err
+
+
+def jumps_by_fraction(breakpoints, slopes, intercepts) -> set[int]:
+    """The interior breakpoints j where segments j - 1 and j take different
+    values, each value recomputed in Fraction from the raw entries."""
+    t, a, b = ([Fraction(x) for x in values] for values in (breakpoints, slopes, intercepts))
+    return {j for j in range(2, len(a) + 1)
+            if a[j - 2] * t[j - 1] + b[j - 2] != a[j - 1] * t[j - 1] + b[j - 1]}

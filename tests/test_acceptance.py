@@ -163,9 +163,9 @@ def test_criterion_06_closed_forms_equal_the_general_pipeline():
 def test_criterion_07_epigraph_variable_economy_with_a_jump():
     f = chain(range(5), [1, 2, -1, 3], jumps={4: 1})
     ground = pwl_ground_set(f)
-    assert ground.kappa == 1
+    assert len(f.jumps) == 1
     form, _ = pwl_formulation(f, EncodingKind.GRAY)
-    assert form.n_lambda == f.d + 1 + ground.kappa == 6
+    assert form.n_lambda == f.d + 1 + len(f.jumps) == 6
     assert form.n_lambda < 2 * f.d
     verdict = check_ideal(
         cdc(ground.n, ground.alternatives), make_encoding(4, EncodingKind.GRAY), form

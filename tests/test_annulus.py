@@ -33,6 +33,11 @@ class TestAnnulusCdc:
             with pytest.raises(NotPowerOfTwo):
                 annulus_cdc(d)
 
+    @pytest.mark.parametrize("d, name", [(4.0, "float"), (True, "bool")])
+    def test_piece_count_must_be_an_int(self, d, name):
+        with pytest.raises(InputError, match=f"^piece count must be an int, got {name}$"):
+            annulus_cdc(d)
+
 
 class TestAnnulusVertices:
     def test_reference_corner_coordinates(self):

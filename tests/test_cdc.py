@@ -37,7 +37,7 @@ from idealform.errors import (
 )
 from idealform.formulation import GeneralRow, LinearEquality
 from idealform.linalg import rank
-from idealform.pwl import pwl, pwl_formulation, pwl_ground_set
+from idealform.pwl import PwlFunction, pwl_formulation, pwl_ground_set
 from oracles import hyperplane_normals_all_subsets, rows_by_covering_lists, rows_by_slots
 
 
@@ -76,6 +76,15 @@ class TestCdcValidation:
         with pytest.raises(InputError,
                            match=r"^alternative 1 has non-integer elements 'a', 1\.5$"):
             cdc(2, [{1, 2, "a", 1.5}, {2}])
+
+    @pytest.mark.parametrize("n, alternatives, name", [
+        (2.0, [[1, 2], [2]], "float"), (True, [[1], [1]], "bool"), ("2", [[1], [2]], "str"),
+    ])
+    def test_ground_set_size_must_be_an_int(self, n, alternatives, name):
+        # A float n let a formulation fail deep in its rows; True formulated
+        # with n_lambda=True.
+        with pytest.raises(InputError, match=f"^ground set size must be an int, got {name}$"):
+            cdc(n, alternatives)
 
     def test_single_alternative_rejected(self):
         with pytest.raises(TooFewAlternatives):
@@ -397,8 +406,8 @@ class TestRowsAgainstSlotOracle:
         for i in range(1, d):
             intercepts.append(intercepts[-1] + (slopes[i - 1] - slopes[i]) * i
                               + 3 * (i + 1 in (3, 13)))
-        f = pwl(range(d + 1), slopes, intercepts)
-        assert f.jump_indices() == (3, 13)
+        f = PwlFunction(range(d + 1), slopes, intercepts)
+        assert f.jumps == {3, 13}
         ground = pwl_ground_set(f)
         normals = [row.normal for row in pwl_formulation(f, kind)[0].general_rows]
         assert_rows_match_the_slot_oracle(Cdc(ground.n, ground.alternatives),

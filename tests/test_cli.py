@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from idealform import cli, encoding, errors
 from idealform.cli import main
 from idealform.documents import formulation_from_document
 from idealform.encoding import EncodingKind, make_encoding
-from idealform.pwl import pwl, pwl_ground_set
+from idealform.pwl import PwlFunction
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -316,9 +317,10 @@ class TestPwl:
         code, out, _ = run(capsys, "pwl", write_doc({"kind": "pwl", "pwl": body}))
         assert code == 0
         provenance = json.loads(out)["provenance"]
-        f = pwl(body["breakpoints"], body["slopes"], body["intercepts"])
+        f = PwlFunction(*(map(Fraction, body[key])
+                          for key in ("breakpoints", "slopes", "intercepts")))
         assert provenance["path"] == "general"
-        assert provenance["kappa"] == pwl_ground_set(f).kappa == 2
+        assert provenance["kappa"] == len(f.jumps) == 2
 
     def test_starved_code_steps_exit_2(self, capsys, write_doc):
         doc = {

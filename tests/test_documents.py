@@ -28,7 +28,7 @@ from idealform.encoding import Encoding, EncodingKind, make_encoding
 from idealform.errors import IdealformError, InputError, NotPowerOfTwo
 from idealform.formulation import RecoveryMap
 from idealform.lp_format import emit_lp_text
-from idealform.pwl import pwl, pwl_formulation, pwl_ground_set
+from idealform.pwl import PwlFunction, pwl_formulation, pwl_ground_set
 from idealform.verify import check_ideal
 from oracles import json_text, rational_by_fraction
 
@@ -276,6 +276,17 @@ def _pwl_cli(tmp_path, body: dict, *flags) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+class TestAnnulusProblem:
+    def test_codes_that_are_no_family_give_the_family_error(self):
+        # The closed form is picked by family: a name string is refused with
+        # make_encoding's text, not a bare KeyError.
+        with pytest.raises(InputError) as expected:
+            make_encoding(4, "gray")
+        with pytest.raises(InputError) as info:
+            AnnulusProblem(4, None, "gray", ProblemOptions()).formulate()
+        assert str(info.value) == str(expected.value)
+
+
 class TestIntegralRationals:
     """Integral values are read as ints, every other one as a Fraction, with
     the values, bytes and errors of a reader that builds a Fraction for each."""
@@ -299,7 +310,7 @@ class TestIntegralRationals:
         function = parse_problem(json.dumps(doc)).function
         recovery = RecoveryMap(kind="pwl", points=pwl_ground_set(function).points,
                                epigraph=True)
-        form, _ = pwl_formulation(pwl([0, 1, 2], [1, 2], [0, -1]), EncodingKind.GRAY)
+        form, _ = pwl_formulation(PwlFunction([0, 1, 2], [1, 2], [0, -1]), EncodingKind.GRAY)
         _, back = roundtrip(form, recovery)
         assert back == recovery
         for point in back.points:
@@ -313,8 +324,9 @@ class TestIntegralRationals:
             for write in (int, str, lambda n: f"{2 * n}/2")
         ]
         runs = [_pwl_cli(tmp_path, body, "--format", fmt) for body in written]
-        # The same function built from Fractions, as the pwl() constructor does.
-        problem = PwlProblem(pwl(*PWL_INTS.values()), EncodingKind.GRAY, ProblemOptions())
+        # The same function built from Fractions.
+        function = PwlFunction(*(map(Fraction, values) for values in PWL_INTS.values()))
+        problem = PwlProblem(function, EncodingKind.GRAY, ProblemOptions())
         f, recovery, provenance = problem.formulate()
         expected = (emit_lp_text(f) if fmt == "lp"
                     else document_text(emit_structured(f, recovery, provenance=provenance)))
@@ -377,7 +389,7 @@ class TestRoundTrip:
         assert recovery is None
 
     def test_pwl_recovery_rational_points(self):
-        f = pwl(
+        f = PwlFunction(
             [0, 1, 2, Fraction(5, 2)],
             [Fraction(1, 2), 1, -2],
             [0, Fraction(-1, 2), Fraction(11, 2)],
@@ -491,7 +503,8 @@ class TestRoundTrip:
         ],
     )
     def test_malformed_fields_are_named(self, damage, field):
-        form, recovery = pwl_formulation(pwl([0, 1, 2], [1, 2], [0, -1]), EncodingKind.GRAY)
+        function = PwlFunction([0, 1, 2], [1, 2], [0, -1])
+        form, recovery = pwl_formulation(function, EncodingKind.GRAY)
         doc = json.loads(document_text(emit_structured(form, recovery)))
         damage(doc)
         with pytest.raises(InputError, match=field) as info:
@@ -513,7 +526,7 @@ class TestRoundTrip:
         assert doc["verification"] == verification_summary(report)
 
     def test_rationals_serialized_as_strings(self):
-        f = pwl([0, 1, 2], [Fraction(1, 3), 1], [0, Fraction(-2, 3)])
+        f = PwlFunction([0, 1, 2], [Fraction(1, 3), 1], [0, Fraction(-2, 3)])
         form, recovery = pwl_formulation(f, EncodingKind.GRAY)
         doc = emit_structured(form, recovery)
         flat = json.dumps(doc)
@@ -566,7 +579,7 @@ PROBLEMS = [
 
 
 def _formulation_documents():
-    form, recovery = pwl_formulation(pwl([0, 1, 2], [1, 2], [0, -1]), EncodingKind.GRAY)
+    form, recovery = pwl_formulation(PwlFunction([0, 1, 2], [1, 2], [0, -1]), EncodingKind.GRAY)
     annulus, ring = annulus_gray_formulation(4, AnnulusSpec(1.0, 2.0, 4))
     return [json.loads(document_text(emit_structured(f, r, provenance={"path": "x"})))
             for f, r in ((form, recovery), (annulus, ring))]

@@ -413,3 +413,20 @@ class TestFacetsAgainstKernelStartCone:
     def test_random_explicit_rows(self, rows):
         e = Encoding(rows)
         assert e.facets == facets_from_kernel_start_cone(e)
+
+
+class TestSizesMustBeInts:
+    """A size that is not a plain int is an InputError that names its type,
+    never a bare AttributeError or TypeError further in."""
+
+    @pytest.mark.parametrize("d, name", [(4.0, "float"), ("4", "str"), (True, "bool")])
+    def test_make_encoding(self, d, name):
+        with pytest.raises(InputError,
+                           match=f"^the number of alternatives must be an int, got {name}$"):
+            make_encoding(d, EncodingKind.GRAY)
+
+    @pytest.mark.parametrize("build", [gray_matrix, zigzag_matrix])
+    @pytest.mark.parametrize("s, name", [(2.0, "float"), (True, "bool")])
+    def test_check_order(self, build, s, name):
+        with pytest.raises(InputError, match=f"^recursion order must be an int, got {name}$"):
+            build(s)

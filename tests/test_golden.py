@@ -115,10 +115,32 @@ ANNULUS_D4_FORMULATIONS = {
     },
 }
 
+# The pwl output for the pwl-jumps document, less its provenance, for
+# verify: the jumps at x = 1 and x = 7 give nine ground points.
+PWL_JUMPS_FORMULATION = {
+    "variables": {"lambda": {"count": 9, "lower": 0},
+                  "z": {"count": 3, "integer": True,
+                        "bounds": [[0, 1], [0, 1], [0, 1]]}},
+    "equalities": [{"lambda": [1] * 9, "z": [0, 0, 0], "rhs": 1}],
+    "general_rows": [
+        {"normal": [0, 0, 1], "lower": [0, 0, 0, 0, 0, 0, 1, 1, 1],
+         "upper": [0, 0, 0, 0, 0, 1, 1, 1, 1]},
+        {"normal": [0, 1, 0], "lower": [0, 0, 0, 0, 1, 1, 1, 1, 1],
+         "upper": [0, 0, 0, 1, 1, 1, 1, 1, 1]},
+        {"normal": [1, 0, 0], "lower": [0, 0, 1, 1, 0, 0, 0, 1, 1],
+         "upper": [0, 0, 1, 1, 1, 0, 0, 1, 1]},
+    ],
+    "recovery": {"kind": "pwl", "epigraph": True,
+                 "points": [[str(x), str(y)] for x, y in
+                            [(0, 0), (1, 5), (1, 7), (3, 13), (4, 15), (6, 16),
+                             (7, 15), (7, 17), (9, 9)]]},
+}
+
 DOCUMENTS = {
     "sos2": _cdc(_sos(8, 2), "gray"),
     "sos3": _cdc(_sos(8, 3), "gray"),
     "pwl-jumps": _pwl([0, 4, 7, 13, 22, 45]),
+    "pwl-jumps-formulation": PWL_JUMPS_FORMULATION,
     "pwl-deficit": _pwl([0, 2, 7, 13, 22, 45]),
     "pwl-d64-one-jump": _pwl_jumps(64, 5),
     "pwl-d512-one-jump": _pwl_jumps(512, 5),
@@ -199,6 +221,8 @@ CASES = {
     "verify-validity": ["verify", "sos2-d4", "sos2-d4-formulation", "--check", "validity"],
     "verify-one-row": ["verify", "sos2-d4", "sos2-d4-one-row"],
     "verify-malformed": ["verify", "sos2-d4", "sos2-d4-no-rhs"],
+    # A pwl problem document: its ground set and codes reach the check.
+    "verify-pwl-jumps": ["verify", "pwl-jumps", "pwl-jumps-formulation"],
     # An annulus problem document: its disjunction and codes reach the check.
     **{f"verify-annulus-d4-{enc}": ["verify", f"annulus-d4-{enc}",
                                     f"annulus-d4-{enc}-formulation"]
@@ -382,6 +406,9 @@ GOLDEN = {
     'malformed-explicit-string': (1,
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'b9fa5c30d3d12c9a6d25d4c960873361a8fbfaab8b35170bb1eba14df58bc7a1'),
+    'verify-pwl-jumps': (0,
+        '32baa9c5ef3a08293ab4eacae7b5d57bfc60c1fdb48b772b1be2f1b76cf46ced',
+        'd95b6afaec95feb423ed18a3214b08df291e9ba59040ea4aed56ff76eebe7f33'),
 }
 
 

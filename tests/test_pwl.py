@@ -23,12 +23,12 @@ from idealform.errors import DimensionDeficit, InputError
 from idealform.pwl import (
     PwlFunction,
     PwlGroundSet,
-    pwl,
     pwl_formulation,
     pwl_ground_set,
     pwl_prop3_applicable,
 )
 from idealform.verify import check_ideal
+from oracles import jumps_by_fraction
 
 F = Fraction
 
@@ -44,23 +44,91 @@ def chain(breakpoints, slopes, jumps=None):
         t = ts[j - 1]
         b = intercepts[-1] + (slopes[j - 2] - slopes[j - 1]) * t
         intercepts.append(b + F(jumps.get(j, 0)))
-    return pwl(ts, slopes, intercepts)
+    return PwlFunction(ts, slopes, intercepts)
 
 
 class TestPwlFunction:
     def test_validation(self):
         with pytest.raises(InputError):
-            pwl([0, 1], [1], [0])
+            PwlFunction([0, 1], [1], [0])
         with pytest.raises(InputError):
-            pwl([0, 1, 1], [1, 2], [0, 0])
+            PwlFunction([0, 1, 1], [1, 2], [0, 0])
         with pytest.raises(InputError):
-            pwl([0, 1, 2], [1, 2], [0])
+            PwlFunction([0, 1, 2], [1, 2], [0])
 
-    def test_jump_indices(self):
+    def test_jumps(self):
         f = chain([0, 1, 2, 3, 4], [1, 1, 1, 1], jumps={3: 5})
-        assert f.jump_indices() == (3,)
-        assert not f.is_continuous_at(3)
-        assert f.is_continuous_at(2) and f.is_continuous_at(4)
+        assert f.jumps == {3}
+
+
+class Flag(int):
+    """An int subclass: refused like a bool, since only plain ints are held."""
+
+
+def _entries(draw, values):
+    """The values as entries: a Fraction where a denominator remains, else
+    an int or an integral Fraction, drawn per entry."""
+    return [v if v.denominator != 1 else draw(st.sampled_from([int(v), v])) for v in values]
+
+
+@st.composite
+def pwl_values(draw):
+    """Exact breakpoints, slopes and intercepts: continuous chains with a
+    drawn jump, or none, at each interior breakpoint."""
+    d = draw(st.integers(2, 8))
+    q = st.fractions(-6, 6, max_denominator=3)
+    steps = draw(st.lists(st.fractions(1, 4, max_denominator=3), min_size=d, max_size=d))
+    t = [draw(q)]
+    for step in steps:
+        t.append(t[-1] + step)
+    a = draw(st.lists(q, min_size=d, max_size=d))
+    b = [draw(q)]
+    for j in range(2, d + 1):
+        jump = draw(st.sampled_from([0, 0, 1, Fraction(-1, 2)]))
+        b.append(b[-1] + (a[j - 2] - a[j - 1]) * t[j - 1] + jump)
+    return t, a, b
+
+
+class TestExactData:
+    """PwlFunction holds each entry exactly and owns the jump set."""
+
+    @given(values=pwl_values(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_jumps_ground_set_and_one_exact_form(self, values, data):
+        f = PwlFunction(*(_entries(data.draw, v) for v in values))
+        assert f.jumps == jumps_by_fraction(*values)
+        assert pwl_ground_set(f).n == f.d + 1 + len(f.jumps)
+        # Built from ints, from Fractions and from a drawn mix: one function.
+        as_ints = PwlFunction(*([int(x) if x.denominator == 1 else x for x in v]
+                                for v in values))
+        as_fractions = PwlFunction(*values)
+        assert f == as_ints == as_fractions
+        assert hash(f) == hash(as_ints) == hash(as_fractions)
+        for built in (f, as_ints, as_fractions):
+            for held, exact in zip((built.breakpoints, built.slopes, built.intercepts),
+                                   values):
+                assert type(held) is tuple
+                assert [type(x) for x in held] == [
+                    int if x.denominator == 1 else Fraction for x in exact]
+
+    @pytest.mark.parametrize("field", ["breakpoints", "slopes", "intercepts"])
+    @pytest.mark.parametrize("entry,name", [(0.5, "float"), (True, "bool"), ("1", "str"),
+                                            (Flag(1), "Flag")], ids=repr)
+    def test_other_entry_types_are_refused_by_field(self, field, entry, name):
+        values = {"breakpoints": [0, 1, 2, 3], "slopes": [1, 2, 3], "intercepts": [0, -1, -3]}
+        values[field][-1] = entry
+        with pytest.raises(InputError,
+                           match=f"^{field}: expected ints or Fractions, got {name}$"):
+            PwlFunction(**values)
+
+    def test_floats_decide_nothing(self):
+        # 0.3 is not 3 * 0.1 in floats, so a float run saw a jump at t2 and
+        # ended in a dimension deficit; the exact tenths are continuous.
+        with pytest.raises(InputError, match="^breakpoints: expected ints or Fractions"):
+            PwlFunction((0, 0.1, 1), (3, 0), (0, 0.3))
+        f = PwlFunction((0, F(1, 10), 1), (3, 0), (0, F(3, 10)))
+        assert f.jumps == frozenset()
+        assert pwl_formulation(f, EncodingKind.GRAY)[0].gamma == 1
 
 
 class TestSegmentEnds:
@@ -89,15 +157,17 @@ class TestSegmentEnds:
 
 class TestGroundSet:
     def test_continuous_is_chain_structured(self):
-        g = pwl_ground_set(chain([0, 1, 2, 3, 4], [1, 2, 3, 4]))
-        assert g.kappa == 0 and g.n == 5
+        f = chain([0, 1, 2, 3, 4], [1, 2, 3, 4])
+        g = pwl_ground_set(f)
+        assert len(f.jumps) == 0 and g.n == 5
         assert g.alternatives == (
             frozenset({1, 2}), frozenset({2, 3}), frozenset({3, 4}), frozenset({4, 5})
         )
 
     def test_one_jump_duplicates_its_breakpoint(self):
-        g = pwl_ground_set(chain([0, 1, 2, 3, 4], [1, 1, 1, 1], jumps={3: 2}))
-        assert g.kappa == 1 and g.n == 6
+        f = chain([0, 1, 2, 3, 4], [1, 1, 1, 1], jumps={3: 2})
+        g = pwl_ground_set(f)
+        assert len(f.jumps) == 1 and g.n == 6
         assert g.alternatives == (
             frozenset({1, 2}), frozenset({2, 3}), frozenset({4, 5}), frozenset({5, 6})
         )
@@ -119,8 +189,7 @@ class TestGroundSet:
             jumps = {j: rng.choice([0, 0, 1, -2]) for j in range(2, d + 1)}
             f = chain(ts, slopes, jumps)
             g = pwl_ground_set(f)
-            assert g.n == d + 1 + g.kappa
-            assert g.kappa == len(f.jump_indices())
+            assert g.n == d + 1 + len(f.jumps)
             assert len(set(g.points)) == g.n
 
 
@@ -204,7 +273,8 @@ class TestFormulation:
         f, recovery = pwl_formulation(func, EncodingKind.GRAY)
         assert recovery.kind == "pwl"
         assert recovery.points == pwl_ground_set(func).points
-        assert all(isinstance(x, Fraction) for p in recovery.points for x in p)
+        # Integral data is held as ints, so the points are plain ints too.
+        assert all(type(x) is int for p in recovery.points for x in p)
 
 
 FAMILIES = (EncodingKind.GRAY, EncodingKind.ZIGZAG)

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 import time
 from fractions import Fraction
 from math import gcd
@@ -17,7 +18,7 @@ from idealform.encoding import EncodingKind, make_encoding
 from idealform.errors import InputError, TooLargeToEnumerate
 from idealform.formulation import Formulation, GeneralRow, LinearEquality
 from idealform.linalg import DEFAULT_ENUM_CAP
-from idealform.pwl import pwl, pwl_formulation
+from idealform.pwl import PwlFunction, pwl_formulation
 from idealform.verify import (
     check_ideal,
     check_validity_only,
@@ -96,7 +97,7 @@ def corpus_formulations():
     for i, slope in enumerate(slopes):
         intercepts.append(value - slope * breakpoints[i] + (2 if i == 2 else 0))
         value = slope * breakpoints[i + 1] + intercepts[-1]
-    f = pwl(breakpoints, slopes, intercepts)
+    f = PwlFunction(breakpoints, slopes, intercepts)
     for kind in (EncodingKind.GRAY, EncodingKind.ZIGZAG):
         out[f"pwl-{kind.value}-d8"] = pwl_formulation(f, kind)[0]
     return out
@@ -376,6 +377,45 @@ class TestCheckIdeal:
             report = check_ideal(c, e, theorem1_formulation(c, e))
             assert report.passed, (c, report.extra, report.missing)
             done += 1
+
+
+class TestCertificatesDecideInIntegers:
+    """Both certificates refuse a formulation entry that is not a plain int
+    and name its field as a formulation document does."""
+
+    @staticmethod
+    def problem():
+        c, e = sos2(2), make_encoding(2, EncodingKind.GRAY)
+        return c, e, theorem1_formulation(c, e)
+
+    @pytest.mark.parametrize("check", [check_validity_only, check_ideal])
+    @pytest.mark.parametrize("row, field, shown", [
+        (GeneralRow((1,), (0, 0, 0.5), (0, 1, 1)), "general_rows[0].lower", "0.5"),
+        (GeneralRow(("1",), (0, 0, 0), (0, 1, 1)), "general_rows[0].normal", "'1'"),
+        (GeneralRow((1,), (0, 0, 1), (0, True, 1)), "general_rows[0].upper", "True"),
+    ])
+    def test_general_row_entries(self, check, row, field, shown):
+        c, e, f = self.problem()
+        g = Formulation(3, 1, f.equalities, (row,), f.z_bounds)
+        message = f"{field}: expected an integer, got {shown}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            check(c, e, g)
+
+    @pytest.mark.parametrize("check", [check_validity_only, check_ideal])
+    def test_the_first_field_at_fault_is_named(self, check):
+        c, e, f = self.problem()
+        g = Formulation(3.0, 1, (LinearEquality((1, 1, 1), (0,), 1.0),),
+                        f.general_rows, ((0, 1.0),))
+        with pytest.raises(InputError, match=r"^variables\.lambda\.count: "):
+            check(c, e, g)
+        g = Formulation(3, 1, (LinearEquality((1, 1, 1), (0,), 1.0),),
+                        f.general_rows, ((0, 1.0),))
+        with pytest.raises(InputError, match=r"^variables\.z\.bounds\[0\]: "):
+            check(c, e, g)
+        g = Formulation(3, 1, (LinearEquality((1, 1, 1), (0,), 1.0),),
+                        f.general_rows, f.z_bounds)
+        with pytest.raises(InputError, match=r"^equalities\[0\]\.rhs: "):
+            check(c, e, g)
 
 
 class TestCheckValidityOnly:
