@@ -150,12 +150,17 @@ def spanned_hyperplane_normals(directions) -> tuple[tuple[int, ...], ...]:
     pivots, and prunes a branch at the first direction dependent on its
     prefix; each leaf reads its normal from its pivots. For m = 1 the empty
     subset leaves the line itself. Results are deduplicated and sorted.
-    Directions of rank 0, none at all included, raise NoDirections; more
-    than DEFAULT_SUBSET_CAP subsets, C(k, m-1) for k directions and a bound
-    on the leaves, raise TooManyDirections before the walk.
+    Directions of unequal lengths raise InputError; directions of rank 0,
+    none at all included, raise NoDirections; more than DEFAULT_SUBSET_CAP
+    subsets, C(k, m-1) for k directions and a bound on the leaves, raise
+    TooManyDirections before the walk.
     """
     dirs = list(directions)
     r = len(dirs[0]) if dirs else 0
+    if set(map(len, dirs)) - {r}:
+        i = next(i for i, v in enumerate(dirs) if len(v) != r)
+        raise InputError(f"direction {i} has length {len(dirs[i])}, "
+                         f"but direction 0 has length {r}")
     complement = kernel(dirs, r)
     m = r - len(complement)
     if m == 0:

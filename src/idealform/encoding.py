@@ -8,6 +8,25 @@ well and are checked by the same gates: every row must be a vertex of the
 hull (convex position) and the hull must contain no other lattice point
 (hole-freeness). Together the gates are what make a formulation over the
 encoding ideal, so they run before any formulation is emitted.
+
+Family codes pass both gates by proof, so each gate returns at once for
+codes that are rows of one full family matrix at the natural width
+r = ceil(log2(d)); every other code set runs the hull and the scan.
+- The full reflected matrix is {0,1}^r: each of its 2^r rows is a distinct
+  binary vector.
+- The full zig-zag matrix is Z_s = Z_{s-1}x{0} + {0, g_s}, with
+  g_s = (last row of Z_{s-1}, 1), and Z_1 = {0, 1}. So Z_r = G.{0,1}^r,
+  where G has the columns g_1, ..., g_r (zero-padded). Column k ends in
+  a 1 at coordinate k, so G is unit upper-triangular, hence unimodular.
+- The cube {0,1}^r is in convex position, and the only lattice points of
+  [0,1]^r are its vertices. A unimodular G is a linear bijection of R^r
+  that maps Z^r onto itself, so it carries vertices to vertices and the
+  hull's lattice points to the image's, and Z_r passes both gates too.
+- A subset S of a hole-free set C in convex position is both. A point of
+  S is a vertex of conv(C), so it is no convex combination of the other
+  points of C, nor of S. A lattice point of conv(S) lies in conv(C), so it
+  is a point of C and a vertex of conv(C); a vertex of conv(C) is no
+  convex combination of other points of C, so it is a point of S.
 """
 
 from __future__ import annotations
@@ -184,13 +203,26 @@ def make_encoding(d: int, kind: EncodingKind) -> Encoding:
     return Encoding(FAMILIES[kind](r)[:d])
 
 
+def _from_family(e: Encoding) -> bool:
+    """Whether e's codes are rows of one full family matrix of the natural
+    width, which has fewer than 2d rows; both gates then hold by the lemma
+    in the module docstring."""
+    if not e.r == (e.d - 1).bit_length() <= MAX_ORDER:
+        return False
+    codes = set(e.rows)
+    return any(codes.issubset(matrix(e.r)) for matrix in FAMILIES.values())
+
+
 def is_in_convex_position(e: Encoding) -> bool:
     """True when no row lies in the convex hull of the other rows.
 
-    Exactly the condition "every code is a vertex of the hull". A vertex is
-    the intersection of the facets through it, so code i is a vertex iff no
-    other code lies on every facet that code i lies on.
+    Exactly the condition "every code is a vertex of the hull". Family codes
+    hold by proof. Otherwise a vertex is the intersection of the facets
+    through it, so code i is a vertex iff no other code lies on every facet
+    that code i lies on.
     """
+    if _from_family(e):
+        return True
     masks = [mask for _, _, mask in e.facets]
     for i in range(e.d):
         on_all = (1 << e.d) - 1
@@ -205,14 +237,17 @@ def is_in_convex_position(e: Encoding) -> bool:
 def is_hole_free(e: Encoding) -> bool:
     """True when the hull of the rows contains no lattice point beyond them.
 
-    Level j extends each kept prefix by each value of coordinate j in the
-    code bounds. It keeps the codes' j-prefixes and, when there are others,
+    Family codes hold by proof; any other code set is scanned. Level j
+    extends each kept prefix by each value of coordinate j in the code
+    bounds. It keeps the codes' j-prefixes and, when there are others,
     those in the hull of the prefixes, the projection of the code hull, so
     level r keeps only the codes exactly when they are hole-free. Level r
     is tested lazily against the hull of e itself and stops at its first
     hole. Before a level is built, more than DEFAULT_HOLE_CAP candidates
     raise HoleCheckTooLarge.
     """
+    if _from_family(e):
+        return True
     *inner, last = code_bounds(e)
     kept: list[Row] = [()]
     for j, bounds in enumerate(inner, start=1):

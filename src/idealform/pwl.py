@@ -17,10 +17,8 @@ directions are unit vectors. Coordinate k first moves at row 2^k <= d - 1,
 so a family prefix is full-dimensional, and the directions span it exactly
 when they reach every coordinate; their hyperplanes are then the coordinate
 hyperplanes. A deficit needs a jump, and a jump disconnects the chain.
-Gates: a subset S of a hole-free set C in convex position is both too, as
-a lattice point of conv(S) is a code and a vertex of conv(C), so it is no
-convex combination of other codes and lies in S. A family prefix is a
-subset of the full 2^r matrix, which passes both gates, so neither runs.
+Gates: a family prefix passes both by the lemma in idealform.encoding's
+docstring, so neither runs.
 """
 
 from __future__ import annotations
@@ -40,6 +38,11 @@ Rational = int | Fraction
 Point = tuple[Rational, Rational]
 
 
+def _exact(x: Rational) -> Rational:
+    """x as a plain int when it is integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
 @dataclass(frozen=True)
 class PwlFunction:
     """d segments: on piece i the value is slopes[i]*x + intercepts[i].
@@ -57,12 +60,16 @@ class PwlFunction:
 
     def __post_init__(self) -> None:
         for field in ("breakpoints", "slopes", "intercepts"):
-            values = tuple(getattr(self, field))
+            try:
+                values = tuple(getattr(self, field))
+            except TypeError:
+                raise InputError(f"{field}: expected a sequence of ints or Fractions, "
+                                 f"got {type(getattr(self, field)).__name__}") from None
             kinds = set(map(type, values))
             if kinds - {int}:  # only then a second pass: ints are the common case
                 if bad := sorted(t.__name__ for t in kinds - {int, Fraction}):
                     raise InputError(f"{field}: expected ints or Fractions, got {bad[0]}")
-                values = tuple(x.numerator if x.denominator == 1 else x for x in values)
+                values = tuple(map(_exact, values))
             object.__setattr__(self, field, values)
         d = len(self.slopes)
         if d < 2:
@@ -84,10 +91,14 @@ class PwlFunction:
 
     @cached_property
     def ends(self) -> tuple[tuple[Point, Point], ...]:
-        """Each segment's two endpoints (t, value), left to right."""
+        """Each segment's two endpoints (t, value), left to right, each value
+        held as the fields are."""
         t = self.breakpoints
-        return tuple(((t[i - 1], self.segment_value(i, t[i - 1])),
-                      (t[i], self.segment_value(i, t[i]))) for i in range(1, self.d + 1))
+        values = [self.segment_value(i, x) for i in range(1, self.d + 1)
+                  for x in (t[i - 1], t[i])]
+        if set(map(type, values)) - {int}:  # as in __post_init__: ints are the common case
+            values = list(map(_exact, values))
+        return tuple(zip(zip(t, values[::2]), zip(t[1:], values[1::2])))
 
     @cached_property
     def jumps(self) -> frozenset[int]:

@@ -161,6 +161,15 @@ class TestSpannedHyperplaneNormals:
         with pytest.raises(NoDirections):
             spanned_hyperplane_normals([])
 
+    @pytest.mark.parametrize("dirs, message", [
+        ([(1, 0), (0, 1, 2)], "direction 1 has length 3, but direction 0 has length 2"),
+        ([(1, 0, 5), (0, 1)], "direction 1 has length 2, but direction 0 has length 3"),
+        ([(1, 0), (0, 1), (1,)], "direction 2 has length 1, but direction 0 has length 2"),
+    ])
+    def test_ragged_directions_rejected(self, dirs, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            spanned_hyperplane_normals(dirs)
+
     @pytest.mark.parametrize("dirs", [[(0, 0)], [(0, 0, 0), (0, 0, 0)]])
     def test_rank_zero_rejected(self, dirs):
         with pytest.raises(NoDirections):
@@ -437,9 +446,15 @@ class TestHullComputedOnce:
         monkeypatch.setattr(Encoding, "facets", counted)
         return enumerated
 
+    @staticmethod
+    def gates_without_the_lemma(monkeypatch):
+        """Family codes take the hull and the scan, as other codes do."""
+        monkeypatch.setattr(encoding, "_from_family", lambda e: False)
+
     def test_one_facet_enumeration_per_formulation(self, monkeypatch, capsys):
         # The full code hull once per Encoding; the hole-freeness scan adds
         # each projection hull it needs at most once.
+        self.gates_without_the_lemma(monkeypatch)
         enumerated = self.count_facet_enumerations(monkeypatch)
         cuts = self.count_calls(monkeypatch, "dd_cut", [linalg])
         e = make_encoding(8, EncodingKind.GRAY)
@@ -455,6 +470,7 @@ class TestHullComputedOnce:
 
     def test_one_affine_hull_per_formulation(self, monkeypatch):
         # Counted per point set, as for the facets.
+        self.gates_without_the_lemma(monkeypatch)
         hulls = []
         original = encoding.affine_hull
         monkeypatch.setattr(encoding, "affine_hull",
@@ -463,6 +479,43 @@ class TestHullComputedOnce:
         theorem1_formulation(sos2(8), e)
         assert hulls.count(e.rows) == 1
         assert len(hulls) == len(set(hulls)) == 2
+
+    @pytest.mark.parametrize("kind", [EncodingKind.GRAY, EncodingKind.ZIGZAG])
+    def test_family_codes_need_no_facets(self, monkeypatch, kind):
+        # Both gates hold by proof; only the dimension condition reads the
+        # affine hull of the codes.
+        enumerated = self.count_facet_enumerations(monkeypatch)
+        hulls = []
+        original = encoding.affine_hull
+        monkeypatch.setattr(encoding, "affine_hull",
+                            lambda points: hulls.append(points) or original(points))
+        e = make_encoding(8, kind)
+        theorem1_formulation(sos2(8), e)
+        assert enumerated == [] and hulls == [e.rows]
+
+    @pytest.mark.parametrize("rows", [
+        # Natural width, but -1 is in no family matrix.
+        [(0, 0), (1, 0), (0, 1), (-1, 1)],
+        # Gray rows, but four codes need only two bits.
+        [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)],
+    ])
+    def test_other_codes_enumerate_their_facets_once(self, monkeypatch, rows):
+        enumerated = self.count_facet_enumerations(monkeypatch)
+        e = Encoding(rows)
+        assert not encoding._from_family(e)
+        assert theorem1_formulation(sos2(4), e).gamma == 2
+        assert enumerated == [e.rows]
+
+    @pytest.mark.parametrize("rows, message", [
+        ([(0, 0), (2, 0), (0, 2), (1, 1)], "a code row lies in the hull of the others"),
+        ([(0, 0), (2, 0), (0, 2)], "the code hull contains a non-code lattice point"),
+    ])
+    def test_other_codes_still_fail_their_gate(self, monkeypatch, rows, message):
+        enumerated = self.count_facet_enumerations(monkeypatch)
+        e = Encoding(rows)
+        with pytest.raises(EncodingNotIdealizable, match=f"^{message}$"):
+            theorem1_formulation(sos2(e.d), e)
+        assert enumerated[0] == e.rows
 
     def test_cached_values_take_no_part_in_equality(self):
         e = make_encoding(8, EncodingKind.ZIGZAG)

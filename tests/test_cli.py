@@ -75,7 +75,9 @@ class TestEncode:
         assert "error" in err
 
     def test_gate_over_its_cap_leaves_no_output(self, capsys, tmp_path, monkeypatch):
-        # The widest level of the zig-zag scan at s = 8 has 8385 candidates.
+        # The widest level of the zig-zag scan at s = 8 has 8385 candidates;
+        # the scan runs as for codes that are no family's.
+        monkeypatch.setattr(encoding, "_from_family", lambda e: False)
         monkeypatch.setattr(encoding, "DEFAULT_HOLE_CAP", 8384)
         code, out, err = run(capsys, "encode", "--kind", "zigzag", "--s", "8")
         assert (code, out) == (4, "")
@@ -95,6 +97,16 @@ class TestEncode:
         assert time.perf_counter() - start < 5
         assert code == 0 and len(out.splitlines()) == 2**s
         assert err == "convex position: yes\nhole-free: yes\n"
+
+    def test_the_widest_family_codes_pass_the_gates_by_proof(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "encode", "--kind", "zigzag", "--s", "16")
+        assert time.perf_counter() - start < 5
+        assert code == 0 and len(out.splitlines()) == 2**16
+        assert err == "convex position: yes\nhole-free: yes\n"
+        code, out, err = run(capsys, "encode", "--kind", "zigzag", "--s", "17")
+        assert (code, out) == (4, "")
+        assert err == "error: --s 17 would need 17-bit codes, over the cap of 16 bits\n"
 
     def test_order_must_be_positive(self, capsys):
         code, _, err = run(capsys, "encode", "--kind", "gray", "--s", "0")
@@ -259,7 +271,9 @@ class TestFixedCaps:
                        "coefficients, over the cap of 10000000\n")
 
     def test_hole_cap(self, capsys, write_doc, monkeypatch):
-        # Gray d = 4: two kept 1-prefixes times two values at coordinate 2.
+        # Gray d = 4: two kept 1-prefixes times two values at coordinate 2,
+        # with the scan run as for codes that are no family's.
+        monkeypatch.setattr(encoding, "_from_family", lambda e: False)
         monkeypatch.setattr(encoding, "DEFAULT_HOLE_CAP", 3)
         code, out, err = run(capsys, "formulate", write_doc(SOS2_DOC))
         assert (code, out) == (4, "")

@@ -239,6 +239,8 @@ class TestGates:
         # The cap counts one level's candidates, kept prefixes times the
         # coordinate's range, not the code box: the zig-zag box at s = 8 has
         # 1,270,075,950 points, and the scan's widest level has 8,385.
+        # Without the lemma, as for codes that are no family's.
+        monkeypatch.setattr(encoding, "_from_family", lambda e: False)
         e = make_encoding(256, EncodingKind.ZIGZAG)
         monkeypatch.setattr(encoding, "DEFAULT_HOLE_CAP", 8385)
         assert is_hole_free(e)
@@ -323,7 +325,8 @@ class TestHoleFreeByPrefixes:
 
     @pytest.mark.parametrize("kind", [EncodingKind.GRAY, EncodingKind.ZIGZAG])
     def test_every_family_prefix_up_to_sixty_four_passes_both_gates(self, kind):
-        # A subset of a hole-free set in convex position is both (pwl.py).
+        # A subset of a hole-free set in convex position is both (the lemma in
+        # the encoding module docstring).
         for d in range(2, 65):
             e = make_encoding(d, kind)
             assert is_in_convex_position(e) and is_hole_free(e), d
@@ -334,6 +337,52 @@ class TestHoleFreeByPrefixes:
     def test_family_prefixes_up_to_256_pass_both_gates(self, d, kind):
         e = make_encoding(d, kind)
         assert is_in_convex_position(e) and is_hole_free(e)
+
+
+@st.composite
+def _family_subsets(draw):
+    """Rows of one full family matrix of width 1 to 4, as many as need
+    exactly that width, in drawn order."""
+    r = draw(st.integers(1, 4))
+    matrix = draw(st.sampled_from([gray_matrix, zigzag_matrix]))(r)
+    d = draw(st.integers(2 ** (r - 1) + 1, 2**r))
+    return draw(st.permutations(matrix))[:d]
+
+
+class TestFamilyLemma:
+    """Family codes at their natural width pass both gates by proof
+    (the encoding module docstring); the hull and the scan agree."""
+
+    @pytest.mark.parametrize("family", [gray_matrix, zigzag_matrix])
+    def test_the_hull_and_the_scan_pass_full_matrices(self, monkeypatch, family):
+        monkeypatch.setattr(encoding, "_from_family", lambda e: False)
+        for s in range(1, 9):
+            e = Encoding(family(s))
+            assert is_in_convex_position(e) and is_hole_free(e), s
+
+    @given(_family_subsets())
+    @settings(max_examples=60, deadline=None)
+    def test_subsets_agree_with_the_oracles(self, rows):
+        e = Encoding(rows)
+        assert encoding._from_family(e)
+        assert is_in_convex_position(e) is convex_position_by_simplex(rows) is True
+        assert is_hole_free(e) is hole_free_by_box(e) is True
+
+    @pytest.mark.parametrize("rows", [
+        gray_matrix(3)[:4],  # two bits would do
+        [(0, 0), (1, 0), (0, 1), (-1, 1)],  # in no family matrix
+        [(0, 0), (1, 0), (0, 1), (2, 1)],  # Gray and zig-zag rows mixed
+        # 2**16 + 1 codes need 17 bits, over the cap: no matrix is built.
+        [(*row, 0) for row in zigzag_matrix(16)] + [(0,) * 16 + (1,)],
+    ], ids=["wide", "negative", "mixed", "over-the-cap"])
+    def test_other_codes_are_not_from_a_family(self, rows):
+        assert not encoding._from_family(Encoding(rows))
+
+    def test_gates_on_other_codes_run_as_before(self):
+        # Mixed rows of the two families leave the hole (1, 1).
+        e = Encoding([(0, 0), (1, 0), (0, 1), (2, 1)])
+        assert is_in_convex_position(e) and not is_hole_free(e)
+        assert not is_in_convex_position(Encoding([(0, 0), (2, 0), (0, 2), (1, 1)]))
 
 
 class TestGatesAgainstSimplex:
@@ -375,6 +424,8 @@ class TestGatesAgainstSimplex:
         assert is_in_convex_position(Encoding(rows[1:]))
 
     def test_facet_cap_is_enforced(self, monkeypatch, capsys):
+        # Without the lemma, as for codes that are no family's.
+        monkeypatch.setattr(encoding, "_from_family", lambda e: False)
         monkeypatch.setattr(encoding, "DEFAULT_ENUM_CAP", 3)
         with pytest.raises(TooLargeToEnumerate, match="code hull") as info:
             is_in_convex_position(make_encoding(8, EncodingKind.GRAY))

@@ -121,6 +121,28 @@ class TestExactData:
                            match=f"^{field}: expected ints or Fractions, got {name}$"):
             PwlFunction(**values)
 
+    @pytest.mark.parametrize("field", ["breakpoints", "slopes", "intercepts"])
+    @pytest.mark.parametrize("value,name", [(None, "NoneType"), (5, "int")])
+    def test_a_field_that_is_no_sequence_is_refused_by_name(self, field, value, name):
+        values = {"breakpoints": [0, 1, 2], "slopes": [1, 2], "intercepts": [0, 0]}
+        values[field] = value
+        with pytest.raises(InputError, match=f"^{field}: expected a sequence of ints or "
+                                             f"Fractions, got {name}$"):
+            PwlFunction(**values)
+
+    def test_integral_end_values_are_ints(self):
+        f = PwlFunction([0, 1, 2], [F(1, 2), F(3, 2)], [0, -1])
+        assert f.ends == (((0, 0), (1, F(1, 2))), ((1, F(1, 2)), (2, 2)))
+        assert [type(x) for end in f.ends for point in end for x in point] == [
+            int, int, int, Fraction, int, Fraction, int, int]
+
+    @given(values=pwl_values())
+    @settings(max_examples=100, deadline=None)
+    def test_every_end_is_held_as_the_fields_are(self, values):
+        for point in (p for end in PwlFunction(*values).ends for p in end):
+            assert [type(x) for x in point] == [
+                int if x.denominator == 1 else Fraction for x in point]
+
     def test_floats_decide_nothing(self):
         # 0.3 is not 3 * 0.1 in floats, so a float run saw a jump at t2 and
         # ended in a dimension deficit; the exact tenths are continuous.
