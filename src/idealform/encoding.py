@@ -206,11 +206,12 @@ def make_encoding(d: int, kind: EncodingKind) -> Encoding:
 def _from_family(e: Encoding) -> bool:
     """Whether e's codes are rows of one full family matrix of the natural
     width, which has fewer than 2d rows; both gates then hold by the lemma
-    in the module docstring."""
+    in the module docstring. The full reflected matrix is {0,1}^r, so only
+    the zig-zag matrix is built, and only for codes that are not binary."""
     if not e.r == (e.d - 1).bit_length() <= MAX_ORDER:
         return False
-    codes = set(e.rows)
-    return any(codes.issubset(matrix(e.r)) for matrix in FAMILIES.values())
+    return (set(chain.from_iterable(e.rows)) <= {0, 1}
+            or set(e.rows) <= set(zigzag_matrix(e.r)))
 
 
 def is_in_convex_position(e: Encoding) -> bool:

@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from idealform import encoding
@@ -187,14 +187,24 @@ def _hole_free_oracle(rows):
     )
 
 
+@pytest.fixture(params=[True, False], ids=["by-proof", "by-hull-and-scan"])
+def by_proof(request, monkeypatch):
+    """Runs a test of family codes twice: as the gates run, and with the
+    family test patched off, so that the hull and the scan meet the codes
+    too. The value says which run this is."""
+    if not request.param:
+        monkeypatch.setattr(encoding, "_from_family", lambda e: False)
+    return request.param
+
+
 class TestGates:
-    def test_square_codes_are_in_convex_position(self):
+    def test_square_codes_are_in_convex_position(self, by_proof):
         assert is_in_convex_position(make_encoding(4, EncodingKind.GRAY))
 
     def test_collinear_codes_are_not(self):
         assert not is_in_convex_position(Encoding([(0,), (1,), (2,)]))
 
-    def test_zigzag_prefix_is_hole_free(self):
+    def test_zigzag_prefix_is_hole_free(self, by_proof):
         assert is_hole_free(Encoding(C3[:6]))
 
     def test_dilated_triangle_has_holes(self):
@@ -202,14 +212,14 @@ class TestGates:
 
     @pytest.mark.parametrize("kind", [EncodingKind.GRAY, EncodingKind.ZIGZAG])
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
-    def test_both_families_pass_both_gates(self, kind, s):
+    def test_both_families_pass_both_gates(self, kind, s, by_proof):
         e = make_encoding(2**s, kind)
         assert is_in_convex_position(e)
         assert is_hole_free(e)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
     @pytest.mark.parametrize("kind", [EncodingKind.GRAY, EncodingKind.ZIGZAG])
-    def test_gates_agree_with_oracle_on_prefixes(self, d, kind):
+    def test_gates_agree_with_oracle_on_prefixes(self, d, kind, by_proof):
         e = make_encoding(d, kind)
         assert is_in_convex_position(e) == _convex_position_oracle(list(e.rows))
         assert is_hole_free(e) == _hole_free_oracle(e.rows)
@@ -324,7 +334,7 @@ class TestHoleFreeByPrefixes:
         assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("kind", [EncodingKind.GRAY, EncodingKind.ZIGZAG])
-    def test_every_family_prefix_up_to_sixty_four_passes_both_gates(self, kind):
+    def test_every_family_prefix_up_to_sixty_four_passes_both_gates(self, kind, by_proof):
         # A subset of a hole-free set in convex position is both (the lemma in
         # the encoding module docstring).
         for d in range(2, 65):
@@ -333,8 +343,9 @@ class TestHoleFreeByPrefixes:
             assert d > 32 or hole_free_by_box(e), d
 
     @given(st.integers(65, 256), st.sampled_from([EncodingKind.GRAY, EncodingKind.ZIGZAG]))
-    @settings(max_examples=12, deadline=None)
-    def test_family_prefixes_up_to_256_pass_both_gates(self, d, kind):
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_family_prefixes_up_to_256_pass_both_gates(self, by_proof, d, kind):
         e = make_encoding(d, kind)
         assert is_in_convex_position(e) and is_hole_free(e)
 
@@ -361,10 +372,11 @@ class TestFamilyLemma:
             assert is_in_convex_position(e) and is_hole_free(e), s
 
     @given(_family_subsets())
-    @settings(max_examples=60, deadline=None)
-    def test_subsets_agree_with_the_oracles(self, rows):
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_subsets_agree_with_the_oracles(self, by_proof, rows):
         e = Encoding(rows)
-        assert encoding._from_family(e)
+        assert encoding._from_family(e) is by_proof
         assert is_in_convex_position(e) is convex_position_by_simplex(rows) is True
         assert is_hole_free(e) is hole_free_by_box(e) is True
 
@@ -389,7 +401,7 @@ class TestGatesAgainstSimplex:
     """The facet gates against the phase-one simplex gates they replaced."""
 
     @pytest.mark.parametrize("kind", [EncodingKind.GRAY, EncodingKind.ZIGZAG])
-    def test_both_families_up_to_sixteen(self, kind):
+    def test_both_families_up_to_sixteen(self, kind, by_proof):
         for d in range(2, 17):
             e = make_encoding(d, kind)
             assert is_in_convex_position(e) == convex_position_by_simplex(e.rows), d
