@@ -36,7 +36,7 @@ from enum import Enum
 from functools import cached_property, reduce
 from itertools import chain, compress, count, repeat
 from math import gcd
-from operator import add, mul, ne
+from operator import add, mul, ne, sub
 
 from .errors import (
     HoleCheckTooLarge,
@@ -135,6 +135,26 @@ class Encoding:
             self.dim - 1, DEFAULT_ENUM_CAP, "facet enumeration of the code hull")
         return tuple((tuple(ray[:-1]), ray[-1], mask) for ray, mask in zip(rays, masks))
 
+    @cached_property
+    def in_family(self) -> bool:
+        """Whether the codes are rows of one full family matrix of the natural
+        width, which has fewer than 2d rows. No matrix is built. The full
+        reflected matrix is {0,1}^r. The full zig-zag matrix is G.{0,1}^r,
+        and G^-1 is unit upper-triangular with -1 above the diagonal: a code
+        h is a row exactly when each h_j minus the sum of the later
+        coordinates is 0 or 1, which is tested one column at a time, last
+        first."""
+        if self.r != (self.d - 1).bit_length():
+            return False
+        if set(chain.from_iterable(self.rows)) <= {0, 1}:
+            return True
+        later = [0] * self.d
+        for column in reversed(list(zip(*self.rows))):
+            if not set(map(sub, column, later)) <= {0, 1}:
+                return False
+            later = list(map(add, later, column))
+        return True
+
 
 def check_int(value, what: str) -> None:
     """Refuse a size that is not a plain int: a bool or another int subclass too."""
@@ -204,14 +224,9 @@ def make_encoding(d: int, kind: EncodingKind) -> Encoding:
 
 
 def _from_family(e: Encoding) -> bool:
-    """Whether e's codes are rows of one full family matrix of the natural
-    width, which has fewer than 2d rows; both gates then hold by the lemma
-    in the module docstring. The full reflected matrix is {0,1}^r, so only
-    the zig-zag matrix is built, and only for codes that are not binary."""
-    if not e.r == (e.d - 1).bit_length() <= MAX_ORDER:
-        return False
-    return (set(chain.from_iterable(e.rows)) <= {0, 1}
-            or set(e.rows) <= set(zigzag_matrix(e.r)))
+    """Whether both gates hold by the lemma in the module docstring, as
+    ``e.in_family`` decides once per encoding."""
+    return e.in_family
 
 
 def is_in_convex_position(e: Encoding) -> bool:

@@ -228,18 +228,21 @@ def check_entries(count: int, width: int, what: str) -> None:
             f"over the cap of {DEFAULT_ENTRY_CAP} integers")
 
 
-def double_description(rays, masks, cuts, need, cap, what):
+def double_description(rays, masks, cuts, need, cap, what, held=len, width=None):
     """The rays and masks of a pointed cone, given by all its extreme rays,
     after :func:`dd_cut` applies each cut (row, bit, is_equality, name).
 
     After every cut, TooLargeToEnumerate names the run ``what`` and the cut
     when the rays are more than ``cap`` or hold more than DEFAULT_ENTRY_CAP
-    integers.
+    integers. A run over merged columns counts the rays it stands for:
+    ``held(masks)`` of them, each ``width`` integers wide (by default the
+    rays themselves, each as wide as a row).
     """
     for index, (row, bit, is_equality, name) in enumerate(cuts):
         rays, masks = dd_cut(rays, masks, row, bit, is_equality, need)
-        if len(rays) > cap:
+        count = held(masks)
+        if count > cap:
             raise TooLargeToEnumerate(f"{what} exceeded the cap of {cap} intermediate "
-                                      f"rays: {len(rays)} after cut {index}, {name}")
-        check_entries(len(rays), len(row), f"{what} after cut {index}, {name}")
+                                      f"rays: {count} after cut {index}, {name}")
+        check_entries(count, width or len(row), f"{what} after cut {index}, {name}")
     return rays, masks

@@ -31,6 +31,33 @@ on every row they are both tight on. The cone has dimension n + r, so a
 pair with fewer than n + r - 2 common tight rows is skipped before that
 scan. Nothing is ever rounded.
 
+The run is over one lambda column per class of identical columns: columns
+that agree in every equality and on both sides of every general row, as
+the pairs of annulus corners with the same users do. Each vertex is then
+lifted back to full lambda space, one copy per column of each class on
+which it has weight. This is exact by the following lemma.
+- Let K be a cone in which lambda_a >= 0 and lambda_b >= 0 are rows, and
+  columns a and b agree in every other row. Merging them into
+  mu = lambda_a + lambda_b maps K onto the cone K' over the same rows,
+  with mu >= 0 for the pair. The extreme rays of K are exactly the lifts
+  of those of K': mu placed in column a or in column b.
+- An extreme ray x of K has at most one of lambda_a, lambda_b positive:
+  otherwise x +- t (e_a - e_b) lie in K for a small t > 0, since no other
+  row tells them apart, and x is their midpoint.
+- Say lambda_b = 0 at x, and lift by putting mu into column a. If
+  x = x1 + x2 in K, then x1 and x2 have lambda_b = 0 too, so each is the
+  lift of its image, and the images sum to the image of x. Conversely, a
+  sum in K' equal to the image of x lifts to a sum in K equal to x. So x
+  is extreme in K exactly when its image is extreme in K'.
+The start cone and every cut keep columns a and b identical, so the lemma
+holds after every cut, and by induction for whole classes. A merged ray
+stands for the product of |class| over the classes where its weight is
+nonzero, that is, whose lambda >= 0 bit is clear in its mask.
+Both caps count that weighted sum, rays of n + r + 1 integers each, which
+is what the run over all n columns holds after the same cut. So every
+TooLargeToEnumerate trips at the same cut with the same text. Where no two
+columns agree, the run is the run over all columns.
+
 The working vertices and rows are lists, and every tuple here is built
 from a list of its final length. Tuples grown from an iterator, and on
 CPython 3.11 tuples of length 20, stay in the interpreter's tuple free
@@ -42,12 +69,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product, repeat
+from math import prod
 from operator import mul
 
 from .cdc import Cdc, check_sizes
 from .encoding import Encoding
 from .errors import TooLargeToEnumerate
-from .formulation import Formulation
+from .formulation import Formulation, GeneralRow, LinearEquality
 from .linalg import DEFAULT_ENUM_CAP, Vec, check_entries, double_description
 
 
@@ -130,6 +159,59 @@ def _cone_and_cuts(f: Formulation):
             [(row, 1 << (n + r + i), eq, name) for i, (row, eq, name) in enumerate(cuts)])
 
 
+def _column_classes(f: Formulation) -> list[list[int]]:
+    """The lambda columns grouped by their entries in every equality and on
+    both sides of every general row, each class in column order."""
+    rows = [eq.lam for eq in f.equalities]
+    for g in f.general_rows:
+        rows += (g.lower, g.upper)
+    classes: dict[tuple[int, ...], list[int]] = {}
+    # With no rows at all, every column is the empty column.
+    for v, column in enumerate(zip(*rows) if rows else repeat((), f.n_lambda)):
+        classes.setdefault(column, []).append(v)
+    return list(classes.values())
+
+
+def _merged(f: Formulation, classes: list[list[int]]) -> Formulation:
+    """f over one lambda column per class, its first."""
+    keep = [cls[0] for cls in classes]
+
+    def pick(row):
+        return tuple([row[v] for v in keep])
+
+    return Formulation(
+        len(keep), f.r_z,
+        tuple([LinearEquality(pick(eq.lam), eq.z, eq.rhs) for eq in f.equalities]),
+        tuple([GeneralRow(g.normal, pick(g.lower), pick(g.upper)) for g in f.general_rows]),
+        f.z_bounds)
+
+
+def _held(classes: list[list[int]]):
+    """The count function of a merged run: each ray stands for the product
+    of |class| over the classes whose lambda >= 0 bit its mask lacks."""
+    by_size: dict[int, int] = {}
+    for bit, cls in enumerate(classes):
+        if len(cls) > 1:
+            by_size[len(cls)] = by_size.get(len(cls), 0) | 1 << bit
+    sizes = list(by_size.items())
+    return lambda masks: sum([prod([size ** (bits & ~mask).bit_count()
+                                    for size, bits in sizes]) for mask in masks])
+
+
+def _lifts(rays, classes: list[list[int]], n: int):
+    """Each merged ray in full lambda space, once per choice of a column in
+    every class where it has weight."""
+    m = len(classes)
+    for ray in rays:
+        tail = ray[m:]
+        weighted = [(cls, mu) for cls, mu in zip(classes, ray) if mu]
+        for columns in product(*[cls for cls, _ in weighted]):
+            lam = [0] * n
+            for v, (_, mu) in zip(columns, weighted):
+                lam[v] = mu
+            yield tuple(lam + tail)
+
+
 def _to_fractions(x) -> Vec:
     *numerators, den = x
     if den == 1:
@@ -157,9 +239,15 @@ def enumerate_vertices(f: Formulation, *, max_vertices: int = DEFAULT_ENUM_CAP) 
         raise TooLargeToEnumerate(
             f"{what}: at least 2**{free} vertices, over the cap of {max_vertices}")
     check_entries(1 << free, width, what)
-    rays, _ = double_description(*_cone_and_cuts(f), n + r - 2, max_vertices,
-                                 "vertex enumeration")
-    return VertexSet(frozenset(map(tuple, rays)))
+    classes = _column_classes(f)
+    if len(classes) == n:
+        rays, _ = double_description(*_cone_and_cuts(f), n + r - 2, max_vertices,
+                                     "vertex enumeration")
+        return VertexSet(frozenset(map(tuple, rays)))
+    rays, _ = double_description(*_cone_and_cuts(_merged(f, classes)),
+                                 len(classes) + r - 2, max_vertices, "vertex enumeration",
+                                 _held(classes), width)
+    return VertexSet(frozenset(_lifts(rays, classes, n)))
 
 
 def check_validity_only(c: Cdc, e: Encoding, f: Formulation) -> bool:

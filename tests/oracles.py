@@ -13,6 +13,9 @@ package implementation, so agreement is evidence rather than tautology:
 * polytope vertices via the original Fraction cut engine, which recomputes
   every tight set on every cut (the integer engine in idealform.verify
   replaced it),
+* polytope vertices via the integer double description over all n lambda
+  columns (the run over one column per class of identical columns in
+  idealform.verify.enumerate_vertices replaced it),
 * convex-hull membership via an exact phase-one simplex, one LP per
   question (the facets of the code hull in idealform.encoding replaced it),
 * JSON text via json.dumps with an indent, which runs the standard
@@ -51,7 +54,8 @@ from typing import Sequence
 
 from idealform.errors import InputError, TooLargeToEnumerate
 from idealform.formulation import GeneralRow
-from idealform.linalg import Vec, dd_cut, independent_rows, kernel, vec
+from idealform.linalg import Vec, dd_cut, double_description, independent_rows, kernel, vec
+from idealform.verify import _cone_and_cuts
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -439,6 +443,21 @@ def vertices_by_fraction_cuts(f, max_vertices=10**9) -> set[Vec]:
     for coeffs, rhs in ineqs:
         vertices = _apply_fraction_cut(vertices, rows, coeffs, rhs, False, max_vertices)
     return set(vertices)
+
+
+def vertices_by_unmerged_description(f, max_vertices=10**9, sizes=None) -> frozenset:
+    """The relaxation's homogeneous integer vertices by the double
+    description over all n lambda columns, identical ones included, under
+    the same caps and messages. ``sizes``, when given, gains the number of
+    rays held after each cut."""
+    def held(masks):
+        if sizes is not None:
+            sizes.append(len(masks))
+        return len(masks)
+
+    rays, _ = double_description(*_cone_and_cuts(f), f.n_lambda + f.r_z - 2, max_vertices,
+                                 "vertex enumeration", held)
+    return frozenset(map(tuple, rays))
 
 
 def valid_by_fraction_points(points, f) -> bool:

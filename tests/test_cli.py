@@ -407,6 +407,25 @@ class TestAnnulus:
         assert code == 4
         assert "cap" in err
 
+    def test_the_vertex_cap_trips_fast_at_its_cut(self, capsys):
+        # The run over one column per pair of corners counts the rays of the
+        # run over all 128 columns, which held 65,792 after cut 40.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "annulus", "--d", "64", "--encoding", "zigzag",
+                             "--check", "ideal")
+        assert time.perf_counter() - start < 30
+        assert (code, out) == (4, "")
+        assert err == ("error: vertex enumeration exceeded the cap of 50000 intermediate "
+                       "rays: 65792 after cut 40, general row 19 (upper side)\n")
+
+    def test_a_wide_ring_certifies_in_seconds(self, capsys, tmp_path):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "annulus", "--d", "256", "--encoding", "gray",
+                           "--check", "ideal", "--out", str(tmp_path / "f.json"))
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        assert "1024 vertices expected, 1024 found" in err
+
     @pytest.mark.parametrize("cap", ["0", "-5"])
     def test_enum_cap_below_one_is_a_usage_error(self, capsys, cap):
         code, out, err = run(

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from idealform import encoding
+from idealform.cdc import cdc, theorem1_formulation
 from idealform.cli import main
 from idealform.encoding import (
     Encoding,
@@ -389,6 +390,38 @@ class TestFamilyLemma:
     ], ids=["wide", "negative", "mixed", "over-the-cap"])
     def test_other_codes_are_not_from_a_family(self, rows):
         assert not encoding._from_family(Encoding(rows))
+
+    @given(st.integers(1, 5), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_the_test_by_g_inverse_agrees_with_the_built_matrices(self, r, data):
+        # Family rows with some replaced by nearby codes, at the natural width.
+        full = [set(gray_matrix(r)), set(zigzag_matrix(r))]
+        matrix = data.draw(st.sampled_from([gray_matrix, zigzag_matrix]))(r)
+        d = data.draw(st.integers(2 ** (r - 1) + 1, 2**r))
+        rows = list(data.draw(st.permutations(matrix))[:d])
+        for i in data.draw(st.lists(st.integers(0, d - 1), max_size=2)):
+            rows[i] = tuple(data.draw(st.lists(st.integers(-1, 2 ** (r - 1) + 1),
+                                               min_size=r, max_size=r)))
+        assume(len(set(rows)) == d)
+        expected = any(set(rows) <= rows_of for rows_of in full)
+        assert encoding._from_family(Encoding(rows)) is expected
+
+    def test_no_matrix_is_built_to_decide_the_gates(self, monkeypatch, capsys):
+        calls = []
+
+        def counting(s):
+            calls.append(s)
+            return zigzag_matrix(s)
+
+        monkeypatch.setattr(encoding, "zigzag_matrix", counting)
+        monkeypatch.setitem(encoding.FAMILIES, EncodingKind.ZIGZAG, counting)
+        # SOS2 over 20 pieces: one matrix for the codes, none for the gates.
+        e = make_encoding(20, EncodingKind.ZIGZAG)
+        theorem1_formulation(cdc(21, [(i, i + 1) for i in range(1, 21)]), e)
+        assert calls == [5]
+        assert main(["encode", "--kind", "zigzag", "--s", "16"]) == 0
+        assert calls == [5, 16]
+        assert capsys.readouterr().err == "convex position: yes\nhole-free: yes\n"
 
     def test_gates_on_other_codes_run_as_before(self):
         # Mixed rows of the two families leave the hole (1, 1).

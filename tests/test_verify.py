@@ -31,6 +31,7 @@ from oracles import (
     valid_by_fraction_points,
     vertices_by_fraction_cuts,
     vertices_by_tight_subsets,
+    vertices_by_unmerged_description,
 )
 
 F = Fraction
@@ -725,3 +726,111 @@ class TestEntryCap:
         with pytest.raises(TooLargeToEnumerate,
                            match=r"^the embedding: 8 vectors of 8 integers, 64 in all"):
             embedding_extreme_points(sos2(4), make_encoding(4, EncodingKind.GRAY))
+
+
+def with_columns(f, columns):
+    """f over the lambda columns named by ``columns``, repeats allowed."""
+    def pick(row):
+        return tuple(row[v] for v in columns)
+
+    return Formulation(
+        len(columns), f.r_z,
+        tuple(LinearEquality(pick(eq.lam), eq.z, eq.rhs) for eq in f.equalities),
+        tuple(GeneralRow(g.normal, pick(g.lower), pick(g.upper)) for g in f.general_rows),
+        f.z_bounds)
+
+
+@st.composite
+def duplicated_formulations(draw):
+    """A varied formulation with each lambda column repeated one to three
+    times, the copies shuffled among the others."""
+    f = draw(varied_formulations())
+    sizes = draw(st.lists(st.integers(1, 3), min_size=f.n_lambda, max_size=f.n_lambda))
+    columns = [v for v, size in enumerate(sizes) for _ in range(size)]
+    return with_columns(f, draw(st.permutations(columns)))
+
+
+def outcome(run):
+    """What a run returns, or the text of the cap it trips."""
+    try:
+        return run()
+    except TooLargeToEnumerate as err:
+        return str(err)
+
+
+class TestMergedColumns:
+    """The run over one lambda column per class of identical columns gives
+    the vertex set of the run over all of them, and trips every cap at the
+    same cut with the same text."""
+
+    @staticmethod
+    def agree(f, by_fractions=True):
+        sizes = []
+        expected = vertices_by_unmerged_description(f, sizes=sizes)
+        found = enumerate_vertices(f).vertices
+        assert found == expected
+        if by_fractions:
+            assert fractions(verify.VertexSet(found)) == vertices_by_fraction_cuts(f)
+        for cap in range(1, max(sizes, default=0) + 3):
+            got = outcome(lambda: enumerate_vertices(f, max_vertices=cap).vertices)
+            if isinstance(got, str) and "no row uses" in got:
+                # The free-z guard, which the oracle lacks, refuses only a
+                # relaxation over the budget.
+                assert len(expected) > cap
+            else:
+                assert got == outcome(lambda: vertices_by_unmerged_description(f, cap)), cap
+        return found
+
+    @settings(max_examples=60, deadline=None)
+    @given(duplicated_formulations())
+    def test_duplicated_columns(self, f):
+        self.agree(f)
+
+    @pytest.mark.parametrize("build", [annulus_gray_formulation, annulus_zigzag_formulation])
+    @pytest.mark.parametrize("d", [4, 8, 16])
+    def test_annulus_with_a_row_dropped(self, build, d):
+        # Corners with the same users make identical pairs of columns. The
+        # Fraction engine takes seconds at d = 16, so it is compared at d = 4
+        # and 8 here, and on every corpus formulation in
+        # TestAgainstFractionCutOracle.
+        f = build(d)[0]
+        assert len(verify._column_classes(f)) == d < f.n_lambda
+        self.agree(drop_row(f, f.gamma - 1), by_fractions=d < 16)
+
+    def test_all_columns_equal(self):
+        f = Formulation(3, 3, (LinearEquality((1,) * 3, (0,) * 3, 1),
+                               LinearEquality((0,) * 3, (2,) * 3, 3)), (),
+                        ((0, 1),) * 3)
+        assert len(verify._column_classes(f)) == 1
+        assert len(self.agree(f)) == 18
+
+    def test_no_equalities_and_no_rows(self):
+        # Every column is the empty column: the simplex times the segment
+        # and the point of the box.
+        f = Formulation(3, 2, (), (), ((0, 1), (2, 2)))
+        assert len(verify._column_classes(f)) == 1
+        assert self.agree(f) == {(*(int(u == v) for u in range(3)), z, 2, 1)
+                                 for v in range(3) for z in (0, 1)}
+
+    def test_the_integer_cap_counts_full_width_rays(self, monkeypatch):
+        # Every cap just below and at each size the oracle run held, from the
+        # smallest that lets the start cone pass.
+        f = drop_row(annulus_zigzag_formulation(8)[0], 4)
+        sizes = []
+        vertices_by_unmerged_description(f, sizes=sizes)
+        width = f.n_lambda + f.r_z + 1
+        caps = {size * width + step for size in sizes for step in (-1, 0)}
+        caps = sorted(cap for cap in caps if cap >= (f.n_lambda + f.r_z) * width)
+        assert len(caps) > 10
+        for cap in caps:
+            monkeypatch.setattr(linalg, "DEFAULT_ENTRY_CAP", cap)
+            got = outcome(lambda: enumerate_vertices(f).vertices)
+            assert isinstance(got, str) or cap >= max(sizes) * width
+            assert got == outcome(lambda: vertices_by_unmerged_description(f)), cap
+
+    def test_without_duplicates_the_run_is_unchanged(self, monkeypatch):
+        # SOS columns all differ, so nothing is merged or lifted.
+        f = TestAgainstFractionCutOracle.FORMULATIONS["sos3-gray-d4"]
+        assert len(verify._column_classes(f)) == f.n_lambda
+        monkeypatch.setattr(verify, "_lifts", None)
+        assert enumerate_vertices(f).vertices == vertices_by_unmerged_description(f)
