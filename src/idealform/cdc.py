@@ -29,7 +29,7 @@ from .errors import (
     TooFewAlternatives,
     TooManyDirections,
 )
-from .formulation import Formulation, GeneralRow, LinearEquality
+from .formulation import Formulation, GeneralRow, LinearEquality, integer_fields
 from .linalg import kernel, pivot_kernel, pivot_step, primitive, rank
 
 # C(20, 10): any set of at most 20 directions fits, whatever its rank.
@@ -196,31 +196,16 @@ def formulation_equalities(c: Cdc, e: Encoding) -> tuple[LinearEquality, ...]:
     return tuple(rows)
 
 
-def _integer_fields(f: Formulation):
-    """f's integer fields as (name in a formulation document, entries), in
-    document order."""
-    yield "variables.lambda.count", (f.n_lambda,)
-    yield "variables.z.count", (f.r_z,)
-    for k, bounds in enumerate(f.z_bounds):
-        yield f"variables.z.bounds[{k}]", bounds
-    for i, eq in enumerate(f.equalities):
-        yield from ((f"equalities[{i}].lambda", eq.lam), (f"equalities[{i}].z", eq.z),
-                    (f"equalities[{i}].rhs", (eq.rhs,)))
-    for i, g in enumerate(f.general_rows):
-        for key in ("normal", "lower", "upper"):
-            yield f"general_rows[{i}].{key}", getattr(g, key)
-
-
 def check_sizes(c: Cdc, e: Encoding, f: Formulation | None = None) -> None:
     """InputError unless c, e and, when given, f fit together, with every
     entry of f a plain int, so a certificate decides in integers only."""
     if f is not None:
-        fields = list(_integer_fields(f))
-        # The entries' types in one C-level pass; the walk names the first at fault.
-        if set(map(type, chain.from_iterable(entries for _, entries in fields))) != {int}:
-            name, bad = next((name, x) for name, entries in fields for x in entries
-                             if type(x) is not int)
-            raise InputError(f"{name}: expected an integer, got {bad!r}")
+        # The entries' types in one C-level pass; a second walk names the first at fault.
+        entries = chain.from_iterable(field[2] for field in integer_fields(f))
+        if set(map(type, entries)) != {int}:
+            key, i, bad = next((key, i, x) for key, i, row, _ in integer_fields(f)
+                               for x in row if type(x) is not int)
+            raise InputError(f"{key.format(i)}: expected an integer, got {bad!r}")
         if f.n_lambda != c.n or f.r_z != e.r:
             raise InputError(
                 f"formulation is over {f.n_lambda} lambda and {f.r_z} z variables, "

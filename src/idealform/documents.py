@@ -383,13 +383,6 @@ def verification_summary(report: VerificationReport) -> dict:
     }
 
 
-def _bound(raw, field: str) -> tuple[int, int]:
-    pair = _ints(raw, field)
-    if len(pair) != 2:
-        raise InputError(f"{field}: expected a [lo, hi] pair")
-    return pair
-
-
 def _equality(raw, field: str) -> LinearEquality:
     eq = _object(raw, field)
     return LinearEquality(_ints(eq.get("lambda"), f"{field}.lambda"),
@@ -409,13 +402,13 @@ def formulation_from_document(doc: dict) -> tuple[Formulation, RecoveryMap | Non
     variables = _object(doc.get("variables"), "variables")
     lam = _object(variables.get("lambda"), "variables.lambda")
     z = _object(variables.get("z"), "variables.z")
-    # Formulation checks the rows and bounds against the variable counts and
-    # names the field at fault.
+    # Formulation checks each row's and bound's size, a bound's as a [lo, hi]
+    # pair, and names the field at fault.
     f = Formulation(_int(lam.get("count"), "variables.lambda.count"),
                     _int(z.get("count"), "variables.z.count"),
                     _list(doc.get("equalities"), "equalities", _equality, "objects"),
                     _list(doc.get("general_rows"), "general_rows", _general_row, "objects"),
-                    _list(z.get("bounds"), "variables.z.bounds", _bound, "[lo, hi] pairs"))
+                    _list(z.get("bounds"), "variables.z.bounds", _ints, "[lo, hi] pairs"))
     recovery = None
     if "recovery" in doc:
         recovery = _recovery_map(doc["recovery"])

@@ -11,6 +11,10 @@ The model it describes, over variables lambda_1..lambda_n and z_1..z_r:
     (affine-hull equations on z, when the codes are not full-dimensional)
     lower_k . lambda  <=  normal_k . z  <=  upper_k . lambda   for each row k
     z integer, componentwise within z_bounds
+
+This module alone knows a formulation's field names and sizes: the size
+checks at construction and the certificates' integer check both read the
+one walk ``integer_fields``, and format a field's name only to report it.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from fractions import Fraction
 from operator import gt
 
 from .errors import InputError
+
+_BOUND = "variables.z.bounds[{}]"
 
 
 @dataclass(frozen=True)
@@ -41,9 +47,9 @@ class GeneralRow:
 
     def __post_init__(self) -> None:
         if not any(self.normal):
-            raise ValueError("a general row needs a nonzero normal")
+            raise InputError("a general row needs a nonzero normal")
         if any(map(gt, self.lower, self.upper)):
-            raise ValueError("row lower coefficients exceed the upper ones")
+            raise InputError("row lower coefficients exceed the upper ones")
 
 
 @dataclass(frozen=True)
@@ -55,21 +61,12 @@ class Formulation:
     z_bounds: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        # Each error names its field as a formulation document does.
-        n, r = self.n_lambda, self.r_z
-        for i, eq in enumerate(self.equalities):
-            for key, row, width in (("lambda", eq.lam, n), ("z", eq.z, r)):
-                if len(row) != width:
-                    raise InputError(f"equalities[{i}].{key}: expected {width} "
-                                     f"entries, got {len(row)}")
-        for i, g in enumerate(self.general_rows):
-            for key, row, width in (("normal", g.normal, r), ("lower", g.lower, n),
-                                    ("upper", g.upper, n)):
-                if len(row) != width:
-                    raise InputError(f"general_rows[{i}].{key}: expected {width} "
-                                     f"entries, got {len(row)}")
-        if len(self.z_bounds) != r:
-            raise InputError(f"variables.z.bounds: expected {r} [lo, hi] pairs, "
+        for key, i, entries, size in integer_fields(self):
+            if len(entries) != size:
+                what = "a [lo, hi] pair" if key is _BOUND else f"{size} entries, got {len(entries)}"
+                raise InputError(f"{key.format(i)}: expected {what}")
+        if len(self.z_bounds) != self.r_z:
+            raise InputError(f"variables.z.bounds: expected {self.r_z} [lo, hi] pairs, "
                              f"got {len(self.z_bounds)}")
         for k, (lo, hi) in enumerate(self.z_bounds):
             if lo > hi:
@@ -79,6 +76,25 @@ class Formulation:
     def gamma(self) -> int:
         """Number of paired rows; the inequality count is twice this."""
         return len(self.general_rows)
+
+
+def integer_fields(f: Formulation):
+    """f's integer fields in document order, as (key, i, entries, size): the
+    field's name in a formulation document is key.format(i), and it must
+    hold size entries."""
+    n, r = f.n_lambda, f.r_z
+    yield "variables.lambda.count", None, (n,), 1
+    yield "variables.z.count", None, (r,), 1
+    for k, bounds in enumerate(f.z_bounds):
+        yield _BOUND, k, bounds, 2
+    for i, eq in enumerate(f.equalities):
+        yield "equalities[{}].lambda", i, eq.lam, n
+        yield "equalities[{}].z", i, eq.z, r
+        yield "equalities[{}].rhs", i, (eq.rhs,), 1
+    for i, g in enumerate(f.general_rows):
+        yield "general_rows[{}].normal", i, g.normal, r
+        yield "general_rows[{}].lower", i, g.lower, n
+        yield "general_rows[{}].upper", i, g.upper, n
 
 
 @dataclass(frozen=True)

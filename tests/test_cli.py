@@ -407,16 +407,23 @@ class TestAnnulus:
         assert code == 4
         assert "cap" in err
 
-    def test_the_vertex_cap_trips_fast_at_its_cut(self, capsys):
-        # The run over one column per pair of corners counts the rays of the
-        # run over all 128 columns, which held 65,792 after cut 40.
+    # The run over one column per pair of corners counts the rays of the run
+    # over all 2d columns: at d=64 that run held 65,792 after cut 40, and at
+    # d=128 its rays outgrow the integer cap first.
+    @pytest.mark.parametrize("d, message", [
+        (64, "vertex enumeration exceeded the cap of 50000 intermediate rays: 65792 "
+             "after cut 40, general row 19 (upper side)"),
+        (128, "vertex enumeration after cut 39, general row 19 (lower side): 49537 "
+              "vectors of 264 integers, 13077768 in all, over the cap of 10000000 "
+              "integers"),
+    ])
+    def test_the_vertex_cap_trips_fast_at_its_cut(self, capsys, d, message):
         start = time.perf_counter()
-        code, out, err = run(capsys, "annulus", "--d", "64", "--encoding", "zigzag",
+        code, out, err = run(capsys, "annulus", "--d", str(d), "--encoding", "zigzag",
                              "--check", "ideal")
         assert time.perf_counter() - start < 30
         assert (code, out) == (4, "")
-        assert err == ("error: vertex enumeration exceeded the cap of 50000 intermediate "
-                       "rays: 65792 after cut 40, general row 19 (upper side)\n")
+        assert err == f"error: {message}\n"
 
     def test_a_wide_ring_certifies_in_seconds(self, capsys, tmp_path):
         start = time.perf_counter()

@@ -4,6 +4,7 @@ import hashlib
 import random
 import re
 import time
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -16,7 +17,7 @@ from idealform.annulus import annulus_cdc, annulus_gray_formulation, annulus_zig
 from idealform.cdc import cdc, intersection_digraph, is_weakly_connected, theorem1_formulation
 from idealform.encoding import EncodingKind, make_encoding
 from idealform.errors import InputError, TooLargeToEnumerate
-from idealform.formulation import Formulation, GeneralRow, LinearEquality
+from idealform.formulation import Formulation, GeneralRow, LinearEquality, integer_fields
 from idealform.linalg import DEFAULT_ENUM_CAP
 from idealform.pwl import PwlFunction, pwl_formulation
 from idealform.verify import (
@@ -417,6 +418,75 @@ class TestCertificatesDecideInIntegers:
                         f.general_rows, f.z_bounds)
         with pytest.raises(InputError, match=r"^equalities\[0\]\.rhs: "):
             check(c, e, g)
+
+    # One equality, two general rows and two bounds: every kind of field.
+    WALKED = ["variables.lambda.count", "variables.z.count", "variables.z.bounds[0]",
+              "variables.z.bounds[1]", "equalities[0].lambda", "equalities[0].z",
+              "equalities[0].rhs", *(f"general_rows[{i}].{key}" for i in (0, 1)
+                                     for key in ("normal", "lower", "upper"))]
+
+    @staticmethod
+    def edited(f, key, i, edit):
+        """f with the entries of the field integer_fields calls key.format(i)
+        replaced by edit(entries), rebuilt through Formulation."""
+        if i is None:
+            attr = {"variables.lambda.count": "n_lambda", "variables.z.count": "r_z"}[key]
+            return replace(f, **{attr: edit((getattr(f, attr),))[0]})
+        group, _, attr = key.partition("[{}]")
+        group = {"variables.z.bounds": "z_bounds"}.get(group, group)
+        items = list(getattr(f, group))
+        if group == "z_bounds":
+            items[i] = edit(items[i])
+        else:
+            attr = {".lambda": "lam"}.get(attr, attr[1:])
+            old = getattr(items[i], attr)
+            new = edit((old,)) if attr == "rhs" else edit(old)
+            items[i] = replace(items[i], **{attr: new[0] if attr == "rhs" else new})
+        return replace(f, **{group: tuple(items)})
+
+    def test_the_walk_names_every_field_in_document_order(self):
+        f = theorem1_formulation(sos2(4), make_encoding(4, EncodingKind.GRAY))
+        assert [key.format(i) for key, i, _, _ in integer_fields(f)] == self.WALKED
+        assert [size for *_, size in integer_fields(f)] == [1, 1, 2, 2, 5, 2, 1, 2, 5, 5, 2, 5, 5]
+
+    def test_construction_names_the_field_missing_an_entry(self):
+        f = theorem1_formulation(sos2(4), make_encoding(4, EncodingKind.GRAY))
+        # A zero goes first, so a normal stays nonzero and a lower side below
+        # its upper side; the counts and the rhs are single values.
+        def drop(row):
+            k = row.index(0) if 0 in row else 0
+            return row[:k] + row[k + 1:]
+        for key, i, _, size in integer_fields(f):
+            if key.endswith(("count", "rhs")):
+                continue
+            what = ("a [lo, hi] pair" if key.startswith("variables.z.bounds")
+                    else f"{size} entries, got {size - 1}")
+            message = f"{key.format(i)}: expected {what}"
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                self.edited(f, key, i, drop)
+
+    def test_both_certificates_name_the_field_holding_a_fraction(self):
+        c, e = sos2(4), make_encoding(4, EncodingKind.GRAY)
+        f = theorem1_formulation(c, e)
+        for key, i, entries, _ in integer_fields(f):
+            g = self.edited(f, key, i, lambda row: (Fraction(row[0]),) + tuple(row[1:]))
+            message = f"{key.format(i)}: expected an integer, got {Fraction(entries[0])!r}"
+            for check in (check_validity_only, check_ideal):
+                with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                    check(c, e, g)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: GeneralRow((0, 0), (0,), (1,)), "a general row needs a nonzero normal"),
+        (lambda: GeneralRow((1,), (0, 2), (1, 1)),
+         "row lower coefficients exceed the upper ones"),
+        (lambda: Formulation(1, 1, (), (), ((0,),)),
+         "variables.z.bounds[0]: expected a [lo, hi] pair"),
+        (lambda: Formulation(1, 1, (), (), ((0, 1, 2),)),
+         "variables.z.bounds[0]: expected a [lo, hi] pair"),
+    ])
+    def test_python_api_faults_are_input_errors(self, build, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 class TestCheckValidityOnly:
