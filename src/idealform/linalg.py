@@ -17,8 +17,8 @@ primitive integer tuples whose first nonzero entry is positive.
 
 :func:`dd_cut` is the double-description step (Fukuda and Prodon,
 "Double description method revisited", 1996) on homogeneous integer
-vectors; :func:`double_description` applies it cut by cut under both caps,
-for the vertices of a relaxation and for the facets of the code hull.
+vectors; :func:`double_description` applies it cut by cut under the three
+caps, for the vertices of a relaxation and for the facets of the code hull.
 """
 
 from __future__ import annotations
@@ -40,6 +40,9 @@ DEFAULT_ENUM_CAP = 50_000
 # The most integers it may hold at once, n + 1 per vector in dimension n:
 # the vector budget alone lets a wide run exhaust memory.
 DEFAULT_ENTRY_CAP = 10**7
+# The most candidate pairs (a ray on each side of a cut) it may test over all
+# its cuts: each test may scan the rays held, which the budgets above do not bound.
+DEFAULT_PAIR_CAP = 2 * 10**7
 
 
 def vec(values: Iterable) -> Vec:
@@ -178,7 +181,7 @@ def affine_hull(points: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ...], 
     return [(a, sum(map(mul, a, base))) for a in kernel(dirs, len(base))]
 
 
-def dd_cut(vertices, masks, row, bit, is_equality, need):
+def dd_cut(vertices, masks, row, bit, is_equality, need, spend=None):
     """Intersect the vertex set with row . x <= 0, or = 0 for an equality.
 
     ``row`` is homogeneous (coefficients, then minus the right-hand side),
@@ -186,7 +189,8 @@ def dd_cut(vertices, masks, row, bit, is_equality, need):
     ``bit`` is the new row's mask bit and ``need`` the fewest tight rows an
     edge can have. Correctness of the edge test relies on ``vertices``
     being the complete vertex set of the polytope cut so far; the extreme
-    rays of a pointed cone serve as well.
+    rays of a pointed cone serve as well. ``spend``, if given, gets the
+    number of candidate pairs before any is tested, and may raise.
     """
     slack = [sum(map(mul, row, x)) for x in vertices]
     kept, kept_masks = [], []
@@ -202,14 +206,17 @@ def dd_cut(vertices, masks, row, bit, is_equality, need):
                 kept_masks.append(masks[i])
         else:
             pos.append(i)
+    if spend is not None:
+        spend(len(neg) * len(pos))
+    w = 0  # the last ray the edge test stopped at, tried first: it often rules out the next pair
     for i in neg:
         mask_i, s_i, x_i = masks[i], slack[i], vertices[i]
         for j in pos:
             common = mask_i & masks[j]
-            if common.bit_count() < need:
+            if common.bit_count() < need or masks[w] & common == common and i != w != j:
                 continue
-            for k, mask_k in enumerate(masks):
-                if mask_k & common == common and k != i and k != j:
+            for w, mask_w in enumerate(masks):
+                if mask_w & common == common and w != i and w != j:
                     break
             else:
                 s_j = slack[j]
@@ -228,21 +235,27 @@ def check_entries(count: int, width: int, what: str) -> None:
             f"over the cap of {DEFAULT_ENTRY_CAP} integers")
 
 
-def double_description(rays, masks, cuts, need, cap, what, held=len, width=None):
+def double_description(rays, masks, cuts, need, cap, what):
     """The rays and masks of a pointed cone, given by all its extreme rays,
     after :func:`dd_cut` applies each cut (row, bit, is_equality, name).
 
-    After every cut, TooLargeToEnumerate names the run ``what`` and the cut
-    when the rays are more than ``cap`` or hold more than DEFAULT_ENTRY_CAP
-    integers. A run over merged columns counts the rays it stands for:
-    ``held(masks)`` of them, each ``width`` integers wide (by default the
-    rays themselves, each as wide as a row).
+    TooLargeToEnumerate names the run ``what`` and the cut when the rays
+    held after it pass ``cap`` or DEFAULT_ENTRY_CAP integers, and before its
+    pair tests when they would take the run past DEFAULT_PAIR_CAP pairs.
     """
+    spent = 0
+
+    def spend(pairs):  # called by the cut in progress, named by index and name
+        nonlocal spent
+        spent += pairs
+        if spent > DEFAULT_PAIR_CAP:
+            raise TooLargeToEnumerate(f"{what} exceeded the cap of {DEFAULT_PAIR_CAP} "
+                                      f"candidate pairs: {spent} at cut {index}, {name}")
+
     for index, (row, bit, is_equality, name) in enumerate(cuts):
-        rays, masks = dd_cut(rays, masks, row, bit, is_equality, need)
-        count = held(masks)
-        if count > cap:
+        rays, masks = dd_cut(rays, masks, row, bit, is_equality, need, spend)
+        if len(masks) > cap:
             raise TooLargeToEnumerate(f"{what} exceeded the cap of {cap} intermediate "
-                                      f"rays: {count} after cut {index}, {name}")
-        check_entries(count, width or len(row), f"{what} after cut {index}, {name}")
+                                      f"rays: {len(masks)} after cut {index}, {name}")
+        check_entries(len(masks), len(row), f"{what} after cut {index}, {name}")
     return rays, masks

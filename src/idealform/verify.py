@@ -50,12 +50,7 @@ which it has weight. This is exact by the following lemma.
   sum in K' equal to the image of x lifts to a sum in K equal to x. So x
   is extreme in K exactly when its image is extreme in K'.
 The start cone and every cut keep columns a and b identical, so the lemma
-holds after every cut, and by induction for whole classes. A merged ray
-stands for the product of |class| over the classes where its weight is
-nonzero, that is, whose lambda >= 0 bit is clear in its mask.
-Both caps count that weighted sum, rays of n + r + 1 integers each, which
-is what the run over all n columns holds after the same cut. So every
-TooLargeToEnumerate trips at the same cut with the same text. Where no two
+holds after every cut, and by induction for whole classes. Where no two
 columns agree, the run is the run over all columns.
 
 The working vertices and rows are lists, and every tuple here is built
@@ -186,18 +181,6 @@ def _merged(f: Formulation, classes: list[list[int]]) -> Formulation:
         f.z_bounds)
 
 
-def _held(classes: list[list[int]]):
-    """The count function of a merged run: each ray stands for the product
-    of |class| over the classes whose lambda >= 0 bit its mask lacks."""
-    by_size: dict[int, int] = {}
-    for bit, cls in enumerate(classes):
-        if len(cls) > 1:
-            by_size[len(cls)] = by_size.get(len(cls), 0) | 1 << bit
-    sizes = list(by_size.items())
-    return lambda masks: sum([prod([size ** (bits & ~mask).bit_count()
-                                    for size, bits in sizes]) for mask in masks])
-
-
 def _lifts(rays, classes: list[list[int]], n: int):
     """Each merged ray in full lambda space, once per choice of a column in
     every class where it has weight."""
@@ -223,11 +206,11 @@ def enumerate_vertices(f: Formulation, *, max_vertices: int = DEFAULT_ENUM_CAP) 
     """The exact vertex set of the formulation's LP relaxation.
 
     The relaxation keeps every row of the formulation, including the z
-    bounds, but drops integrality. Raises TooLargeToEnumerate when an
-    intermediate set passes ``max_vertices`` rays or DEFAULT_ENTRY_CAP
-    integers, and before any cut for a start cone over the entry cap or for
-    f free z coordinates (lo < hi, zero in every row): the relaxation is
-    then a product with their segments: 2**f vertices or more, or none.
+    bounds, but drops integrality. Raises TooLargeToEnumerate on the caps of
+    ``double_description`` with ``max_vertices`` rays, on the same two caps
+    for the lifted vertices before any is built, and before any cut for a
+    start cone over the entry cap or for f free z coordinates (lo < hi, zero
+    in every row), which make it a product with 2**f vertices or more, or none.
     """
     n, r = f.n_lambda, f.r_z
     width = n + r + 1
@@ -240,13 +223,16 @@ def enumerate_vertices(f: Formulation, *, max_vertices: int = DEFAULT_ENUM_CAP) 
             f"{what}: at least 2**{free} vertices, over the cap of {max_vertices}")
     check_entries(1 << free, width, what)
     classes = _column_classes(f)
-    if len(classes) == n:
-        rays, _ = double_description(*_cone_and_cuts(f), n + r - 2, max_vertices,
-                                     "vertex enumeration")
+    merged = len(classes) < n
+    rays, _ = double_description(*_cone_and_cuts(_merged(f, classes) if merged else f),
+                                 len(classes) + r - 2, max_vertices, "vertex enumeration")
+    if not merged:
         return VertexSet(frozenset(map(tuple, rays)))
-    rays, _ = double_description(*_cone_and_cuts(_merged(f, classes)),
-                                 len(classes) + r - 2, max_vertices, "vertex enumeration",
-                                 _held(classes), width)
+    lifted = sum([prod([len(cls) for cls, mu in zip(classes, ray) if mu]) for ray in rays])
+    what = f"vertex enumeration lifted to {n} lambda columns"
+    if lifted > max_vertices:
+        raise TooLargeToEnumerate(f"{what}: {lifted} vertices, over the cap of {max_vertices}")
+    check_entries(lifted, width, what)
     return VertexSet(frozenset(_lifts(rays, classes, n)))
 
 

@@ -54,7 +54,7 @@ from typing import Sequence
 
 from idealform.errors import InputError, TooLargeToEnumerate
 from idealform.formulation import GeneralRow
-from idealform.linalg import Vec, dd_cut, double_description, independent_rows, kernel, vec
+from idealform.linalg import Vec, dd_cut, independent_rows, kernel, vec
 from idealform.verify import _cone_and_cuts
 
 F0 = Fraction(0)
@@ -445,18 +445,16 @@ def vertices_by_fraction_cuts(f, max_vertices=10**9) -> set[Vec]:
     return set(vertices)
 
 
-def vertices_by_unmerged_description(f, max_vertices=10**9, sizes=None) -> frozenset:
+def vertices_by_unmerged_description(f, sizes=None) -> frozenset:
     """The relaxation's homogeneous integer vertices by the double
-    description over all n lambda columns, identical ones included, under
-    the same caps and messages. ``sizes``, when given, gains the number of
-    rays held after each cut."""
-    def held(masks):
+    description over all n lambda columns, identical ones included, cut by
+    cut through ``dd_cut`` with no cap. ``sizes``, when given, gains the
+    number of rays held after each cut."""
+    rays, masks, cuts = _cone_and_cuts(f)
+    for row, bit, is_equality, _ in cuts:
+        rays, masks = dd_cut(rays, masks, row, bit, is_equality, f.n_lambda + f.r_z - 2)
         if sizes is not None:
-            sizes.append(len(masks))
-        return len(masks)
-
-    rays, _ = double_description(*_cone_and_cuts(f), f.n_lambda + f.r_z - 2, max_vertices,
-                                 "vertex enumeration", held)
+            sizes.append(len(rays))
     return frozenset(map(tuple, rays))
 
 

@@ -407,23 +407,26 @@ class TestAnnulus:
         assert code == 4
         assert "cap" in err
 
-    # The run over one column per pair of corners counts the rays of the run
-    # over all 2d columns: at d=64 that run held 65,792 after cut 40, and at
-    # d=128 its rays outgrow the integer cap first.
-    @pytest.mark.parametrize("d, message", [
-        (64, "vertex enumeration exceeded the cap of 50000 intermediate rays: 65792 "
-             "after cut 40, general row 19 (upper side)"),
-        (128, "vertex enumeration after cut 39, general row 19 (lower side): 49537 "
-              "vectors of 264 integers, 13077768 in all, over the cap of 10000000 "
-              "integers"),
-    ])
-    def test_the_vertex_cap_trips_fast_at_its_cut(self, capsys, d, message):
+    # The run over one column per pair of corners holds at most 2,176 rays
+    # and tests 4,250,252 candidate pairs in all.
+    def test_a_zigzag_ring_of_64_certifies_in_seconds(self, capsys, tmp_path):
         start = time.perf_counter()
-        code, out, err = run(capsys, "annulus", "--d", str(d), "--encoding", "zigzag",
+        code, _, err = run(capsys, "annulus", "--d", "64", "--encoding", "zigzag",
+                           "--check", "ideal", "--out", str(tmp_path / "f.json"))
+        assert time.perf_counter() - start < 30
+        assert code == 0
+        assert "256 vertices expected, 256 found" in err
+
+    # At d=128 the pair budget refuses the cut that would take the run from
+    # 6,853,994 to 23,909,738 candidate pairs, before any of them is tested.
+    def test_the_pair_cap_trips_fast_at_its_cut(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "annulus", "--d", "128", "--encoding", "zigzag",
                              "--check", "ideal")
         assert time.perf_counter() - start < 30
         assert (code, out) == (4, "")
-        assert err == f"error: {message}\n"
+        assert err == ("error: vertex enumeration exceeded the cap of 20000000 candidate "
+                       "pairs: 23909738 at cut 49, general row 24 (lower side)\n")
 
     def test_a_wide_ring_certifies_in_seconds(self, capsys, tmp_path):
         start = time.perf_counter()

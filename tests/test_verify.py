@@ -742,6 +742,14 @@ class TestCapMessage:
         return Formulation(1, 2, (LinearEquality((1,), (0, 0), 1),), rows,
                            ((0, 1), (0, 1)))
 
+    @staticmethod
+    def equal_columns():
+        # The simplex over three equal columns, and the slice
+        # 2 (z1 + z2 + z3) = 3 of the cube: a triangle times a hexagon.
+        return Formulation(3, 3, (LinearEquality((1,) * 3, (0,) * 3, 1),
+                                  LinearEquality((0,) * 3, (2,) * 3, 3)), (),
+                           ((0, 1),) * 3)
+
     def test_upper_side_of_a_later_row(self):
         # Row 0 is redundant; the upper side of row 1, 2 z1 + 2 z2 <= 3,
         # cuts the corner (1, 1) off and leaves five vertices.
@@ -762,17 +770,60 @@ class TestCapMessage:
             enumerate_vertices(f, max_vertices=3)
 
     def test_equality_row(self):
-        # The start cone's three points have 2 (z1 + z2 + z3) > 3 and its
-        # three directions < 3, so the slice crosses its 9 point-direction
-        # faces. The relaxation is a triangle times a hexagon.
-        f = Formulation(3, 3, (LinearEquality((1,) * 3, (0,) * 3, 1),
-                               LinearEquality((0,) * 3, (2,) * 3, 3)), (),
-                        ((0, 1),) * 3)
+        # The three columns are equal, so the run is over one of them: its
+        # start cone has one point and three directions, all four on the
+        # simplex row, cut 0.
+        f = self.equal_columns()
         assert enumerate_vertices(f).count == 18
         with pytest.raises(TooLargeToEnumerate,
-                           match=r"cap of 8 intermediate rays: 9 after cut 1, "
-                                 r"equality row 1$"):
-            enumerate_vertices(f, max_vertices=8)
+                           match=r"cap of 3 intermediate rays: 4 after cut 0, "
+                                 r"equality row 0$"):
+            enumerate_vertices(f, max_vertices=3)
+
+    def test_the_pair_cap_refuses_a_cut_before_its_pair_tests(self, monkeypatch):
+        # The cuts offer 0, 1, 0, 2, 3, 0 and 3 candidate pairs. Under a cap
+        # of 5 the upper side of row 1 would take the run to 6, so it is
+        # refused with none of its pairs tested; every pair offered before it
+        # was tested once, as a comparison with ``need``.
+        offered, tested, cut = [], [], linalg.dd_cut
+
+        def counting(*args):
+            *rest, need, spend = args
+            tests = []
+
+            class Need(int):
+                def __gt__(self, other):
+                    tests.append(other)
+                    return int.__gt__(self, other)
+
+            try:
+                return cut(*rest, Need(need), lambda pairs: offered.append(pairs) or spend(pairs))
+            finally:
+                tested.append(len(tests))
+
+        monkeypatch.setattr(linalg, "dd_cut", counting)
+        f = self.square(GeneralRow((1, 0), (0,), (1,)), GeneralRow((2, 2), (0,), (3,)))
+        assert enumerate_vertices(f).count == 5
+        assert offered == tested == [0, 1, 0, 2, 3, 0, 3]
+        offered.clear(), tested.clear()
+        monkeypatch.setattr(linalg, "DEFAULT_PAIR_CAP", 5)
+        with pytest.raises(TooLargeToEnumerate,
+                           match=r"^vertex enumeration exceeded the cap of 5 candidate pairs: "
+                                 r"6 at cut 4, general row 1 \(upper side\)$"):
+            enumerate_vertices(f)
+        assert offered == [0, 1, 0, 2, 3]
+        assert tested == [0, 1, 0, 2, 0]
+
+    def test_the_pair_cap_bounds_the_code_hull(self, monkeypatch):
+        # The facets of the Gray codes for d=8, the cube, take four cuts
+        # that offer 2, 2, 3 and 3 candidate pairs.
+        monkeypatch.setattr(linalg, "DEFAULT_PAIR_CAP", 6)
+        with pytest.raises(TooLargeToEnumerate,
+                           match=r"^facet enumeration of the code hull exceeded the cap of 6 "
+                                 r"candidate pairs: 7 at cut 2, code 6$"):
+            make_encoding(8, EncodingKind.GRAY).facets
+        monkeypatch.setattr(linalg, "DEFAULT_PAIR_CAP", 10)
+        assert len(make_encoding(8, EncodingKind.GRAY).facets) == 6
 
 
 class TestEntryCap:
@@ -830,25 +881,40 @@ def outcome(run):
 
 class TestMergedColumns:
     """The run over one lambda column per class of identical columns gives
-    the vertex set of the run over all of them, and trips every cap at the
-    same cut with the same text."""
+    the vertex set of the run over all of them. Its caps count the rays it
+    holds, and then the vertices it lifts back to all n columns."""
+
+    @staticmethod
+    def held(f):
+        """The rays the merged run holds after each cut, and the cuts' names,
+        from a loop over ``dd_cut`` outside the engine."""
+        sizes = []
+        vertices_by_unmerged_description(verify._merged(f, verify._column_classes(f)), sizes)
+        return sizes, [name for *_, name in verify._cone_and_cuts(f)[2]]
 
     @staticmethod
     def agree(f, by_fractions=True):
-        sizes = []
-        expected = vertices_by_unmerged_description(f, sizes=sizes)
+        expected = vertices_by_unmerged_description(f)
         found = enumerate_vertices(f).vertices
         assert found == expected
         if by_fractions:
             assert fractions(verify.VertexSet(found)) == vertices_by_fraction_cuts(f)
-        for cap in range(1, max(sizes, default=0) + 3):
+        sizes, names = TestMergedColumns.held(f)
+        for cap in range(1, max(sizes + [len(expected)]) + 2):
             got = outcome(lambda: enumerate_vertices(f, max_vertices=cap).vertices)
+            over = [i for i, size in enumerate(sizes) if size > cap]
             if isinstance(got, str) and "no row uses" in got:
-                # The free-z guard, which the oracle lacks, refuses only a
-                # relaxation over the budget.
+                # The free-z guard refuses only a relaxation over the budget.
                 assert len(expected) > cap
+            elif over:
+                i = over[0]
+                assert got == (f"vertex enumeration exceeded the cap of {cap} intermediate "
+                               f"rays: {sizes[i]} after cut {i}, {names[i]}"), cap
+            elif len(expected) > cap:
+                assert got == (f"vertex enumeration lifted to {f.n_lambda} lambda columns: "
+                               f"{len(expected)} vertices, over the cap of {cap}"), cap
             else:
-                assert got == outcome(lambda: vertices_by_unmerged_description(f, cap)), cap
+                assert got == expected, cap
         return found
 
     @settings(max_examples=60, deadline=None)
@@ -868,9 +934,7 @@ class TestMergedColumns:
         self.agree(drop_row(f, f.gamma - 1), by_fractions=d < 16)
 
     def test_all_columns_equal(self):
-        f = Formulation(3, 3, (LinearEquality((1,) * 3, (0,) * 3, 1),
-                               LinearEquality((0,) * 3, (2,) * 3, 3)), (),
-                        ((0, 1),) * 3)
+        f = TestCapMessage.equal_columns()
         assert len(verify._column_classes(f)) == 1
         assert len(self.agree(f)) == 18
 
@@ -882,21 +946,47 @@ class TestMergedColumns:
         assert self.agree(f) == {(*(int(u == v) for u in range(3)), z, 2, 1)
                                  for v in range(3) for z in (0, 1)}
 
-    def test_the_integer_cap_counts_full_width_rays(self, monkeypatch):
-        # Every cap just below and at each size the oracle run held, from the
-        # smallest that lets the start cone pass.
-        f = drop_row(annulus_zigzag_formulation(8)[0], 4)
-        sizes = []
-        vertices_by_unmerged_description(f, sizes=sizes)
+    def test_the_integer_cap_counts_the_rays_held(self, monkeypatch):
+        # Every cap just below and at each size the merged run held, and at
+        # the lifted set, from the smallest that lets the start cone pass.
+        f = drop_row(annulus_zigzag_formulation(8)[0], 0)
+        sizes, names = self.held(f)
         width = f.n_lambda + f.r_z + 1
-        caps = {size * width + step for size in sizes for step in (-1, 0)}
-        caps = sorted(cap for cap in caps if cap >= (f.n_lambda + f.r_z) * width)
-        assert len(caps) > 10
+        held_width = len(verify._column_classes(f)) + f.r_z + 1
+        expected = enumerate_vertices(f).vertices
+        lifted = len(expected) * width
+        caps = {size * held_width + step for size in sizes for step in (-1, 0)}
+        caps = sorted(cap for cap in caps | {lifted - 1, lifted}
+                      if cap >= (f.n_lambda + f.r_z) * width)
+        assert len(caps) > 10 and max(sizes) * held_width < lifted
         for cap in caps:
             monkeypatch.setattr(linalg, "DEFAULT_ENTRY_CAP", cap)
             got = outcome(lambda: enumerate_vertices(f).vertices)
-            assert isinstance(got, str) or cap >= max(sizes) * width
-            assert got == outcome(lambda: vertices_by_unmerged_description(f)), cap
+            over = [i for i, size in enumerate(sizes) if size * held_width > cap]
+            if over:
+                i = over[0]
+                assert got == (f"vertex enumeration after cut {i}, {names[i]}: {sizes[i]} "
+                               f"vectors of {held_width} integers, {sizes[i] * held_width} "
+                               f"in all, over the cap of {cap} integers"), cap
+            elif lifted > cap:
+                assert got == (f"vertex enumeration lifted to {f.n_lambda} lambda columns: "
+                               f"{len(expected)} vectors of {width} integers, {lifted} in "
+                               f"all, over the cap of {cap} integers"), cap
+            else:
+                assert got == expected, cap
+
+    def test_the_lifted_set_is_counted_before_it_is_built(self, monkeypatch):
+        # One merged column: the run holds at most 6 rays, whose lifts to the
+        # three columns are the 18 vertices of a triangle times a hexagon.
+        f = TestCapMessage.equal_columns()
+        sizes, _ = self.held(f)
+        assert max(sizes) == 6 and enumerate_vertices(f).count == 18
+        monkeypatch.setattr(verify, "_lifts", None)
+        for cap in range(6, 18):
+            with pytest.raises(TooLargeToEnumerate,
+                               match=fr"^vertex enumeration lifted to 3 lambda columns: 18 "
+                                     fr"vertices, over the cap of {cap}$"):
+                enumerate_vertices(f, max_vertices=cap)
 
     def test_without_duplicates_the_run_is_unchanged(self, monkeypatch):
         # SOS columns all differ, so nothing is merged or lifted.
