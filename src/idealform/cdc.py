@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, combinations, islice
 from math import comb
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .encoding import Encoding, check_int, code_bounds, is_hole_free, is_in_convex_position
 from .errors import (
@@ -148,12 +148,18 @@ def spanned_hyperplane_normals(directions) -> tuple[tuple[int, ...], ...]:
     is the hyperplane's normal inside the span. The walk goes depth-first
     in combinations order, one pivot step per level from the complement's
     pivots, and prunes a branch at the first direction dependent on its
-    prefix; each leaf reads its normal from its pivots. For m = 1 the empty
-    subset leaves the line itself. Results are deduplicated and sorted.
-    Directions of unequal lengths raise InputError; directions of rank 0,
-    none at all included, raise NoDirections; more than DEFAULT_SUBSET_CAP
-    subsets, C(k, m-1) for k directions and a bound on the leaves, raise
-    TooManyDirections before the walk.
+    prefix. It stops one level short of the leaves, at m - 2 directions,
+    where the pivots have rank r - 2 and a two-dimensional kernel, the
+    pencil spanned by u and v. A later direction d completes the subset
+    exactly when u.d and v.d are not both zero, and the leaf's kernel is
+    then the one line of the pencil orthogonal to d, spanned by
+    (v.d) u - (u.d) v; in primitive form that is the tuple the leaf's own
+    elimination gives, so each leaf costs two dot products. For m = 1 the
+    empty subset leaves the line itself. Results are deduplicated and
+    sorted. Directions of unequal lengths raise InputError; directions of
+    rank 0, none at all included, raise NoDirections; more than
+    DEFAULT_SUBSET_CAP subsets, C(k, m-1) for k directions and a bound on
+    the leaves, raise TooManyDirections before the walk.
     """
     dirs = list(directions)
     r = len(dirs[0]) if dirs else 0
@@ -171,18 +177,28 @@ def spanned_hyperplane_normals(directions) -> tuple[tuple[int, ...], ...]:
             f"{len(dirs)} directions of rank {m} give {subsets} subsets, "
             f"over the enumeration cap of {DEFAULT_SUBSET_CAP}"
         )
+    pivots = reduce(pivot_step, complement, [])
+    if m == 1:
+        return (pivot_kernel(pivots, r)[0],)
     normals: set[tuple[int, ...]] = set()
 
     def walk(pivots, first: int, left: int) -> None:
         if not left:
-            normals.add(pivot_kernel(pivots, r)[0])
+            u, v = pivot_kernel(pivots, r)
+            for d in dirs[first:]:
+                a, b = sum(map(mul, u, d)), sum(map(mul, v, d))
+                # u and v are primitive, so with one dot zero the normal is the other.
+                if a and b:
+                    normals.add(primitive([b * x - a * y for x, y in zip(u, v)]))
+                elif a or b:
+                    normals.add(v if b == 0 else u)
             return
-        for j in range(first, len(dirs) - left + 1):
+        for j in range(first, len(dirs) - left):
             extended = pivot_step(pivots, dirs[j])
             if extended is not None:
                 walk(extended, j + 1, left - 1)
 
-    walk(reduce(pivot_step, complement, []), 0, m - 1)
+    walk(pivots, 0, m - 2)
     return tuple(sorted(normals))
 
 

@@ -27,6 +27,15 @@ r = ceil(log2(d)); every other code set runs the hull and the scan.
   points of C, nor of S. A lattice point of conv(S) lies in conv(C), so it
   is a point of C and a vertex of conv(C); a vertex of conv(C) is no
   convex combination of other points of C, so it is a point of S.
+
+Family codes are full-dimensional as well, so their affine hull has no
+equations and none is computed.
+- At the natural width, d > 2^(r-1).
+- An affine hyperplane a.x = b holds at most 2^(r-1) points of {0,1}^r:
+  pair each x with x xor e_i for some i with a_i != 0. The two differ in
+  a.x by +-a_i, so at most one of each pair lies on the hyperplane.
+- G maps hyperplanes to hyperplanes, so the bound holds for Z_r too, and d
+  distinct rows of one full family matrix lie on no common hyperplane.
 """
 
 from __future__ import annotations
@@ -103,8 +112,10 @@ class Encoding:
     # take no part in equality or hashing.
     @cached_property
     def equations(self) -> tuple[tuple[Row, int], ...]:
-        """The affine-hull equations (a, b) of the codes, meaning a . x = b."""
-        return tuple(affine_hull(self.rows))
+        """The affine-hull equations (a, b) of the codes, meaning a . x = b:
+        none for family codes, which are full-dimensional by the lemma in
+        the module docstring."""
+        return () if _from_family(self) else tuple(affine_hull(self.rows))
 
     @cached_property
     def facets(self) -> tuple[tuple[Row, int, int], ...]:

@@ -35,6 +35,10 @@ package implementation, so agreement is evidence rather than tautology:
 * paired rows folded once per ground element over per-element user slots
   (idealform.cdc.rows_for_normals, which folds once per distinct user set,
   replaced it).
+* spanned hyperplanes by a depth-first walk that reaches every leaf
+  subset and eliminates once more there (idealform.cdc.
+  spanned_hyperplane_normals, which stops one level short and reads each
+  leaf from a pencil of normals by two dot products, replaced it).
 * the jumps of a piecewise-linear function, each one-sided value recomputed
   in Fraction from the raw entries (idealform.pwl.PwlFunction.jumps, which
   compares the cached segment ends of the stored entries, replaced the
@@ -54,7 +58,8 @@ from typing import Sequence
 
 from idealform.errors import InputError, TooLargeToEnumerate
 from idealform.formulation import GeneralRow
-from idealform.linalg import Vec, dd_cut, independent_rows, kernel, vec
+from idealform.linalg import (Vec, dd_cut, independent_rows, kernel, pivot_kernel, pivot_step,
+                              vec)
 from idealform.verify import _cone_and_cuts
 
 F0 = Fraction(0)
@@ -206,6 +211,34 @@ def hyperplane_normals_all_subsets(directions) -> set[tuple[int, ...]]:
             assert len(kernel) == 1
             found.add(primitive_canonical(kernel[0]))
     return found
+
+
+def hyperplane_normals_by_subset_walk(directions) -> tuple[tuple[int, ...], ...]:
+    """Sorted primitive normals of the hyperplanes of span(directions) that
+    (m-1)-subsets of the directions span, m their rank: a depth-first walk
+    in combinations order, one pivot step per level from the pivots of the
+    span's complement, pruned at a dependent direction, with each leaf's
+    normal read from the one-dimensional kernel of its own pivots."""
+    dirs = list(directions)
+    r = len(dirs[0])
+    complement = kernel(dirs, r)
+    m = r - len(complement)
+    normals: set[tuple[int, ...]] = set()
+
+    def walk(pivots, first: int, left: int) -> None:
+        if not left:
+            normals.add(pivot_kernel(pivots, r)[0])
+            return
+        for j in range(first, len(dirs) - left + 1):
+            extended = pivot_step(pivots, dirs[j])
+            if extended is not None:
+                walk(extended, j + 1, left - 1)
+
+    pivots = []
+    for row in complement:
+        pivots = pivot_step(pivots, row)
+    walk(pivots, 0, m - 1)
+    return tuple(sorted(normals))
 
 
 def vertices_by_tight_subsets(dim, equalities, inequalities) -> set[Vec]:

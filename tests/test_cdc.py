@@ -38,7 +38,12 @@ from idealform.errors import (
 from idealform.formulation import GeneralRow, LinearEquality
 from idealform.linalg import rank
 from idealform.pwl import PwlFunction, pwl_formulation, pwl_ground_set
-from oracles import hyperplane_normals_all_subsets, rows_by_covering_lists, rows_by_slots
+from oracles import (
+    hyperplane_normals_all_subsets,
+    hyperplane_normals_by_subset_walk,
+    rows_by_covering_lists,
+    rows_by_slots,
+)
 
 
 def sos2(d):
@@ -221,7 +226,46 @@ class TestSpannedHyperplaneNormals:
         [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 1)],
     ])
     def test_rank_deficient_sets_match_the_oracle(self, dirs):
-        assert set(spanned_hyperplane_normals(dirs)) == hyperplane_normals_all_subsets(dirs)
+        got = spanned_hyperplane_normals(dirs)
+        assert set(got) == hyperplane_normals_all_subsets(dirs)
+        assert got == hyperplane_normals_by_subset_walk(dirs)
+
+
+def sos(d, width):
+    """Windows of ``width`` consecutive ground elements, one per alternative."""
+    return cdc(d + width - 1, [range(i, i + width) for i in range(1, d + 1)])
+
+
+class TestPencilAgainstSubsetWalk:
+    """The pencil walk gives the tuple of the walk that eliminates at every
+    leaf, on inputs past the reach of the all-subsets oracle."""
+
+    @given(data=st.data())
+    @settings(max_examples=250, deadline=None)
+    def test_matches_the_subset_walk(self, data):
+        # Up to 14 directions in r <= 7: g <= r generators, then integer
+        # combinations of them, in a drawn order. g < r leaves a nonempty
+        # complement, and g = 1 and g = 2 give m = 1 and m = 2 when the
+        # generators are independent.
+        r = data.draw(st.integers(1, 7), label="r")
+        g = data.draw(st.integers(1, r), label="g")
+        generators = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * r),
+                                        min_size=g, max_size=g), label="generators")
+        weights = st.tuples(*[st.integers(-2, 2)] * g)
+        combined = [tuple(sum(w * v[j] for w, v in zip(ws, generators)) for j in range(r))
+                    for ws in data.draw(st.lists(weights, max_size=14 - g), label="weights")]
+        dirs = data.draw(st.permutations(generators + combined), label="directions")
+        assume(rank(dirs))
+        assert spanned_hyperplane_normals(dirs) == hyperplane_normals_by_subset_walk(dirs)
+
+    @pytest.mark.parametrize("kind", [EncodingKind.GRAY, EncodingKind.ZIGZAG])
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_sos_ladders(self, width, kind):
+        # Each distinct direction set of SOS2-4 at d <= 64, compared once.
+        sets = {difference_directions(intersection_digraph(sos(d, width)),
+                                      make_encoding(d, kind)).deduped for d in range(2, 65)}
+        for dirs in sorted(sets):
+            assert spanned_hyperplane_normals(dirs) == hyperplane_normals_by_subset_walk(dirs)
 
 
 class TestTheorem1Formulation:
@@ -482,8 +526,8 @@ class TestHullComputedOnce:
 
     @pytest.mark.parametrize("kind", [EncodingKind.GRAY, EncodingKind.ZIGZAG])
     def test_family_codes_need_no_facets(self, monkeypatch, kind):
-        # Both gates hold by proof; only the dimension condition reads the
-        # affine hull of the codes.
+        # Both gates hold by proof, and family codes are full-dimensional
+        # by proof: no stage computes the code hull or its affine hull.
         enumerated = self.count_facet_enumerations(monkeypatch)
         hulls = []
         original = encoding.affine_hull
@@ -491,7 +535,7 @@ class TestHullComputedOnce:
                             lambda points: hulls.append(points) or original(points))
         e = make_encoding(8, kind)
         theorem1_formulation(sos2(8), e)
-        assert enumerated == [] and hulls == [e.rows]
+        assert enumerated == [] and hulls == []
 
     @pytest.mark.parametrize("rows", [
         # Natural width, but -1 is in no family matrix.

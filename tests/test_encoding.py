@@ -29,6 +29,7 @@ from idealform.errors import (
     TooFewAlternatives,
     TooLargeToEnumerate,
 )
+from idealform.linalg import affine_hull
 from oracles import (
     convex_position_by_simplex,
     facets_from_kernel_start_cone,
@@ -380,6 +381,23 @@ class TestFamilyLemma:
         assert encoding._from_family(e) is by_proof
         assert is_in_convex_position(e) is convex_position_by_simplex(rows) is True
         assert is_hole_free(e) is hole_free_by_box(e) is True
+
+    @pytest.mark.parametrize("kind", [EncodingKind.GRAY, EncodingKind.ZIGZAG])
+    def test_family_prefixes_have_no_hull_equations(self, kind):
+        for d in range(2, 65):
+            e = make_encoding(d, kind)
+            assert e.equations == () and affine_hull(e.rows) == [] and e.dim == e.r, d
+
+    @given(st.integers(1, 6), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_family_subsets_have_no_hull_equations(self, r, data):
+        # Any rows of one full family matrix, as many as need width r.
+        matrix = data.draw(st.sampled_from([gray_matrix, zigzag_matrix]))(r)
+        d = data.draw(st.integers(2 ** (r - 1) + 1, 2**r))
+        rows = data.draw(st.permutations(matrix))[:d]
+        e = Encoding(rows)
+        assert encoding._from_family(e)
+        assert e.equations == () and affine_hull(rows) == []
 
     @pytest.mark.parametrize("rows", [
         gray_matrix(3)[:4],  # two bits would do
