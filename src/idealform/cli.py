@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import copy
 import functools
-import json
 import sys
 import warnings
 from dataclasses import replace
@@ -38,6 +37,7 @@ from .documents import (
     document_text,
     emit_structured,
     formulation_from_document,
+    load_json,
     parse_problem,
     verification_summary,
 )
@@ -64,7 +64,7 @@ def _read_text(path: str) -> str:
         return sys.stdin.read()
     try:
         return Path(path).read_text()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise InputError(f"cannot read {path}: {err}") from err
 
 
@@ -240,10 +240,7 @@ def _cmd_annulus(args) -> int:
 
 def _cmd_verify(args) -> int:
     doc = parse_problem(_read_text(args.problem))
-    try:
-        raw = json.loads(_read_text(args.formulation))
-    except json.JSONDecodeError as err:
-        raise InputError(f"formulation document is not valid JSON: {err}") from err
+    raw = load_json(_read_text(args.formulation), "formulation document is ")
     f, _ = formulation_from_document(raw)
     report, passed = _run_check(args.check, doc.disjunction(), doc.encoding(), f,
                                 args.max_enum)

@@ -303,12 +303,17 @@ _PARSERS = {"cdc": _parse_cdc, "pwl": _parse_pwl, "annulus": _parse_annulus}
 PROBLEM_KINDS = tuple(_PARSERS)
 
 
+def load_json(text: str, prefix: str = ""):
+    """The value of a JSON text; an InputError starting with prefix if none."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as err:  # a JSON error, an int over its digit limit
+        raise InputError(f"{prefix}not valid JSON: {err}") from err
+
+
 def parse_problem(text: str) -> ProblemDocument:
     """Parse and fully validate a JSON problem document."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise InputError(f"not valid JSON: {err}") from err
+    raw = load_json(text)
     if not isinstance(raw, dict):
         raise InputError("the top level must be a JSON object")
     kind = _choice(raw.get("kind"), "kind", PROBLEM_KINDS)
@@ -365,7 +370,7 @@ def emit_structured(
             "points": points,
         }
     if provenance is not None:
-        doc["provenance"] = dict(provenance)
+        doc["provenance"] = {**provenance}
     if verification is not None:
         doc["verification"] = verification_summary(verification)
     return doc

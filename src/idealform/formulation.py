@@ -15,16 +15,13 @@ The model it describes, over variables lambda_1..lambda_n and z_1..z_r:
 This module alone knows a formulation's field names and sizes: the size
 checks at construction and the certificates' integer check both read the
 one walk ``integer_fields``, and format a field's name only to report it.
-A field of the wrong type, such as a bound that is no pair or a plain tuple
-among the general rows, stops that walk on a Python error; a second walk
-then finds the field and names it, so valid input is walked once.
+A field of the wrong Python type ends in the error Python raises for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Real
 from operator import gt
 
 from .errors import InputError
@@ -50,17 +47,10 @@ class GeneralRow:
     upper: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        try:
-            if not any(self.normal):
-                raise InputError("a general row needs a nonzero normal")
-            if any(map(gt, self.lower, self.upper)):
-                raise InputError("row lower coefficients exceed the upper ones")
-        except TypeError:
-            names = ("normal", "lower", "upper")
-            if (fault := _misfit((f"general row {name}", getattr(self, name))
-                                 for name in names)) is None:
-                raise
-            raise InputError(fault) from None
+        if not any(self.normal):
+            raise InputError("a general row needs a nonzero normal")
+        if any(map(gt, self.lower, self.upper)):
+            raise InputError("row lower coefficients exceed the upper ones")
 
 
 @dataclass(frozen=True)
@@ -72,21 +62,18 @@ class Formulation:
     z_bounds: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        try:
-            for key, i, entries, size in integer_fields(self):
-                if len(entries) != size:
-                    what = "a [lo, hi] pair" if key is _BOUND else f"{size} entries, got {len(entries)}"
-                    raise InputError(f"{key.format(i)}: expected {what}")
-            if len(self.z_bounds) != self.r_z:
-                raise InputError(f"variables.z.bounds: expected {self.r_z} [lo, hi] pairs, "
-                                 f"got {len(self.z_bounds)}")
-            for k, (lo, hi) in enumerate(self.z_bounds):
-                if lo > hi:
-                    raise InputError(f"variables.z.bounds[{k}]: z bounds need lo <= hi")
-        except (TypeError, AttributeError):
-            if (fault := _formulation_misfit(self)) is None:
-                raise
-            raise InputError(fault) from None
+        if self.n_lambda < 1:
+            raise InputError(f"variables.lambda.count: expected at least 1, got {self.n_lambda}")
+        for key, i, entries, size in integer_fields(self):
+            if len(entries) != size:
+                what = "a [lo, hi] pair" if key is _BOUND else f"{size} entries, got {len(entries)}"
+                raise InputError(f"{key.format(i)}: expected {what}")
+        if len(self.z_bounds) != self.r_z:
+            raise InputError(f"variables.z.bounds: expected {self.r_z} [lo, hi] pairs, "
+                             f"got {len(self.z_bounds)}")
+        for k, (lo, hi) in enumerate(self.z_bounds):
+            if lo > hi:
+                raise InputError(f"variables.z.bounds[{k}]: z bounds need lo <= hi")
 
     @property
     def gamma(self) -> int:
@@ -111,31 +98,6 @@ def integer_fields(f: Formulation):
         yield "general_rows[{}].normal", i, g.normal, r
         yield "general_rows[{}].lower", i, g.lower, n
         yield "general_rows[{}].upper", i, g.upper, n
-
-
-def _misfit(fields) -> str | None:
-    """The first (name, value) of ``fields`` whose value is no sequence of
-    numbers, named with the reason, or None when there is none."""
-    for name, value in fields:
-        if not isinstance(value, (tuple, list)):
-            return f"{name}: expected a sequence, got {type(value).__name__}"
-        if bad := [x for x in value if not isinstance(x, Real)]:
-            return f"{name}: expected numbers, got {bad[0]!r}"
-    return None
-
-
-def _formulation_misfit(f: Formulation) -> str | None:
-    """The first field of f of the wrong type, named as in a formulation
-    document, or None when there is none."""
-    for key, items, kind in (("variables.z.bounds", f.z_bounds, None),
-                             ("equalities", f.equalities, LinearEquality),
-                             ("general_rows", f.general_rows, GeneralRow)):
-        if not isinstance(items, (tuple, list)):
-            return f"{key}: expected a sequence, got {type(items).__name__}"
-        for i, item in enumerate(items):
-            if kind is not None and type(item) is not kind:
-                return f"{key}[{i}]: expected a {kind.__name__}, got {type(item).__name__}"
-    return _misfit((key.format(i), entries) for key, i, entries, _ in integer_fields(f))
 
 
 @dataclass(frozen=True)

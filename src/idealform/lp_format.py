@@ -15,15 +15,16 @@ out through ``filter`` and ``compress``, and each nonzero coefficient maps
 to its "+ 3 " or "- 3 " prefix through a dict filled once per emit. Prefixes
 and names, space-suffixed once per emit, fill alternate slots of one list,
 joined once less its last space, so no string is made per term. Row fields
-may be any sequences, tuples or lists. The bytes are checked against the
-per-term writer kept as a test oracle.
+may be any sequences, tuples or lists; a non-int entry raises InputError.
+The bytes are checked against the per-term writer kept as a test oracle.
 """
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import chain, compress
 from operator import neg
 
+from .errors import InputError
 from .formulation import Formulation
 
 __all__ = ["emit_lp_text"]
@@ -33,11 +34,16 @@ class _Prefixes(dict):
     """Coefficient -> its term prefix, '+ 3 ' or '- 3 ', made on first use."""
 
     def __missing__(self, coeff):
+        if type(coeff) is not int:
+            raise InputError(f"LP text holds integers only, got {coeff!r}")
         prefix = self[coeff] = f"- {abs(coeff)} " if coeff < 0 else f"+ {coeff} "
         return prefix
 
 
 def emit_lp_text(f: Formulation) -> str:
+    numbers = chain([eq.rhs for eq in f.equalities], *f.z_bounds)
+    if bad := [x for x in numbers if type(x) is not int]:
+        raise InputError(f"LP text holds integers only, got {bad[0]!r}")
     lam = [f"lambda_{v}" for v in range(1, f.n_lambda + 1)]
     z = [f"z_{k}" for k in range(1, f.r_z + 1)]
     lam_z = [f"{name} " for name in lam + z]

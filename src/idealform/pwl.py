@@ -60,11 +60,7 @@ class PwlFunction:
 
     def __post_init__(self) -> None:
         for field in ("breakpoints", "slopes", "intercepts"):
-            try:
-                values = tuple(getattr(self, field))
-            except TypeError:
-                raise InputError(f"{field}: expected a sequence of ints or Fractions, "
-                                 f"got {type(getattr(self, field)).__name__}") from None
+            values = tuple(getattr(self, field))
             kinds = set(map(type, values))
             if kinds - {int}:  # only then a second pass: ints are the common case
                 if bad := sorted(t.__name__ for t in kinds - {int, Fraction}):

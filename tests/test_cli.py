@@ -743,6 +743,49 @@ def _disconnected_doc(tmp_path):
     return path
 
 
+class TestMalformedFiles:
+    """Bytes the JSON reader or the text decoder refuses end in one error
+    line, never a traceback."""
+
+    @staticmethod
+    def assert_one_error_line(code, out, err, codes=(1,)):
+        assert code in codes and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_nested_arrays_past_the_recursion_limit(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run(capsys, "formulate", str(path))
+        self.assert_one_error_line(code, out, err)
+        assert err.startswith("error: not valid JSON: ")
+
+    def test_an_integer_past_the_digit_limit(self, capsys, tmp_path):
+        path = tmp_path / "digits.json"
+        path.write_text('{"kind": "annulus", "annulus": {"d": ' + "9" * 5000 + "}}")
+        code, out, err = run(capsys, "formulate", str(path))
+        # Some 3.10 patch releases have no digit limit and read the integer.
+        self.assert_one_error_line(code, out, err, codes=(1, 2, 3, 4))
+
+    @pytest.mark.parametrize("command", ["formulate", "verify"])
+    def test_a_file_that_is_not_utf8(self, capsys, tmp_path, write_doc, command):
+        path = tmp_path / "bytes.json"
+        path.write_bytes(b"\xff\xfe{}")
+        argv = [str(path)] if command == "formulate" else [write_doc(SOS2_DOC), str(path)]
+        code, out, err = run(capsys, command, *argv)
+        self.assert_one_error_line(code, out, err)
+
+    def test_a_formulation_without_lambda_variables(self, capsys, write_doc, tmp_path):
+        problem = write_doc(SOS2_DOC)
+        formulation = tmp_path / "f.json"
+        run(capsys, "formulate", problem, "--out", str(formulation))
+        doc = json.loads(formulation.read_text())
+        doc["variables"]["lambda"]["count"] = 0
+        formulation.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", problem, str(formulation))
+        self.assert_one_error_line(code, out, err)
+        assert err == "error: variables.lambda.count: expected at least 1, got 0\n"
+
+
 class TestProcessLevel:
     """The module and the console script really exit with the mapped codes."""
 

@@ -483,25 +483,25 @@ class TestCertificatesDecideInIntegers:
          "variables.z.bounds[0]: expected a [lo, hi] pair"),
         (lambda: Formulation(1, 1, (), (), ((0, 1, 2),)),
          "variables.z.bounds[0]: expected a [lo, hi] pair"),
-        # Fields of the wrong type, named where the size walk stops on them.
-        (lambda: Formulation(1, 1, (), (), (5,)),
-         "variables.z.bounds[0]: expected a sequence, got int"),
-        (lambda: Formulation(1, 1, (), (), ((None, 1),)),
-         "variables.z.bounds[0]: expected numbers, got None"),
-        (lambda: Formulation(1, 1, None, (), ((0, 1),)),
-         "equalities: expected a sequence, got NoneType"),
-        (lambda: Formulation(1, 1, (LinearEquality(None, (0,), 1),), (), ((0, 1),)),
-         "equalities[0].lambda: expected a sequence, got NoneType"),
-        (lambda: Formulation(1, 1, (), (((1,), (0,), (1,)),), ((0, 1),)),
-         "general_rows[0]: expected a GeneralRow, got tuple"),
-        (lambda: Formulation(1, 1, (), 7, ((0, 1),)),
-         "general_rows: expected a sequence, got int"),
-        (lambda: GeneralRow(5, (0,), (1,)), "general row normal: expected a sequence, got int"),
-        (lambda: GeneralRow((1,), None, (1,)), "general row lower: expected a sequence, got NoneType"),
-        (lambda: GeneralRow((1,), (0,), (None,)), "general row upper: expected numbers, got None"),
     ])
     def test_python_api_faults_are_input_errors(self, build, message):
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            build()
+
+    # Fields of the wrong Python type end in the error Python raises for them.
+    @pytest.mark.parametrize("build, error", [
+        (lambda: Formulation(1, 1, (), (), (5,)), TypeError),
+        (lambda: Formulation(1, 1, (), (), ((None, 1),)), TypeError),
+        (lambda: Formulation(1, 1, None, (), ((0, 1),)), TypeError),
+        (lambda: Formulation(1, 1, (LinearEquality(None, (0,), 1),), (), ((0, 1),)), TypeError),
+        (lambda: Formulation(1, 1, (), (((1,), (0,), (1,)),), ((0, 1),)), AttributeError),
+        (lambda: Formulation(1, 1, (), 7, ((0, 1),)), TypeError),
+        (lambda: GeneralRow(5, (0,), (1,)), TypeError),
+        (lambda: GeneralRow((1,), None, (1,)), TypeError),
+        (lambda: GeneralRow((1,), (0,), (None,)), TypeError),
+    ])
+    def test_python_type_faults_are_python_errors(self, build, error):
+        with pytest.raises(error):
             build()
 
 
