@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, combinations, islice
 from math import comb
-from operator import itemgetter, mul
+from operator import itemgetter, mul, sub
 
 from .encoding import Encoding, check_int, code_bounds, is_hole_free, is_in_convex_position
 from .errors import (
@@ -87,14 +87,21 @@ class IntersectionDigraph:
     arcs: tuple[Arc, ...]  # (i, j) with i < j, 1-based, sorted
 
 
+def _element_users(c: Cdc) -> list[tuple[int, ...]]:
+    """Per ground element, the 0-based indices of the alternatives using it, ascending."""
+    users: list[list[int]] = [[] for _ in range(c.n)]
+    for i, alternative in enumerate(c.alternatives):
+        for v in alternative:
+            users[v - 1].append(i)
+    return list(map(tuple, users))
+
+
 def intersection_digraph(c: Cdc) -> IntersectionDigraph:
-    """Arcs between every pair of alternatives that share a ground element."""
-    arcs = tuple(
-        (i, j)
-        for i, j in combinations(range(1, c.d + 1), 2)
-        if c.alternatives[i - 1] & c.alternatives[j - 1]
-    )
-    return IntersectionDigraph(d=c.d, arcs=arcs)
+    """Arcs between every pair of alternatives that share a ground element:
+    the pairs within each distinct list of an element's users."""
+    arcs = {(i + 1, j + 1) for users in set(_element_users(c))
+            for i, j in combinations(users, 2)}
+    return IntersectionDigraph(d=c.d, arcs=tuple(sorted(arcs)))
 
 
 def is_weakly_connected(g: IntersectionDigraph) -> bool:
@@ -126,11 +133,8 @@ class DifferenceDirections:
 def difference_directions(g: IntersectionDigraph, e: Encoding) -> DifferenceDirections:
     if g.d != e.d:
         raise InputError(f"digraph has {g.d} nodes but encoding has {e.d} rows")
-    canon = {
-        primitive(tuple(a - b for a, b in zip(e.rows[j - 1], e.rows[i - 1])))
-        for i, j in g.arcs
-    }
-    return DifferenceDirections(deduped=tuple(sorted(canon)))
+    steps = {tuple(map(sub, e.rows[j - 1], e.rows[i - 1])) for i, j in g.arcs}
+    return DifferenceDirections(deduped=tuple(sorted(set(map(primitive, steps)))))
 
 
 def check_dim_condition(dirs: DifferenceDirections, e: Encoding) -> bool:
@@ -155,11 +159,18 @@ def spanned_hyperplane_normals(directions) -> tuple[tuple[int, ...], ...]:
     then the one line of the pencil orthogonal to d, spanned by
     (v.d) u - (u.d) v; in primitive form that is the tuple the leaf's own
     elimination gives, so each leaf costs two dot products. For m = 1 the
-    empty subset leaves the line itself. Results are deduplicated and
-    sorted. Directions of unequal lengths raise InputError; directions of
-    rank 0, none at all included, raise NoDirections; more than
-    DEFAULT_SUBSET_CAP subsets, C(k, m-1) for k directions and a bound on
-    the leaves, raise TooManyDirections before the walk.
+    empty subset leaves the line itself. The walk enters each flat once:
+    pivot_step keeps a node's pivots in reduced echelon form with primitive
+    rows, so sorted by column they name the node's span, and a node whose
+    span was seen is skipped. Combinations order reaches a flat first
+    through its lexicographically first basis, whose i-th index is at most
+    that of any other basis (Oxley, Matroid Theory, 1992); its last index is
+    the smallest, so its subtree holds each later basis's subtree and a skip
+    loses no leaf. Results are deduplicated and sorted. Directions of
+    unequal lengths raise InputError; directions of rank 0, none at all
+    included, raise NoDirections; more than DEFAULT_SUBSET_CAP subsets,
+    C(k, m-1) for k directions and a bound on the leaves, raise
+    TooManyDirections before the walk.
     """
     dirs = list(directions)
     r = len(dirs[0]) if dirs else 0
@@ -181,6 +192,7 @@ def spanned_hyperplane_normals(directions) -> tuple[tuple[int, ...], ...]:
     if m == 1:
         return (pivot_kernel(pivots, r)[0],)
     normals: set[tuple[int, ...]] = set()
+    flats: set[tuple[tuple[int, ...], ...]] = set()
 
     def walk(pivots, first: int, left: int) -> None:
         if not left:
@@ -196,7 +208,10 @@ def spanned_hyperplane_normals(directions) -> tuple[tuple[int, ...], ...]:
         for j in range(first, len(dirs) - left):
             extended = pivot_step(pivots, dirs[j])
             if extended is not None:
-                walk(extended, j + 1, left - 1)
+                flat = tuple(tuple(row) for _, row in sorted(extended))
+                if flat not in flats:
+                    flats.add(flat)
+                    walk(extended, j + 1, left - 1)
 
     walk(pivots, 0, m - 2)
     return tuple(sorted(normals))
@@ -295,12 +310,8 @@ def rows_for_normals(c: Cdc, e: Encoding, normals) -> tuple[GeneralRow, ...]:
     is normal . code from the code columns (a first column of weight 1 as
     it is), one ``itemgetter`` pick per slot and a pairwise fold over them.
     """
-    users: list[list[int]] = [[] for _ in range(c.n)]
-    for i, alternative in enumerate(c.alternatives):
-        for v in alternative:
-            users[v - 1].append(i)
     sets: dict[tuple[int, ...], int] = {}
-    spread = _getter([sets.setdefault(u, len(sets)) for u in map(tuple, users)])
+    spread = _getter([sets.setdefault(u, len(sets)) for u in _element_users(c)])
     picks = [_getter([u[j] if j < len(u) else u[0] for u in sets])
              for j in range(max(map(len, sets)))]
     columns = list(zip(*e.rows))

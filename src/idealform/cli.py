@@ -55,15 +55,33 @@ _FAMILY_NAMES = [kind.value for kind in EncodingKind]
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems on exit code 1, not 2."""
 
+    commands: dict[str, argparse.ArgumentParser] = {}
+
     def error(self, message):
         raise InputError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        # Straight to the subcommand's parser, into a fresh namespace as under the full tree.
+        parser = self.commands.get(args[0]) if args else None
+        if parser is None:
+            return super().parse_known_args(args, namespace)
+        parsed, extras = parser.parse_known_args(args[1:], argparse.Namespace(command=args[0]))
+        if namespace is None:
+            return parsed, extras
+        vars(namespace).update(vars(parsed))
+        return namespace, extras
 
 
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     try:
-        return Path(path).read_text()
+        try:
+            with open(path) as f:
+                return f.read()
+        except OSError:
+            # pathlib reads "" as "." and "x/" as "x", and names the path so.
+            return Path(path).read_text()
     except (OSError, UnicodeDecodeError) as err:
         raise InputError(f"cannot read {path}: {err}") from err
 
@@ -73,7 +91,11 @@ def _write_payload(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         return
     try:
-        Path(out).write_text(text)
+        try:
+            with open(out, "w") as f:
+                f.write(text)
+        except OSError:
+            Path(out).write_text(text)  # as in _read_text
     except OSError as err:
         raise InputError(f"cannot write {out}: {err}") from err
 
@@ -152,6 +174,7 @@ def _parser_tree() -> argparse.ArgumentParser:
     p.add_argument("--check", choices=["validity", "ideal"], default="ideal")
     p.add_argument("--max-enum", type=_enum_cap, default=None, metavar="N")
 
+    parser.commands = sub.choices
     return parser
 
 

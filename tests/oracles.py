@@ -34,11 +34,17 @@ package implementation, so agreement is evidence rather than tautology:
   as ints, replaced it),
 * paired rows folded once per ground element over per-element user slots
   (idealform.cdc.rows_for_normals, which folds once per distinct user set,
-  replaced it).
+  replaced it),
 * spanned hyperplanes by a depth-first walk that reaches every leaf
   subset and eliminates once more there (idealform.cdc.
   spanned_hyperplane_normals, which stops one level short and reads each
-  leaf from a pencil of normals by two dot products, replaced it).
+  leaf from a pencil of normals by two dot products, replaced it),
+* the intersection digraph by testing every pair of alternatives for a
+  shared element (idealform.cdc.intersection_digraph, which pairs the
+  users of each element, replaced it),
+* difference directions with one primitive form per arc (idealform.cdc.
+  difference_directions, which takes one per distinct code step,
+  replaced it),
 * the jumps of a piecewise-linear function, each one-sided value recomputed
   in Fraction from the raw entries (idealform.pwl.PwlFunction.jumps, which
   compares the cached segment ends of the stored entries, replaced the
@@ -239,6 +245,22 @@ def hyperplane_normals_by_subset_walk(directions) -> tuple[tuple[int, ...], ...]
         pivots = pivot_step(pivots, row)
     walk(pivots, 0, m - 1)
     return tuple(sorted(normals))
+
+
+def intersection_arcs_all_pairs(c) -> tuple[tuple[int, int], ...]:
+    """The arcs (i, j), i < j, 1-based and sorted, between every pair of
+    alternatives whose element sets meet, each pair tested."""
+    return tuple((i, j) for i, j in combinations(range(1, c.d + 1), 2)
+                 if c.alternatives[i - 1] & c.alternatives[j - 1])
+
+
+def difference_directions_per_arc(arcs, e) -> tuple[tuple[int, ...], ...]:
+    """The distinct primitive forms of the code differences h_j - h_i, one
+    computed per arc, sorted."""
+    return tuple(sorted({
+        primitive_canonical([a - b for a, b in zip(e.rows[j - 1], e.rows[i - 1])])
+        for i, j in arcs
+    }))
 
 
 def vertices_by_tight_subsets(dim, equalities, inequalities) -> set[Vec]:

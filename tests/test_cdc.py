@@ -5,6 +5,7 @@ import re
 import sys
 import time
 from functools import cached_property
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -39,10 +40,14 @@ from idealform.formulation import GeneralRow, LinearEquality
 from idealform.linalg import rank
 from idealform.pwl import PwlFunction, pwl_formulation, pwl_ground_set
 from oracles import (
+    difference_directions_per_arc,
     hyperplane_normals_all_subsets,
     hyperplane_normals_by_subset_walk,
+    intersection_arcs_all_pairs,
+    nullspace,
     rows_by_covering_lists,
     rows_by_slots,
+    rref,
 )
 
 
@@ -149,6 +154,53 @@ class TestDifferenceDirections:
         c = cdc(4, [(1, 2), (3, 4)])
         e = make_encoding(2, EncodingKind.GRAY)
         assert not check_dim_condition(difference_directions(intersection_digraph(c), e), e)
+
+
+@st.composite
+def connected_problems(draw):
+    """(cdc, encoding) with a connected digraph: each alternative after the
+    first takes an element of an earlier one, and alternatives draw from a
+    small ground set, so many share several elements. The codes are a
+    family's or explicit."""
+    d = draw(st.integers(2, 12), label="d")
+    n = draw(st.integers(1, 8), label="n")
+    alternatives = [set(draw(st.lists(st.integers(1, n), min_size=1, max_size=n)))
+                    for _ in range(d)]
+    for i in range(1, d):
+        earlier = sorted(alternatives[draw(st.integers(0, i - 1))])
+        alternatives[i].add(draw(st.sampled_from(earlier)))
+    for v in set(range(1, n + 1)).difference(*alternatives):
+        alternatives[draw(st.integers(0, d - 1))].add(v)
+    c = cdc(n, alternatives)
+    kind = draw(st.sampled_from([*EncodingKind, None]), label="kind")
+    if kind is None:  # explicit codes
+        r = draw(st.integers(1, 4), label="r")
+        return c, Encoding(draw(st.lists(st.tuples(*[st.integers(-3, 3)] * r),
+                                         min_size=d, max_size=d, unique=True)))
+    return c, make_encoding(d, kind)
+
+
+class TestDigraphAndDirectionsAgainstOracles:
+    """Arcs from each element's users against every pair tested, and one
+    primitive form per distinct step against one per arc."""
+
+    @given(connected_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_random_connected_problems(self, problem):
+        c, e = problem
+        g = intersection_digraph(c)
+        assert g.arcs == intersection_arcs_all_pairs(c)
+        assert is_weakly_connected(g)
+        assert difference_directions(g, e).deduped == difference_directions_per_arc(g.arcs, e)
+
+    @pytest.mark.parametrize("kind", [EncodingKind.GRAY, EncodingKind.ZIGZAG])
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_sos_windows(self, width, kind):
+        for d in (2, 5, 16, 33):
+            c, e = sos(d, width), make_encoding(d, kind)
+            g = intersection_digraph(c)
+            assert g.arcs == intersection_arcs_all_pairs(c)
+            assert difference_directions(g, e).deduped == difference_directions_per_arc(g.arcs, e)
 
 
 class TestSpannedHyperplaneNormals:
@@ -266,6 +318,27 @@ class TestPencilAgainstSubsetWalk:
                                       make_encoding(d, kind)).deduped for d in range(2, 65)}
         for dirs in sorted(sets):
             assert spanned_hyperplane_normals(dirs) == hyperplane_normals_by_subset_walk(dirs)
+
+
+class TestEachFlatOnce:
+    """The walk enters each flat once, so it builds one pencil per flat."""
+
+    def test_one_pencil_kernel_per_flat(self, monkeypatch):
+        dirs = difference_directions(intersection_digraph(sos(32, 4)),
+                                     make_encoding(32, EncodingKind.GRAY)).deduped
+        calls = []
+        module = sys.modules["idealform.cdc"]
+        monkeypatch.setattr(module, "pivot_kernel",
+                            lambda pivots, r: calls.append(r) or linalg.pivot_kernel(pivots, r))
+        spanned_hyperplane_normals(dirs)
+        # A pencil spans the complement and m - 2 independent directions,
+        # with a later direction left to complete a leaf: so none is the last.
+        r = len(dirs[0])
+        complement = nullspace(dirs, r)
+        m = r - len(complement)
+        spans = (rref([*complement, *subset])[0] for subset in combinations(dirs[:-1], m - 2))
+        flats = {tuple(map(tuple, rows)) for rows in spans if len(rows) == r - 2}
+        assert len(calls) == len(flats) == 277
 
 
 class TestTheorem1Formulation:

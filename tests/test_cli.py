@@ -1,5 +1,6 @@
 """Command-line behavior: documents in, documents out, exit codes."""
 
+import argparse
 import io
 import json
 import shutil
@@ -784,6 +785,108 @@ class TestMalformedFiles:
         code, out, err = run(capsys, "verify", problem, str(formulation))
         self.assert_one_error_line(code, out, err)
         assert err == "error: variables.lambda.count: expected at least 1, got 0\n"
+
+
+class TestFileErrorTexts:
+    """A file that cannot be read or written is named as given, and its
+    error as pathlib gives it, with the path normalised."""
+
+    def test_a_missing_problem(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "formulate", "./x//y.json") == (1, "", (
+            "error: cannot read ./x//y.json: [Errno 2] No such file or directory: 'x/y.json'\n"))
+
+    def test_a_missing_formulation(self, capsys, tmp_path, monkeypatch, write_doc):
+        problem = write_doc(SOS2_DOC)
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "verify", problem, "./x//y.json") == (1, "", (
+            "error: cannot read ./x//y.json: [Errno 2] No such file or directory: 'x/y.json'\n"))
+
+    def test_out_into_a_missing_directory(self, capsys, tmp_path, monkeypatch, write_doc):
+        problem = write_doc(SOS2_DOC)
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "formulate", problem, "--out", "./d//f.json") == (1, "", (
+            "error: cannot write ./d//f.json: [Errno 2] No such file or directory: 'd/f.json'\n"))
+
+    def test_paths_read_as_pathlib_reads_them(self, capsys, tmp_path, monkeypatch, write_doc):
+        # "" is the working directory, and a trailing slash is dropped.
+        write_doc(SOS2_DOC)
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "formulate", "") == (
+            1, "", "error: cannot read : [Errno 21] Is a directory: '.'\n")
+        assert run(capsys, "formulate", "problem.json/", "--out", "f.json/")[0] == 0
+        assert (tmp_path / "f.json").read_text().startswith("{")
+
+
+def _usage_table(problem, formulation, pwl):
+    """argv per subcommand: a valid call, an unknown flag, a missing
+    positional or required flag, a bad choice, --max-enum 0 and --help."""
+    return {
+        "encode": [["--kind", "gray", "--s", "2"], ["--kind", "gray", "--s", "2", "--bogus"],
+                   ["--s", "2"], ["--kind", "red", "--s", "2"],
+                   ["--kind", "gray", "--s", "2", "--max-enum", "0"],
+                   ["--kind", "gray", "--s", "1", "--d", "2"], ["--help"]],
+        "formulate": [[problem, "--check", "none"], [problem, "--bogus"], ["--check", "none"],
+                      [problem, "--encoding", "red"], [problem, "--max-enum", "0"], ["--help"]],
+        "pwl": [[pwl, "--check", "none"], [pwl, "--bogus"], [], [pwl, "--format", "xml"],
+                [pwl, "--max-enum", "0"], ["--help"]],
+        "annulus": [["--d", "4", "--check", "none"], ["--d", "4", "--bogus"], [],
+                    ["--d", "4", "--encoding", "red"], ["--d", "4", "--max-enum", "0"],
+                    ["--help"]],
+        "verify": [[problem, formulation], [problem, formulation, "--bogus"], [problem],
+                   [problem, formulation, "--check", "none"],
+                   [problem, formulation, "--max-enum", "0"], ["--help"]],
+        "": [[], ["--help"], ["nope"], ["--bogus", "encode"]],
+    }
+
+
+class TestSubcommandDispatch:
+    """argv that opens with a subcommand goes straight to its parser, with
+    the result the full tree gives."""
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exit:
+            code = ("exit", exit.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_main_matches_the_full_tree(self, capsys, monkeypatch, write_doc, tmp_path):
+        problem, pwl = write_doc(SOS2_DOC), write_doc(PWL_DOC, "pwl.json")
+        formulation = str(tmp_path / "f.json")
+        assert main(["formulate", problem, "--out", formulation]) == 0
+        capsys.readouterr()
+        for command, argvs in _usage_table(problem, formulation, pwl).items():
+            for argv in argvs:
+                argv = [command, *argv] if command else argv
+                got = self.outcome(capsys, argv)
+                with monkeypatch.context() as full_tree:
+                    full_tree.setattr(cli._Parser, "parse_known_args",
+                                      argparse.ArgumentParser.parse_known_args)
+                    assert got == self.outcome(capsys, argv), argv
+
+    def test_a_subcommand_is_parsed_once(self, monkeypatch):
+        parsed = []
+        scan = argparse.ArgumentParser._parse_known_args
+        monkeypatch.setattr(argparse.ArgumentParser, "_parse_known_args",
+                            lambda self, *args, **kwargs: parsed.append(self.prog)
+                            or scan(self, *args, **kwargs))
+        cli.build_parser().parse_args(["encode", "--kind", "gray", "--s", "1"])
+        assert parsed == ["idealform encode"]
+
+    def test_a_namespace_passed_in_is_filled_as_the_full_tree_fills_it(self, monkeypatch):
+        argv = ["annulus", "--d", "4", "--check", "none"]
+        got = argparse.Namespace(command="x", d=9, out="x.json", kept=1)
+        assert cli.build_parser().parse_args(argv, got) is got
+        with monkeypatch.context() as full_tree:
+            full_tree.setattr(cli._Parser, "parse_known_args",
+                              argparse.ArgumentParser.parse_known_args)
+            expected = cli.build_parser().parse_args(
+                argv, argparse.Namespace(command="x", d=9, out="x.json", kept=1))
+        assert vars(got) == vars(expected)
+        assert (got.command, got.d, got.out, got.kept) == ("annulus", 4, None, 1)
 
 
 class TestProcessLevel:
