@@ -14,7 +14,7 @@ than merely valid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain, combinations, islice
 from math import comb
 from operator import itemgetter, mul, sub
@@ -75,6 +75,17 @@ class Cdc:
     def d(self) -> int:
         return len(self.alternatives)
 
+    # Computed once per disjunction, for the digraph and the rows; not a
+    # field, so it takes no part in equality or hashing.
+    @cached_property
+    def _users(self) -> tuple[tuple[int, ...], ...]:
+        """Per ground element, the 0-based indices of the alternatives using it, ascending."""
+        users: list[list[int]] = [[] for _ in range(self.n)]
+        for i, alternative in enumerate(self.alternatives):
+            for v in alternative:
+                users[v - 1].append(i)
+        return tuple(map(tuple, users))
+
 
 def cdc(n: int, alternatives) -> Cdc:
     """Convenience constructor from any iterable of iterables."""
@@ -87,19 +98,10 @@ class IntersectionDigraph:
     arcs: tuple[Arc, ...]  # (i, j) with i < j, 1-based, sorted
 
 
-def _element_users(c: Cdc) -> list[tuple[int, ...]]:
-    """Per ground element, the 0-based indices of the alternatives using it, ascending."""
-    users: list[list[int]] = [[] for _ in range(c.n)]
-    for i, alternative in enumerate(c.alternatives):
-        for v in alternative:
-            users[v - 1].append(i)
-    return list(map(tuple, users))
-
-
 def intersection_digraph(c: Cdc) -> IntersectionDigraph:
     """Arcs between every pair of alternatives that share a ground element:
     the pairs within each distinct list of an element's users."""
-    arcs = {(i + 1, j + 1) for users in set(_element_users(c))
+    arcs = {(i + 1, j + 1) for users in set(c._users)
             for i, j in combinations(users, 2)}
     return IntersectionDigraph(d=c.d, arcs=tuple(sorted(arcs)))
 
@@ -311,7 +313,7 @@ def rows_for_normals(c: Cdc, e: Encoding, normals) -> tuple[GeneralRow, ...]:
     it is), one ``itemgetter`` pick per slot and a pairwise fold over them.
     """
     sets: dict[tuple[int, ...], int] = {}
-    spread = _getter([sets.setdefault(u, len(sets)) for u in _element_users(c)])
+    spread = _getter([sets.setdefault(u, len(sets)) for u in c._users])
     picks = [_getter([u[j] if j < len(u) else u[0] for u in sets])
              for j in range(max(map(len, sets)))]
     columns = list(zip(*e.rows))

@@ -76,12 +76,7 @@ def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     try:
-        try:
-            with open(path) as f:
-                return f.read()
-        except OSError:
-            # pathlib reads "" as "." and "x/" as "x", and names the path so.
-            return Path(path).read_text()
+        return Path(path).read_text()
     except (OSError, UnicodeDecodeError) as err:
         raise InputError(f"cannot read {path}: {err}") from err
 
@@ -91,11 +86,7 @@ def _write_payload(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         return
     try:
-        try:
-            with open(out, "w") as f:
-                f.write(text)
-        except OSError:
-            Path(out).write_text(text)  # as in _read_text
+        Path(out).write_text(text)
     except OSError as err:
         raise InputError(f"cannot write {out}: {err}") from err
 

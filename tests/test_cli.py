@@ -817,6 +817,13 @@ class TestFileErrorTexts:
         assert run(capsys, "formulate", "problem.json/", "--out", "f.json/")[0] == 0
         assert (tmp_path / "f.json").read_text().startswith("{")
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_a_write_that_fails_after_the_open(self, capsys, write_doc):
+        # The open succeeds and the write fails: one attempt, one error.
+        problem = write_doc(SOS2_DOC)
+        assert run(capsys, "formulate", problem, "--out", "/dev/full") == (1, "", (
+            "error: cannot write /dev/full: [Errno 28] No space left on device\n"))
+
 
 def _usage_table(problem, formulation, pwl):
     """argv per subcommand: a valid call, an unknown flag, a missing
