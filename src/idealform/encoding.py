@@ -9,9 +9,9 @@ hull (convex position) and the hull must contain no other lattice point
 (hole-freeness). Together the gates are what make a formulation over the
 encoding ideal, so they run before any formulation is emitted.
 
-Family codes pass both gates by proof, so each gate returns at once for
-codes that are rows of one full family matrix at the natural width
-r = ceil(log2(d)); every other code set runs the hull and the scan.
+Distinct integer points, codes or not, that are rows of one full family
+matrix at the natural width r = ceil(log2(d)) pass both gates by proof, so
+each gate returns at once for them; other point sets run the hull and scan.
 - The full reflected matrix is {0,1}^r: each of its 2^r rows is a distinct
   binary vector.
 - The full zig-zag matrix is Z_s = Z_{s-1}x{0} + {0, g_s}, with
@@ -28,8 +28,9 @@ r = ceil(log2(d)); every other code set runs the hull and the scan.
   is a point of C and a vertex of conv(C); a vertex of conv(C) is no
   convex combination of other points of C, so it is a point of S.
 
-Family codes are full-dimensional as well, so their affine hull has no
-equations and none is computed.
+Such points are full-dimensional as well, so their affine hull has no
+equations and none is computed. So the embedding points (e^w, h^j) of a
+disjunction, which all lie on sum(lambda) = 1, are never such points.
 - At the natural width, d > 2^(r-1).
 - An affine hyperplane a.x = b holds at most 2^(r-1) points of {0,1}^r:
   pair each x with x xor e_i for some i with a_i != 0. The two differ in
@@ -69,31 +70,11 @@ class EncodingKind(Enum):
 
 
 @dataclass(frozen=True)
-class Encoding:
-    """d distinct integer code vectors of length r, one per alternative."""
+class Hull:
+    """The convex hull of the rows, distinct integer points of one width. Its
+    cached values are not fields, so they take no part in equality or hashing."""
 
     rows: tuple[Row, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))  # rows may be lists
-        if len(self.rows) < 2:
-            raise TooFewAlternatives("an encoding needs at least two rows")
-        width = len(self.rows[0])
-        if width < 1:
-            raise InputError("encoding rows must have at least one coordinate")
-        # Widths and entry types are each read in one C-level pass; an int
-        # subclass other than bool is checked type by type. Only the rows
-        # before the first ragged one are typed, so a bad entry there is
-        # named first, as a row-by-row check would.
-        ragged = next(compress(count(), map(ne, map(len, self.rows), repeat(width))),
-                      len(self.rows))
-        types = set(map(type, chain.from_iterable(self.rows[:ragged])))
-        if types != {int} and not all(issubclass(t, int) and t is not bool for t in types):
-            raise InputError("encoding rows must be integer vectors")
-        if ragged < len(self.rows):
-            raise InputError("encoding rows have unequal lengths")
-        if len(set(self.rows)) != len(self.rows):
-            raise InputError("encoding rows must be pairwise distinct")
 
     @property
     def d(self) -> int:
@@ -105,26 +86,24 @@ class Encoding:
 
     @property
     def dim(self) -> int:
-        """The dimension of the code hull."""
+        """The dimension of the hull."""
         return self.r - len(self.equations)
 
-    # Computed once per encoding; the cached values are not fields, so they
-    # take no part in equality or hashing.
     @cached_property
     def equations(self) -> tuple[tuple[Row, int], ...]:
-        """The affine-hull equations (a, b) of the codes, meaning a . x = b:
-        none for family codes, which are full-dimensional by the lemma in
+        """The affine-hull equations (a, b) of the points, meaning a . x = b:
+        none for family points, which are full-dimensional by the lemma in
         the module docstring."""
-        return () if _from_family(self) else tuple(affine_hull(self.rows))
+        return () if self.in_family else tuple(affine_hull(self.rows))
 
     @cached_property
     def facets(self) -> tuple[tuple[Row, int, int], ...]:
-        """The facets (a, b, mask) of conv(codes), in integers.
+        """The facets (a, b, mask) of conv(rows), in integers.
 
-        Each facet means a . x <= b, and its mask has bit i set when code i
+        Each facet means a . x <= b, and its mask has bit i set when point i
         lies on it. The facets are the extreme rays of the cone of valid
-        inequalities in (a, b)-space, where code h is the cut (h, -1). The
-        start cone is simplicial: the first k + 1 affinely independent codes
+        inequalities in (a, b)-space, where point h is the cut (h, -1). The
+        start cone is simplicial: the first k + 1 affinely independent points
         and the hull equations, which make it pointed. Together they are a
         square nonsingular M, and the ray opposite cut i is -(column i of
         M^-1), the pivot of column i in one elimination of [M^T | I].
@@ -148,10 +127,10 @@ class Encoding:
 
     @cached_property
     def in_family(self) -> bool:
-        """Whether the codes are rows of one full family matrix of the natural
+        """Whether the points are rows of one full family matrix of the natural
         width, which has fewer than 2d rows. No matrix is built. The full
         reflected matrix is {0,1}^r. The full zig-zag matrix is G.{0,1}^r,
-        and G^-1 is unit upper-triangular with -1 above the diagonal: a code
+        and G^-1 is unit upper-triangular with -1 above the diagonal: a point
         h is a row exactly when each h_j minus the sum of the later
         coordinates is 0 or 1, which is tested one column at a time, last
         first."""
@@ -165,6 +144,37 @@ class Encoding:
                 return False
             later = list(map(add, later, column))
         return True
+
+    def contains(self, p: Row) -> bool:
+        """Whether the integer point p satisfies the equations and the facets."""
+        return (all(sum(map(mul, a, p)) == b for a, b in self.equations)
+                and all(sum(map(mul, a, p)) <= b for a, b, _ in self.facets))
+
+
+@dataclass(frozen=True)
+class Encoding(Hull):
+    """d distinct integer code vectors of length r, one per alternative."""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))  # rows may be lists
+        if len(self.rows) < 2:
+            raise TooFewAlternatives("an encoding needs at least two rows")
+        width = len(self.rows[0])
+        if width < 1:
+            raise InputError("encoding rows must have at least one coordinate")
+        # Widths and entry types are each read in one C-level pass; an int
+        # subclass other than bool is checked type by type. Only the rows
+        # before the first ragged one are typed, so a bad entry there is
+        # named first, as a row-by-row check would.
+        ragged = next(compress(count(), map(ne, map(len, self.rows), repeat(width))),
+                      len(self.rows))
+        types = set(map(type, chain.from_iterable(self.rows[:ragged])))
+        if types != {int} and not all(issubclass(t, int) and t is not bool for t in types):
+            raise InputError("encoding rows must be integer vectors")
+        if ragged < len(self.rows):
+            raise InputError("encoding rows have unequal lengths")
+        if len(set(self.rows)) != len(self.rows):
+            raise InputError("encoding rows must be pairwise distinct")
 
 
 def check_int(value, what: str) -> None:
@@ -234,12 +244,6 @@ def make_encoding(d: int, kind: EncodingKind) -> Encoding:
     return Encoding(FAMILIES[kind](r)[:d])
 
 
-def _from_family(e: Encoding) -> bool:
-    """Whether both gates hold by the lemma in the module docstring, as
-    ``e.in_family`` decides once per encoding."""
-    return e.in_family
-
-
 def is_in_convex_position(e: Encoding) -> bool:
     """True when no row lies in the convex hull of the other rows.
 
@@ -248,7 +252,7 @@ def is_in_convex_position(e: Encoding) -> bool:
     through it, so code i is a vertex iff no other code lies on every facet
     that code i lies on.
     """
-    if _from_family(e):
+    if e.in_family:
         return True
     masks = [mask for _, _, mask in e.facets]
     for i in range(e.d):
@@ -273,7 +277,7 @@ def is_hole_free(e: Encoding) -> bool:
     hole. Before a level is built, more than DEFAULT_HOLE_CAP candidates
     raise HoleCheckTooLarge.
     """
-    if _from_family(e):
+    if e.in_family:
         return True
     *inner, last = code_bounds(e)
     kept: list[Row] = [()]
@@ -281,10 +285,10 @@ def is_hole_free(e: Encoding) -> bool:
         prefixes = dict.fromkeys(row[:j] for row in e.rows)
         kept = list(_extend(kept, j, *bounds))
         if not all(map(prefixes.__contains__, kept)):
-            hull = Encoding(tuple(prefixes))
-            kept = [p for p in kept if p in prefixes or _in_hull(hull, p)]
+            hull = Hull(tuple(prefixes))
+            kept = [p for p in kept if p in prefixes or hull.contains(p)]
     codes = set(e.rows)
-    return not any(p not in codes and _in_hull(e, p) for p in _extend(kept, e.r, *last))
+    return not any(p not in codes and e.contains(p) for p in _extend(kept, e.r, *last))
 
 
 def _extend(kept: list[Row], j: int, lo: int, hi: int):
@@ -294,11 +298,6 @@ def _extend(kept: list[Row], j: int, lo: int, hi: int):
         raise HoleCheckTooLarge(f"the hole-freeness scan would visit {size} points at "
                                 f"coordinate {j}, over its fixed cap of {DEFAULT_HOLE_CAP}")
     return ((*p, x) for p in kept for x in range(lo, hi + 1))
-
-
-def _in_hull(hull: Encoding, p: Row) -> bool:
-    return (all(sum(map(mul, a, p)) == b for a, b in hull.equations)
-            and all(sum(map(mul, a, p)) <= b for a, b, _ in hull.facets))
 
 
 def code_bounds(e: Encoding) -> tuple[tuple[int, int], ...]:

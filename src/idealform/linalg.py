@@ -18,7 +18,7 @@ primitive integer tuples whose first nonzero entry is positive.
 :func:`dd_cut` is the double-description step (Fukuda and Prodon,
 "Double description method revisited", 1996) on homogeneous integer
 vectors; :func:`double_description` applies it cut by cut under the three
-caps, for the vertices of a relaxation and for the facets of the code hull.
+caps, for the vertices of a relaxation and for the facets of a `Hull`.
 """
 
 from __future__ import annotations

@@ -21,9 +21,9 @@ package implementation, so agreement is evidence rather than tautology:
 * JSON text via json.dumps with an indent, which runs the standard
   library's pure-Python encoder (idealform.documents.document_text
   replaced it),
-* the facets of the code hull from a start cone of one kernel per ray
-  (the single elimination in idealform.encoding.Encoding.facets replaced
-  it),
+* the facets of a hull of integer points from a start cone of one kernel
+  per ray (the single elimination in idealform.encoding.Hull.facets
+  replaced it),
 * LP text one formatted term at a time (the joined rows of
   idealform.lp_format.emit_lp_text replaced it),
 * hole-freeness by testing every point of the code box against the hull's

@@ -557,16 +557,16 @@ class TestHullComputedOnce:
     @staticmethod
     def count_facet_enumerations(monkeypatch):
         """The point sets whose facets are enumerated, one entry per run."""
-        enumerated, original = [], Encoding.facets.func
+        enumerated, original = [], encoding.Hull.facets.func
         counted = cached_property(lambda e: enumerated.append(e.rows) or original(e))
-        counted.__set_name__(Encoding, "facets")
-        monkeypatch.setattr(Encoding, "facets", counted)
+        counted.__set_name__(encoding.Hull, "facets")
+        monkeypatch.setattr(encoding.Hull, "facets", counted)
         return enumerated
 
     @staticmethod
     def gates_without_the_lemma(monkeypatch):
         """Family codes take the hull and the scan, as other codes do."""
-        monkeypatch.setattr(encoding, "_from_family", lambda e: False)
+        monkeypatch.setattr(encoding.Hull, "in_family", False)
 
     def test_one_facet_enumeration_per_formulation(self, monkeypatch, capsys):
         # The full code hull once per Encoding; the hole-freeness scan adds
@@ -619,7 +619,7 @@ class TestHullComputedOnce:
     def test_other_codes_enumerate_their_facets_once(self, monkeypatch, rows):
         enumerated = self.count_facet_enumerations(monkeypatch)
         e = Encoding(rows)
-        assert not encoding._from_family(e)
+        assert not e.in_family
         assert theorem1_formulation(sos2(4), e).gamma == 2
         assert enumerated == [e.rows]
 

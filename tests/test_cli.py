@@ -78,7 +78,7 @@ class TestEncode:
     def test_gate_over_its_cap_leaves_no_output(self, capsys, tmp_path, monkeypatch):
         # The widest level of the zig-zag scan at s = 8 has 8385 candidates;
         # the scan runs as for codes that are no family's.
-        monkeypatch.setattr(encoding, "_from_family", lambda e: False)
+        monkeypatch.setattr(encoding.Hull, "in_family", False)
         monkeypatch.setattr(encoding, "DEFAULT_HOLE_CAP", 8384)
         code, out, err = run(capsys, "encode", "--kind", "zigzag", "--s", "8")
         assert (code, out) == (4, "")
@@ -274,7 +274,7 @@ class TestFixedCaps:
     def test_hole_cap(self, capsys, write_doc, monkeypatch):
         # Gray d = 4: two kept 1-prefixes times two values at coordinate 2,
         # with the scan run as for codes that are no family's.
-        monkeypatch.setattr(encoding, "_from_family", lambda e: False)
+        monkeypatch.setattr(encoding.Hull, "in_family", False)
         monkeypatch.setattr(encoding, "DEFAULT_HOLE_CAP", 3)
         code, out, err = run(capsys, "formulate", write_doc(SOS2_DOC))
         assert (code, out) == (4, "")

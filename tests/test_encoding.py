@@ -10,11 +10,13 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from idealform import encoding
+from idealform.annulus import annulus_cdc
 from idealform.cdc import cdc, theorem1_formulation
 from idealform.cli import main
 from idealform.encoding import (
     Encoding,
     EncodingKind,
+    Hull,
     gray_matrix,
     is_hole_free,
     is_in_convex_position,
@@ -29,7 +31,8 @@ from idealform.errors import (
     TooFewAlternatives,
     TooLargeToEnumerate,
 )
-from idealform.linalg import affine_hull
+from idealform.linalg import affine_hull, rank
+from idealform.verify import embedding_extreme_points
 from oracles import (
     convex_position_by_simplex,
     facets_from_kernel_start_cone,
@@ -37,6 +40,7 @@ from oracles import (
     hole_free_by_simplex,
     in_hull_caratheodory,
 )
+from test_cdc import connected_problems, sos
 
 K3 = (
     (0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
@@ -195,8 +199,29 @@ def by_proof(request, monkeypatch):
     family test patched off, so that the hull and the scan meet the codes
     too. The value says which run this is."""
     if not request.param:
-        monkeypatch.setattr(encoding, "_from_family", lambda e: False)
+        monkeypatch.setattr(Hull, "in_family", False)
     return request.param
+
+
+def count_candidates(monkeypatch):
+    """Route encoding._extend through a wrapper that counts the candidates
+    drawn from each level it returns, one entry per level. A level drawn
+    past the hole cap fails at once, where the scan would run on."""
+    drawn, original = [], encoding._extend
+
+    def counting(*args):
+        level, k = original(*args), len(drawn)
+        drawn.append(0)
+
+        def draw():
+            for p in level:
+                drawn[k] += 1
+                assert drawn[k] <= encoding.DEFAULT_HOLE_CAP, "a level drawn past the cap"
+                yield p
+        return draw()
+
+    monkeypatch.setattr(encoding, "_extend", counting)
+    return drawn
 
 
 class TestGates:
@@ -252,7 +277,7 @@ class TestGates:
         # coordinate's range, not the code box: the zig-zag box at s = 8 has
         # 1,270,075,950 points, and the scan's widest level has 8,385.
         # Without the lemma, as for codes that are no family's.
-        monkeypatch.setattr(encoding, "_from_family", lambda e: False)
+        monkeypatch.setattr(Hull, "in_family", False)
         e = make_encoding(256, EncodingKind.ZIGZAG)
         monkeypatch.setattr(encoding, "DEFAULT_HOLE_CAP", 8385)
         assert is_hole_free(e)
@@ -262,10 +287,12 @@ class TestGates:
             is_hole_free(e)
         # A pathological range is refused at its level, before any point exists.
         monkeypatch.undo()
+        drawn = count_candidates(monkeypatch)
         start = time.perf_counter()
         with pytest.raises(HoleCheckTooLarge, match=f"visit {10**30 + 1} points at coordinate 1,"):
             is_hole_free(Encoding([(0, 0), (10**30, 0), (0, 1)]))
-        assert time.perf_counter() - start < 1
+        assert drawn == []
+        assert time.perf_counter() - start < 10  # a hang guard; the count bounds the work
 
 
 def _explicit_rows(width, top):
@@ -328,12 +355,28 @@ class TestHoleFreeByPrefixes:
         assert is_hole_free(e) is hole_free
         assert hole_free_by_box(e) is hole_free_by_simplex(rows) is hole_free
 
-    def test_the_last_level_stops_at_its_first_hole(self):
+    def test_the_last_level_stops_at_its_first_hole(self, monkeypatch):
         # Level 2 has 10**6 candidates, exactly the cap; the second, (0, 1),
         # is a hole, and the scan returns there instead of building the level.
+        drawn = count_candidates(monkeypatch)
         start = time.perf_counter()
         assert not is_hole_free(Encoding([(0, 0), (999, 0), (0, 999), (999, 999)]))
-        assert time.perf_counter() - start < 1
+        assert drawn == [1000, 2]
+        assert time.perf_counter() - start < 10  # a hang guard; the count bounds the work
+
+    def test_the_projections_are_hulls_not_encodings(self, monkeypatch):
+        # The prefixes are no alternative's codes, so the code checks skip them.
+        monkeypatch.setattr(Hull, "in_family", False)
+        e = make_encoding(8, EncodingKind.ZIGZAG)
+        checked, widths = [], []
+        post_init, contains = Encoding.__post_init__, Hull.contains
+        monkeypatch.setattr(Encoding, "__post_init__",
+                            lambda self: checked.append(self.rows) or post_init(self))
+        monkeypatch.setattr(Hull, "contains",
+                            lambda self, p: widths.append(self.r) or contains(self, p))
+        assert is_hole_free(e)
+        # The hull of the 2-prefixes, then the code hull itself.
+        assert checked == [] and sorted(set(widths)) == [2, 3]
 
     @pytest.mark.parametrize("kind", [EncodingKind.GRAY, EncodingKind.ZIGZAG])
     def test_every_family_prefix_up_to_sixty_four_passes_both_gates(self, kind, by_proof):
@@ -368,7 +411,7 @@ class TestFamilyLemma:
 
     @pytest.mark.parametrize("family", [gray_matrix, zigzag_matrix])
     def test_the_hull_and_the_scan_pass_full_matrices(self, monkeypatch, family):
-        monkeypatch.setattr(encoding, "_from_family", lambda e: False)
+        monkeypatch.setattr(Hull, "in_family", False)
         for s in range(1, 9):
             e = Encoding(family(s))
             assert is_in_convex_position(e) and is_hole_free(e), s
@@ -378,7 +421,7 @@ class TestFamilyLemma:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_subsets_agree_with_the_oracles(self, by_proof, rows):
         e = Encoding(rows)
-        assert encoding._from_family(e) is by_proof
+        assert e.in_family is by_proof
         assert is_in_convex_position(e) is convex_position_by_simplex(rows) is True
         assert is_hole_free(e) is hole_free_by_box(e) is True
 
@@ -396,7 +439,7 @@ class TestFamilyLemma:
         d = data.draw(st.integers(2 ** (r - 1) + 1, 2**r))
         rows = data.draw(st.permutations(matrix))[:d]
         e = Encoding(rows)
-        assert encoding._from_family(e)
+        assert e.in_family
         assert e.equations == () and affine_hull(rows) == []
 
     @pytest.mark.parametrize("rows", [
@@ -407,7 +450,7 @@ class TestFamilyLemma:
         [(*row, 0) for row in zigzag_matrix(16)] + [(0,) * 16 + (1,)],
     ], ids=["wide", "negative", "mixed", "over-the-cap"])
     def test_other_codes_are_not_from_a_family(self, rows):
-        assert not encoding._from_family(Encoding(rows))
+        assert not Encoding(rows).in_family
 
     @given(st.integers(1, 5), st.data())
     @settings(max_examples=200, deadline=None)
@@ -422,7 +465,7 @@ class TestFamilyLemma:
                                                min_size=r, max_size=r)))
         assume(len(set(rows)) == d)
         expected = any(set(rows) <= rows_of for rows_of in full)
-        assert encoding._from_family(Encoding(rows)) is expected
+        assert Encoding(rows).in_family is expected
 
     def test_no_matrix_is_built_to_decide_the_gates(self, monkeypatch, capsys):
         calls = []
@@ -488,7 +531,7 @@ class TestGatesAgainstSimplex:
 
     def test_facet_cap_is_enforced(self, monkeypatch, capsys):
         # Without the lemma, as for codes that are no family's.
-        monkeypatch.setattr(encoding, "_from_family", lambda e: False)
+        monkeypatch.setattr(Hull, "in_family", False)
         monkeypatch.setattr(encoding, "DEFAULT_ENUM_CAP", 3)
         with pytest.raises(TooLargeToEnumerate, match="code hull") as info:
             is_in_convex_position(make_encoding(8, EncodingKind.GRAY))
@@ -527,6 +570,41 @@ class TestFacetsAgainstKernelStartCone:
     def test_random_explicit_rows(self, rows):
         e = Encoding(rows)
         assert e.facets == facets_from_kernel_start_cone(e)
+
+    @staticmethod
+    def embedding_hull(c, e):
+        """The hull of the embedding points (e^w, h^j), their last coordinate
+        dropped, checked against the oracles. The points lie on
+        sum(lambda) = 1, so the family test never holds for them."""
+        v = Hull(tuple(sorted(p[:-1] for p in embedding_extreme_points(c, e).vertices)))
+        simplex = (*[1] * c.n, *[0] * e.r, 1)
+        equations = [(*a, b) for a, b in v.equations]
+        assert not v.in_family
+        assert v.equations == tuple(affine_hull(v.rows))
+        assert rank(equations + [simplex]) == rank(equations) == len(equations) > 0
+        assert v.facets == facets_from_kernel_start_cone(v)
+        return v
+
+    @pytest.mark.parametrize("kind", [EncodingKind.GRAY, EncodingKind.ZIGZAG])
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_embedding_points_of_sos_windows(self, width, kind):
+        for d in (2, 5, 16, 33):
+            c = sos(d, width)
+            v = self.embedding_hull(c, make_encoding(d, kind))
+            # Family codes are full-dimensional, so sum(lambda) = 1 is all.
+            assert v.equations == (((1,) * c.n + (0,) * (v.r - c.n), 1),), d
+
+    @pytest.mark.parametrize("kind", [EncodingKind.GRAY, EncodingKind.ZIGZAG])
+    def test_embedding_points_of_annuli(self, kind):
+        for d in (2, 4, 8, 16):
+            c = annulus_cdc(d)
+            v = self.embedding_hull(c, make_encoding(d, kind))
+            assert v.equations == (((1,) * c.n + (0,) * (v.r - c.n), 1),), d
+
+    @given(connected_problems())
+    @settings(max_examples=100, deadline=None)
+    def test_embedding_points_of_connected_problems(self, problem):
+        self.embedding_hull(*problem)
 
 
 class TestSizesMustBeInts:
