@@ -25,9 +25,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, compress, count, filterfalse, repeat
 from math import gcd, lcm
-from operator import mul, ne
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import TooLargeToEnumerate
@@ -112,14 +111,9 @@ def rank(rows: Iterable[Sequence]) -> int:
 
 
 def independent_rows(rows: Iterable[Sequence]) -> list[tuple]:
-    """Greedy maximal independent subset of rows, keeping first occurrences.
-
-    Rows are read one at a time and the scan stops at full rank, so an
-    iterator is consumed no further than the last row kept.
-    """
-    seen: list[Sequence] = []  # every row read, so indices find the kept ones
-    kept, _ = _eliminate(seen.append(row) or row for row in rows)
-    return [tuple(seen[i]) for i in kept]
+    """Greedy maximal independent subset of rows, keeping first occurrences."""
+    rows = list(rows)
+    return [tuple(rows[i]) for i in _eliminate(rows)[0]]
 
 
 def kernel(rows: Iterable[Sequence], dim: int) -> list[tuple[int, ...]]:
@@ -166,22 +160,13 @@ def affine_hull(points: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ...], 
     point, so they are independent, primitive and canonical, and the hull
     has dimension len(points[0]) minus their number. A single point gets
     one equation per coordinate, an affinely full set gets none.
-
-    The kernel depends only on the row space, so the differences may enter
-    in any order. The first point off the base in each coordinate goes
-    first, found by a C-level scan of each column; the rest follow. For the
-    code families those r points are already independent, so the
-    elimination stops at full rank after r rows of d - 1.
     """
     base = points[0]
-    leads = sorted({next(compress(count(), map(ne, column, repeat(b))), 0)
-                    for column, b in zip(zip(*points), base)} - {0})
-    order = chain(leads, filterfalse(set(leads).__contains__, range(1, len(points))))
-    dirs = ([x - b for x, b in zip(points[i], base)] for i in order)
+    dirs = ([x - b for x, b in zip(p, base)] for p in points[1:])
     return [(a, sum(map(mul, a, base))) for a in kernel(dirs, len(base))]
 
 
-def dd_cut(vertices, masks, row, bit, is_equality, need, spend=None):
+def dd_cut(vertices, masks, row, bit, is_equality, need, spend):
     """Intersect the vertex set with row . x <= 0, or = 0 for an equality.
 
     ``row`` is homogeneous (coefficients, then minus the right-hand side),
@@ -189,8 +174,8 @@ def dd_cut(vertices, masks, row, bit, is_equality, need, spend=None):
     ``bit`` is the new row's mask bit and ``need`` the fewest tight rows an
     edge can have. Correctness of the edge test relies on ``vertices``
     being the complete vertex set of the polytope cut so far; the extreme
-    rays of a pointed cone serve as well. ``spend``, if given, gets the
-    number of candidate pairs before any is tested, and may raise.
+    rays of a pointed cone serve as well. ``spend`` gets the number of
+    candidate pairs before any is tested, and may raise.
     """
     slack = [sum(map(mul, row, x)) for x in vertices]
     kept, kept_masks = [], []
@@ -206,8 +191,7 @@ def dd_cut(vertices, masks, row, bit, is_equality, need, spend=None):
                 kept_masks.append(masks[i])
         else:
             pos.append(i)
-    if spend is not None:
-        spend(len(neg) * len(pos))
+    spend(len(neg) * len(pos))
     w = 0  # the last ray the edge test stopped at, tried first: it often rules out the next pair
     for i in neg:
         mask_i, s_i, x_i = masks[i], slack[i], vertices[i]

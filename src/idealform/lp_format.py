@@ -15,8 +15,8 @@ out through ``filter`` and ``compress``, and each nonzero coefficient maps
 to its "+ 3 " or "- 3 " prefix through a dict filled once per emit. Prefixes
 and names, space-suffixed once per emit, fill alternate slots of one list,
 joined once less its last space, so no string is made per term. Row fields
-may be any sequences, tuples or lists; a non-int entry raises InputError.
-The bytes are checked against the per-term writer kept as a test oracle.
+may be tuples, lists or any sequence; a non-integral entry always raises
+InputError. The bytes are checked against the per-term writer, a test oracle.
 """
 
 from __future__ import annotations

@@ -48,7 +48,12 @@ package implementation, so agreement is evidence rather than tautology:
 * the jumps of a piecewise-linear function, each one-sided value recomputed
   in Fraction from the raw entries (idealform.pwl.PwlFunction.jumps, which
   compares the cached segment ends of the stored entries, replaced the
-  derivations that each caller made of its own).
+  derivations that each caller made of its own),
+* the logarithmic SOS2 formulation of Vielma and Nemhauser ("Modeling
+  disjunctive constraints with a logarithmic number of binary variables and
+  constraints", Math. Programming 128, 2011), written per code bit as two
+  lambda index sets (idealform.cdc.theorem1_formulation on Gray codes
+  should give the same rows).
 
 Most are exponential and meant for desk-scale fixtures only.
 """
@@ -373,8 +378,22 @@ def facets_from_kernel_start_cone(e) -> tuple[tuple[tuple[int, ...], int, int], 
         masks.append(sum(1 << j for j in start if j != i))
     for row, i in cuts.items():
         if i not in start:
-            rays, masks = dd_cut(rays, masks, row, 1 << i, False, e.dim - 1)
+            rays, masks = dd_cut(rays, masks, row, 1 << i, False, e.dim - 1,
+                                  lambda pairs: None)
     return tuple((tuple(ray[:-1]), ray[-1], mask) for ray, mask in zip(rays, masks))
+
+
+def log_sos2_sets(codes) -> list[tuple[frozenset[int], frozenset[int]]]:
+    """Vielma and Nemhauser's logarithmic SOS2 formulation for segments 1..d
+    coded by ``codes``, over points 1..d + 1, point v ending segments v - 1
+    and v: per bit k, the sets (L_k, R_k) of the points whose every segment
+    has bit k equal to 1, and equal to 0. Its rows are
+    sum(lambda_v, v in L_k) <= z_k and sum(lambda_v, v in R_k) <= 1 - z_k."""
+    d = len(codes)
+    through = [[codes[i] for i in (v - 2, v - 1) if 0 <= i < d] for v in range(1, d + 2)]
+    return [tuple(frozenset(v for v, segments in enumerate(through, 1)
+                            if all(h[k] == bit for h in segments)) for bit in (1, 0))
+            for k in range(len(codes[0]))]
 
 
 def rows_by_covering_lists(c, e, normals) -> list[tuple]:
@@ -507,7 +526,8 @@ def vertices_by_unmerged_description(f, sizes=None) -> frozenset:
     number of rays held after each cut."""
     rays, masks, cuts = _cone_and_cuts(f)
     for row, bit, is_equality, _ in cuts:
-        rays, masks = dd_cut(rays, masks, row, bit, is_equality, f.n_lambda + f.r_z - 2)
+        rays, masks = dd_cut(rays, masks, row, bit, is_equality, f.n_lambda + f.r_z - 2,
+                             lambda pairs: None)
         if sizes is not None:
             sizes.append(len(rays))
     return frozenset(map(tuple, rays))

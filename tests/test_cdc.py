@@ -44,6 +44,7 @@ from oracles import (
     hyperplane_normals_all_subsets,
     hyperplane_normals_by_subset_walk,
     intersection_arcs_all_pairs,
+    log_sos2_sets,
     nullspace,
     rows_by_covering_lists,
     rows_by_slots,
@@ -400,6 +401,23 @@ class TestTheorem1Formulation:
             permuted_e = Encoding([e.rows[i] for i in order])
             f = theorem1_formulation(permuted, permuted_e)
             assert f.gamma == base.gamma
+
+
+class TestLogarithmicSos2:
+    """Theorem 1 on SOS2 with Gray codes against Vielma and Nemhauser's
+    logarithmic formulation, written as its two index sets per bit."""
+
+    def test_gray_codes_up_to_sixty_four(self):
+        for d in range(2, 65):
+            e = make_encoding(d, EncodingKind.GRAY)
+            f = theorem1_formulation(sos2(d), e)
+            rows = {row.normal: row for row in f.general_rows}
+            assert len(f.general_rows) == len(rows) == e.r, d
+            assert sorted(rows) == sorted(unit_normals(e.r)), d
+            points = range(1, d + 2)
+            for normal, (left, right) in zip(unit_normals(e.r), log_sos2_sets(e.rows)):
+                assert rows[normal].lower == tuple(int(v in left) for v in points), (d, normal)
+                assert rows[normal].upper == tuple(1 - (v in right) for v in points), (d, normal)
 
 
 def random_connected_cdc(rng, max_n=8, max_d=6):

@@ -38,7 +38,9 @@ from oracles import (
     facets_from_kernel_start_cone,
     hole_free_by_box,
     hole_free_by_simplex,
+    hull_equations_from_all_directions,
     in_hull_caratheodory,
+    point_in_convex_hull,
 )
 from test_cdc import connected_problems, sos
 
@@ -605,6 +607,43 @@ class TestFacetsAgainstKernelStartCone:
     @settings(max_examples=100, deadline=None)
     def test_embedding_points_of_connected_problems(self, problem):
         self.embedding_hull(*problem)
+
+
+@st.composite
+def _point_sets(draw):
+    """Distinct integer points of width 1 to 4 with entries in -2..2, two to
+    eight of the box's lattice points on a flat through a base point spanned
+    by zero to width directions, or all of them when the flat holds fewer:
+    single points, collinear and coplanar sets and full-dimensional ones."""
+    width = draw(st.integers(1, 4))
+    point = st.tuples(*[st.integers(-2, 2)] * width)
+    base = draw(point)
+    step = st.tuples(*[st.integers(-1, 1)] * width).filter(any)
+    spans = draw(st.lists(step, min_size=draw(st.integers(0, width)), max_size=width))
+    flat = {tuple(b + sum(c * g[i] for c, g in zip(cs, spans)) for i, b in enumerate(base))
+            for cs in product(range(-2, 3), repeat=len(spans))}
+    candidates = sorted(p for p in flat if all(-2 <= x <= 2 for x in p))
+    return draw(st.permutations(candidates))[:draw(st.sampled_from(range(2, 9)))]
+
+
+class TestHullOfPointSets:
+    """Point sets that no Encoding holds, as the hole scan's prefix
+    projections build them: the hull's equations against the nullspace of
+    every difference, its membership test against one LP per lattice point
+    of the box, and both gates against the simplex and the box."""
+
+    @given(_point_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_equations_membership_and_gates(self, pts):
+        hull = Hull(tuple(pts))
+        assert [a for a, _ in hull.equations] == hull_equations_from_all_directions(pts)
+        inside = set()
+        for p in product(*(range(min(c), max(c) + 1) for c in zip(*pts))):
+            if point_in_convex_hull(p, pts):
+                inside.add(p)
+            assert hull.contains(p) == (p in inside), p
+        assert is_in_convex_position(hull) == convex_position_by_simplex(pts)
+        assert is_hole_free(hull) == hole_free_by_box(hull) == (inside == set(pts))
 
 
 class TestSizesMustBeInts:

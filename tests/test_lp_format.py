@@ -1,6 +1,7 @@
 """LP text output: grammar, exact coefficient recovery, determinism."""
 
 import re
+from fractions import Fraction
 from operator import neg
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from idealform.annulus import annulus_zigzag_formulation
 from idealform.cdc import cdc, theorem1_formulation
 from idealform.encoding import EncodingKind, make_encoding
+from idealform.errors import InputError
 from idealform.formulation import Formulation, GeneralRow, LinearEquality
 from idealform.lp_format import emit_lp_text
 from oracles import lp_text
@@ -146,6 +148,24 @@ class TestEmit:
     def test_deterministic_bytes(self):
         f, _ = annulus_zigzag_formulation(8)
         assert emit_lp_text(f) == emit_lp_text(f)
+
+    @pytest.mark.parametrize("value", [0.5, Fraction(3, 2)])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("field", ["lam", "z", "normal", "lower", "upper"])
+    def test_a_non_integral_entry_always_raises(self, field, position, value):
+        # Every other entry is an int, each written before or after it.
+        fields = {"lam": [1, 2, 3], "z": [1, 2, 3], "normal": [1, 2, 3],
+                  "lower": [0, 0, 0], "upper": [2, 2, 3]}
+        fields[field][position] = value
+        f = Formulation(
+            n_lambda=3, r_z=3,
+            equalities=(LinearEquality(lam=tuple(fields["lam"]), z=tuple(fields["z"]), rhs=1),),
+            general_rows=(GeneralRow(normal=tuple(fields["normal"]),
+                                     lower=tuple(fields["lower"]),
+                                     upper=tuple(fields["upper"])),),
+            z_bounds=((0, 1),) * 3)
+        with pytest.raises(InputError, match="^LP text holds integers only, got "):
+            emit_lp_text(f)
 
 
 # Small coefficients, zeros among them, and some wider than 64 bits.
