@@ -73,10 +73,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
-        return Path(path).read_text()
+        return sys.stdin.read() if path == "-" else Path(path).read_text()
     except (OSError, UnicodeDecodeError) as err:
         raise InputError(f"cannot read {path}: {err}") from err
 

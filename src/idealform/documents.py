@@ -182,7 +182,7 @@ def _real(value, field: str) -> float:
 
 
 def _int(value, field: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int:
         raise InputError(f"{field}: expected an integer")
     return value
 

@@ -44,9 +44,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, reduce
-from itertools import chain, compress, count, repeat
+from itertools import chain
 from math import gcd
-from operator import add, mul, ne, sub
+from operator import add, mul, sub
 
 from .errors import (
     HoleCheckTooLarge,
@@ -159,19 +159,11 @@ class Encoding(Hull):
         object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))  # rows may be lists
         if len(self.rows) < 2:
             raise TooFewAlternatives("an encoding needs at least two rows")
-        width = len(self.rows[0])
-        if width < 1:
+        if not self.rows[0]:
             raise InputError("encoding rows must have at least one coordinate")
-        # Widths and entry types are each read in one C-level pass; an int
-        # subclass other than bool is checked type by type. Only the rows
-        # before the first ragged one are typed, so a bad entry there is
-        # named first, as a row-by-row check would.
-        ragged = next(compress(count(), map(ne, map(len, self.rows), repeat(width))),
-                      len(self.rows))
-        types = set(map(type, chain.from_iterable(self.rows[:ragged])))
-        if types != {int} and not all(issubclass(t, int) and t is not bool for t in types):
+        if set(map(type, chain.from_iterable(self.rows))) != {int}:
             raise InputError("encoding rows must be integer vectors")
-        if ragged < len(self.rows):
+        if len(set(map(len, self.rows))) > 1:
             raise InputError("encoding rows have unequal lengths")
         if len(set(self.rows)) != len(self.rows):
             raise InputError("encoding rows must be pairwise distinct")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from enum import IntEnum
 from fractions import Fraction
 from typing import Callable
 
@@ -63,6 +64,13 @@ from oracles import (
 )
 
 HALF = Fraction(1, 2)
+
+
+class Level(IntEnum):
+    """An int subclass: refused wherever the model holds an integer."""
+    ONE = 1
+
+
 WRONG_TYPES = (None, 5, "x", 1.5, ())
 ALLOWED = (IdealformError, TypeError, AttributeError)
 
@@ -280,10 +288,13 @@ def document(args):
 def damaged_documents(doc):
     """Right-typed formulation documents, each refused by one field."""
     out = []
+    sizes = {key: doc["variables"][key]["count"] for key in ("lambda", "z")}
     for path, value in [(("variables", "lambda", "count"), 0),
                         (("variables", "z", "count"), -1),
-                        (("variables", "z", "bounds"), [[1, 0]] * doc["variables"]["z"]["count"]),
+                        (("variables", "z", "bounds"), [[1, 0]] * sizes["z"]),
                         (("equalities",), [{"lambda": [1], "z": [], "rhs": 1}]),
+                        (("equalities",), [{"lambda": [Level.ONE] * sizes["lambda"],
+                                            "z": [0] * sizes["z"], "rhs": 1}]),
                         (("general_rows",), [{"normal": [0], "lower": [0], "upper": [0]}]),
                         (("variables",), None)]:
         copy = json.loads(json.dumps(doc))
@@ -358,7 +369,7 @@ APIS = {
                            ("rows", (*a["rows"], a["rows"][0][1:] + (9, 9))),
                            ("rows", (*a["rows"], a["rows"][0])),
                            *(("rows", (*a["rows"][:-1], (x,) * len(a["rows"][0])))
-                             for x in (True, 0.5, HALF))]),
+                             for x in (True, 0.5, HALF, Level.ONE))]),
     "Formulation": Api(
         formulations().map(lambda f: dict(vars(f))),
         refused=lambda a: [("n_lambda", 0), ("n_lambda", -1), ("r_z", a["r_z"] + 1),

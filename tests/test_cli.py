@@ -775,6 +775,16 @@ class TestMalformedFiles:
         code, out, err = run(capsys, command, *argv)
         self.assert_one_error_line(code, out, err)
 
+    @pytest.mark.parametrize("command", ["formulate", "verify"])
+    def test_stdin_that_is_not_utf8(self, capsys, monkeypatch, write_doc, command):
+        # Decoded strictly, as under a locale such as en_US.UTF-8.
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+            io.BytesIO(b"\xff\xfe{}"), encoding="utf-8", errors="strict"))
+        argv = ["-"] if command == "formulate" else ["-", write_doc(SOS2_DOC)]
+        assert run(capsys, command, *argv) == (1, "", (
+            "error: cannot read -: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte\n"))
+
     def test_a_formulation_without_lambda_variables(self, capsys, write_doc, tmp_path):
         problem = write_doc(SOS2_DOC)
         formulation = tmp_path / "f.json"

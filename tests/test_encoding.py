@@ -145,16 +145,17 @@ class Level(IntEnum):
 
 
 class TestAcceptanceSet:
-    """Exactly the int entries, int subclasses other than bool included."""
+    """Exactly the plain int entries: a bool or another int subclass is refused,
+    as Cdc and PwlFunction refuse them."""
 
     @pytest.mark.parametrize("entry", [True, False, Fraction(1), Fraction(1, 2), 1.0])
     def test_bool_fraction_and_float_entries_are_refused(self, entry):
         with pytest.raises(InputError, match="^encoding rows must be integer vectors$"):
             Encoding(((0, 0), (1, entry), (0, 1)))
 
-    def test_an_int_subclass_is_accepted(self):
-        e = Encoding(((Level.LOW, Level.LOW), (Level.HIGH, 0), (0, Level.HIGH)))
-        assert (e.d, e.r) == (3, 2)
+    def test_an_int_subclass_is_refused(self):
+        with pytest.raises(InputError, match="^encoding rows must be integer vectors$"):
+            Encoding(((Level.LOW, Level.LOW), (Level.HIGH, 0), (0, Level.HIGH)))
 
     def test_a_ragged_row_is_refused(self):
         with pytest.raises(InputError, match="^encoding rows have unequal lengths$"):
@@ -170,11 +171,10 @@ class TestAcceptanceSet:
             Encoding(([0, 1], [1, 0.5]))
 
     def test_the_first_faulty_row_is_named(self):
-        # A bad entry before the first ragged row is reported, and one after it is not.
-        with pytest.raises(InputError, match="integer vectors"):
-            Encoding(((0, 0), (1, 0.5), (1,)))
-        with pytest.raises(InputError, match="unequal lengths"):
-            Encoding(((0, 0), (1,), (1, 0.5)))
+        # Entry types are checked before widths, wherever the ragged row is.
+        for rows in (((0, 0), (1, 0.5), (1,)), ((0, 0), (1,), (1, 0.5))):
+            with pytest.raises(InputError, match="^encoding rows must be integer vectors$"):
+                Encoding(rows)
 
 
 def _convex_position_oracle(rows):
